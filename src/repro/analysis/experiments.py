@@ -87,7 +87,7 @@ class ExperimentSuite:
         #: ``None`` defers to REPRO_BACKEND and then the in-process pool.
         self.backend = backend
         #: engine tier for every run in the suite; ``None`` defers to each
-        #: config.  The vector tier suits classification-level experiments
+        #: config.  The kernel tier suits classification-level experiments
         #: (filter comparisons, table sweeps); keep IPC/port/buffer figures
         #: on the pipeline tier — see docs/architecture.md, "Engine tiers".
         self.engine = engine

@@ -17,8 +17,7 @@ Subcommands::
     repro-sim verify --workload em3d mcf --insts 12000
     repro-sim export --workload gcc --filter pa --format csv
     repro-sim bench --workload em3d --runs 5 --workers 0
-    repro-sim bench --engines pipeline vector --insts 200000
-    repro-sim bench --engines pipeline,vector,kernel --insts 200000
+    repro-sim bench --engines pipeline kernel --insts 200000
     repro-sim bench --sweep --runs 24 --insts 4000
     repro-sim bench --sweep --baseline BENCH_sweep.json --max-regress 0.25
     repro-sim bench --lint --runs 3
@@ -463,11 +462,11 @@ def _cmd_broker(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Cross-engine differential oracle + golden corpus replay.
 
-    Three gates, all of which must pass for exit 0: pipeline-vs-vector
-    parity within the documented tolerance, vector-vs-kernel parity
-    bit-for-bit (the kernel tier lowers the vector model, so any drift
-    at all is a porting bug), and the golden corpus replay (unless
-    skipped).
+    Three gates, all of which must pass for exit 0: pipeline-vs-kernel
+    parity within the documented tolerance, cc-vs-interp kernel parity
+    bit-for-bit (the C leg ports the Python leg, so any drift at all is
+    a porting bug; skipped with the reason when no C compiler builds
+    the cc leg), and the golden corpus replay (unless skipped).
     """
     from pathlib import Path
 
@@ -494,7 +493,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 print(f"parity {tag:14s} FAIL")
                 for d in report.failures:
                     print(
-                        f"    {d.key}: pipeline {d.pipeline} vs vector {d.vector} "
+                        f"    {d.key}: pipeline {d.pipeline} vs kernel {d.kernel} "
                         f"(rel {d.rel:.3f}, abs {d.delta})"
                     )
 
@@ -506,14 +505,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 sanitize=not args.no_sanitize,
             )
             tag = f"{workload}/{name}"
-            if exact.ok:
-                print(
-                    f"kernel {tag:14s} ok    "
-                    f"(bit-identical to vector, mode={exact.kernel_mode})"
-                )
+            if exact.skipped:
+                print(f"kernel {tag:14s} skip  ({exact.skipped})")
+            elif exact.ok:
+                print(f"kernel {tag:14s} ok    (cc bit-identical to interp)")
             else:
                 failed = True
-                print(f"kernel {tag:14s} FAIL  (mode={exact.kernel_mode})")
+                print(f"kernel {tag:14s} FAIL  (cc vs interp)")
                 for mismatch in exact.mismatches:
                     print(f"    {mismatch}")
 
@@ -563,13 +561,12 @@ def _bench_engines(args: argparse.Namespace, lint_health: dict | None = None) ->
     against the first engine listed (the reference, normally the
     pipeline), and times the trace store cold (synthesise + save) versus
     warm (load).  The report lands in ``--out`` (default
-    ``BENCH_vector.json``, or ``BENCH_kernel.json`` when the kernel
-    engine is benched) — it is the documented-tolerance artefact the
-    batch engines' fidelity contracts point at.
+    ``BENCH_kernel.json``) — it is the documented-tolerance artefact the
+    kernel engine's fidelity contract points at.
 
-    Timing discipline for JIT/compiled engines: the first run of a
-    compiled engine pays one-off costs (numba compilation or loading the
-    cached C kernel) that would skew a timed rep, so every (engine,
+    Timing discipline for compiled engines: the first run of a compiled
+    engine pays one-off costs (building or loading the cached C
+    kernel) that would skew a timed rep, so every (engine,
     workload) pair gets one *untimed* warm-up run before any timed rep.
     Warm-up durations are recorded separately in the report's
     ``warmup`` health block — compile cost is visible, never silently
@@ -609,7 +606,7 @@ def _bench_engines(args: argparse.Namespace, lint_health: dict | None = None) ->
         return best, result
 
     # One untimed warm-up per (engine, workload) before any timed rep:
-    # a compiled engine's first run carries JIT/compile/load cost.
+    # a compiled engine's first run carries compile/load cost.
     warmup_seconds: dict[str, dict[str, float]] = {e: {} for e in args.engines}
 
     def warm_up(workload: str, cfg: SimulationConfig, engine: str, trace) -> None:
@@ -687,7 +684,7 @@ def _bench_engines(args: argparse.Namespace, lint_health: dict | None = None) ->
         "seed": args.seed,
         "engines": list(args.engines),
         "reference_engine": reference,
-        # Compile/JIT warm-up cost, kept out of the timed reps: the first
+        # Compile warm-up cost, kept out of the timed reps: the first
         # workload's warm-up absorbs any one-off compilation.
         "warmup": {
             engine: {
@@ -715,7 +712,7 @@ def _bench_engines(args: argparse.Namespace, lint_health: dict | None = None) ->
         report["kernel_mode"] = select_mode()
     if lint_health is not None:
         report["lint"] = lint_health
-    out = args.out or ("BENCH_kernel.json" if "kernel" in args.engines else "BENCH_vector.json")
+    out = args.out or "BENCH_kernel.json"
     with open(out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
@@ -1300,8 +1297,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     p_vf = sub.add_parser(
         "verify",
-        help="differential oracle: pipeline-vs-vector parity, vector-vs-kernel "
-        "bit-identity + golden corpus replay",
+        help="differential oracle: pipeline-vs-kernel parity, cc-vs-interp "
+        "kernel bit-identity + golden corpus replay",
     )
     p_vf.add_argument(
         "--workload", nargs="+", choices=workload_names(), default=["em3d", "mcf"],
@@ -1344,12 +1341,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="engine-axis bench: time each engine per (workload, filter) cell "
         f"({', '.join(KNOWN_ENGINES)}; space- or comma-separated), record "
         "speedups and counter deltas vs the first engine listed, and time the "
-        "trace store cold vs warm; writes --out (BENCH_vector.json, or "
-        "BENCH_kernel.json when the kernel engine is included)",
+        "trace store cold vs warm; writes --out (default BENCH_kernel.json)",
     )
     p_bn.add_argument(
         "--out",
-        help="engine-axis report path (default: BENCH_vector.json / BENCH_kernel.json)",
+        help="engine-axis report path (default: BENCH_kernel.json)",
     )
     p_bn.add_argument(
         "--lint", action="store_true",

@@ -51,10 +51,10 @@ class FilterKind(enum.Enum):
             ) from None
 
 
-#: Engine tiers :func:`repro.core.interval.make_engine` can build.  Kept
+#: Engine tiers :func:`repro.core.simulator.make_engine` can build.  Kept
 #: here (the leaf of the import graph) so configs can be validated before
 #: any engine module is imported or any worker is spawned.
-KNOWN_ENGINES = ("pipeline", "interval", "vector", "kernel")
+KNOWN_ENGINES = ("pipeline", "kernel")
 
 
 def _power_of_two(name: str, value: int) -> None:
@@ -252,14 +252,11 @@ class SimulationConfig:
     #: statistics cover only the post-warmup region.  Stands in for the
     #: paper's 300M-instruction runs where cold-start effects vanish.
     warmup_instructions: int = 0
-    #: Simulation engine tier: ``"pipeline"`` (timing-accurate, default),
-    #: ``"interval"`` (closed-form timing), ``"vector"`` (batch
-    #: functional replay — classification-accurate, no real timing; see
-    #: :mod:`repro.core.vector`), or ``"kernel"`` (the vector semantics
-    #: lowered to compiled flat-array kernels, bit-identical counters at
-    #: sweep scale; see :mod:`repro.core.kernel`).  An explicit
-    #: ``engine=`` argument to :class:`~repro.core.simulator.Simulator`
-    #: overrides this field.
+    #: Simulation engine tier: ``"pipeline"`` (timing-accurate, default)
+    #: or ``"kernel"`` (zero-contention functional replay over compiled
+    #: flat-array kernels — classification-accurate, no real timing; see
+    #: :mod:`repro.core.kernel`).  An explicit ``engine=`` argument to
+    #: :class:`~repro.core.simulator.Simulator` overrides this field.
     engine: str = "pipeline"
     #: Opt-in runtime invariant checking (see :mod:`repro.sanitize`).
     #: Deliberately excluded from cache fingerprints: sanitized runs are
@@ -274,7 +271,7 @@ class SimulationConfig:
 
         The sub-configs validate their own fields at construction; this
         collects everything that spans fields or names external components
-        (engine tier, vector-engine feature support).  The CLI calls it on
+        (engine tier, filter kind).  The CLI calls it on
         the fully-derived config before spawning any worker so a bad
         config fails in the parent with one clear message.
         """

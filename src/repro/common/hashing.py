@@ -66,8 +66,8 @@ def table_index(value: int, table_entries: int, scheme: str = "fold_xor") -> int
 def table_index_array(values: np.ndarray, table_entries: int, scheme: str = "fold_xor") -> np.ndarray:
     """Vectorised :func:`table_index`: map a whole array of keys at once.
 
-    Element-for-element identical to the scalar function (the vector engine
-    precomputes filter-table indices for entire trace chunks this way).
+    Element-for-element identical to the scalar function (the kernel engine
+    precomputes filter-table indices for a whole trace this way).
     Returns an ``int64`` array of indices in ``[0, table_entries)``.
     """
     bits = table_entries.bit_length() - 1

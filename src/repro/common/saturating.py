@@ -63,15 +63,6 @@ class SaturatingCounterArray:
             raise ValueError("value out of range")
         self.values.fill(value)
 
-    def predict_many(self, indices: np.ndarray) -> np.ndarray:
-        """Batch lookup: boolean array, True where the counter allows.
-
-        Lookups are state-free, so the batch result is element-for-element
-        identical to calling :meth:`predict` in a loop — the vector engine
-        uses this for whole-chunk filter decisions.
-        """
-        return self.values[np.asarray(indices, dtype=np.int64)] >= self.threshold
-
     def validate(self, site: str = "counters") -> None:
         """Sanitizer audit: every counter within [0, max_value].
 
@@ -95,7 +86,7 @@ class SaturatingCounterArray:
     def export_int64(self) -> np.ndarray:
         """A fresh int64 copy of the counter values.
 
-        The compiled engine tiers update counters in flat int64 arrays
+        The kernel engine updates counters in flat int64 arrays
         (uint8 arithmetic in a kernel invites silent wraparound); pair
         with :meth:`absorb_int64` to fold the result back.
         """

@@ -6,14 +6,14 @@
 * :mod:`repro.core.classifier` — the good/bad prefetch bookkeeping behind
   every figure in the paper,
 * :mod:`repro.core.pipeline` — the timestamp-ordered OoO execution engine,
-* :mod:`repro.core.interval` — a faster closed-form engine for wide sweeps,
+* :mod:`repro.core.kernel` — the zero-contention functional engine for
+  wide classification sweeps (compiled C, with a Python reference leg),
 * :mod:`repro.core.simulator` — the facade wiring trace, hierarchy,
   prefetchers, filter and engine together.
 """
 
 from repro.core.branch import BimodalPredictor, BranchTargetBuffer, BranchUnit
 from repro.core.classifier import PrefetchClassifier, PrefetchTally
-from repro.core.interval import IntervalEngine
 from repro.core.lsq import LoadStoreQueue
 from repro.core.pipeline import OoOPipeline
 from repro.core.rob import ReorderBuffer, RetirementWindow
@@ -23,7 +23,6 @@ __all__ = [
     "BimodalPredictor",
     "BranchTargetBuffer",
     "BranchUnit",
-    "IntervalEngine",
     "LoadStoreQueue",
     "OoOPipeline",
     "PrefetchClassifier",

@@ -11,13 +11,13 @@ legs cannot drift silently on layout.
 
 Everything here is best-effort: :func:`load` returns the bound entry
 point or ``None`` (no compiler, compile failure, unwritable cache dir,
-dlopen failure) and the engine falls back to the jit or interpreted
-leg.  Failures are remembered for the process so a missing compiler is
-probed exactly once.
+dlopen failure) and the engine falls back to the interpreted leg.
+Failures are remembered for the process so a missing compiler is probed
+exactly once.
 
 The exported symbol has the exact argument order of
 :func:`repro.core.kernels.kernel_span`; :func:`load` returns a wrapper
-with that same Python signature, so the driver treats all three legs
+with that same Python signature, so the engine treats both legs
 interchangeably.
 """
 
@@ -549,7 +549,7 @@ def load() -> Optional[Callable]:
     _TRIED = True
     try:
         _FN = _bind(_build(c_source()))
-    except Exception as exc:  # any failure degrades to jit/interp legs
+    except Exception as exc:  # any failure degrades to the interp leg
         LOAD_ERROR = str(exc)
         _FN = None
     return _FN

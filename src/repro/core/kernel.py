@@ -1,28 +1,88 @@
-"""Compiled batch engine — the sweep-scale tier above the vector engine.
+"""Compiled functional engine — the sweep-scale tier beside the pipeline.
 
-:class:`KernelEngine` runs the exact semantics of
-:class:`~repro.core.vector.VectorEngine` (zero-contention functional
-replay, same update order, same counters) but lowers the nested-closure
-hot loop into :mod:`repro.core.kernels`: module-level functions over
-flat preallocated numpy arrays, executable as native code.  Counters
-are **bit-identical to the vector engine on every config** — the two
-tiers share one fidelity contract against the pipeline (see the
-``vector`` module docstring), and the golden corpus plus
-``repro-sim verify`` lock kernel-vs-vector equality directly.
+:class:`KernelEngine` replays a trace *functionally*: caches, PIB/RIB
+bookkeeping, prefetch generation, pollution filtering and good/bad
+classification are all modelled with the same update rules as the
+pipeline engine, but no cycle-level timing is simulated.  That trade
+buys two orders of magnitude in throughput, which is what wide
+parameter sweeps need (the headline figures still come from the
+pipeline engine).
 
-Execution legs (fastest available wins, ``REPRO_KERNEL_MODE`` overrides):
+How the speed is obtained
+-------------------------
 
-* ``jit``    — numba ``@njit(cache=True)`` over the kernels, when numba
-  is importable and ``NUMBA_DISABLE_JIT`` is not set;
+* **Batch decomposition.**  Non-memory instructions never enter the hot
+  loop at all: a numpy mask selects loads/stores/software prefetches,
+  and line addresses and filter-table indices are computed for the
+  whole trace in a handful of vectorised operations
+  (:func:`repro.common.hashing.table_index_array`).
+* **Flat state, compiled loop.**  The hot loop lives in
+  :mod:`repro.core.kernels` as module-level functions over flat
+  preallocated numpy arrays (layout below), so a compiler can take it
+  whole.
+* **Immediate prefetch issue.**  Prefetches that survive the duplicate
+  squash and the filter fill the L1 at the point of generation — no
+  queue occupancy, port arbitration, MSHR tracking or bus occupancy is
+  simulated (their *traffic counters* are still maintained).
+* **Deferred statistics.**  Event counts accumulate in flat counter
+  arrays and are folded into the shared :class:`~repro.common.stats.Stats`
+  tree only at the warmup boundary and at the end of the run.
+
+Fidelity contract
+-----------------
+
+The functional update order per memory access mirrors
+:meth:`repro.mem.hierarchy.MemoryHierarchy.demand_access` exactly
+(NSP-tag consume, L1 probe, L2 probe counted as a demand read, memory
+fetch, fills, eviction feedback into classifier and filter, dirty
+writebacks).  The one deliberate semantic difference is **prefetch
+issue under zero contention**: every request that survives the
+duplicate squash and the pollution filter fills the L1 at its
+generation point.  The pipeline instead holds requests in a bounded
+queue gated by L1-port idleness and an MSHR demand reserve, so under
+port saturation its prefetches issue hundreds of cycles late, overflow
+as drops, or die as late-duplicate squashes — an emergent timing
+feedback this engine intentionally does not chase.
+
+Two parity regimes follow, and ``tests/test_relaxed_parity.py`` pins
+both:
+
+* **Contention-free configs** (ample ports, MSHRs and queue slots,
+  unit latencies — :func:`repro.sanitize.differential.relaxed_config`
+  builds one): the pipeline's throttles never bind, and classification
+  counters match the pipeline engine exactly or to within a few counts
+  (residual deltas come only from LRU-stamp ties: cycle timestamps
+  there, access sequence numbers here).
+* **Paper-default configs**: counters diverge where classification is
+  *timeliness*-coupled (``good``/``issued`` under port saturation);
+  demand-access counts stay exact and miss counts stay within
+  documented bounds.  ``repro-sim bench --engines`` records the
+  measured per-counter deltas alongside the speedups, so every sweep
+  that trades the pipeline for this tier knows the gap it accepted.
+
+Use the kernel tier to rank filters and sweep table geometries (the
+paper's accuracy questions); use the pipeline tier for anything that
+quotes IPC, port counts or queue behaviour.  Cycle counts here are a
+crude closed-form estimate (dispatch bandwidth plus an MLP-discounted
+miss-latency sum) kept only so IPC-shaped code paths do not divide by
+zero — **never quote kernel-engine IPC**.
+
+Unsupported configurations (a clear :class:`ValueError` is raised):
+the stride prefetcher, the Section 5.5 prefetch buffer, and any filter
+other than null/PA/PC — all of which run on the pipeline engine.
+
+Execution legs (``cc`` when it builds, ``REPRO_KERNEL_MODE`` overrides):
+
 * ``cc``     — the C port in :mod:`repro.core._ckernel`, compiled once
   with the system C compiler and cached by source hash;
-* ``interp`` — the same kernel source as plain Python, always available.
+* ``interp`` — the same kernel source as plain Python, always available
+  and the readable reference the ``cc`` leg is held to bit-for-bit.
 
-Falling below the requested/expected leg degrades gracefully: one
-process-wide warning, never a crash, and the chosen leg is recorded in
-the result payload (``pipeline.kernel_mode_id`` in ``stats``) so cached
-results from different legs are distinguishable — by provenance and
-timing only, never by counters.
+Falling back to ``interp`` degrades gracefully: one process-wide
+warning, never a crash, and the chosen leg is recorded in the result
+payload (``pipeline.kernel_mode_id`` in ``stats``) so cached results
+from different legs are distinguishable — by provenance and timing
+only, never by counters.
 
 State layout (allocated per run, all C-contiguous):
 
@@ -39,13 +99,14 @@ State layout (allocated per run, all C-contiguous):
 * counters: ``K`` (37 int64 event slots) and ``T`` (5x7 per-source
   tally rows, flattened), folded into the shared stats tree only at the
   warmup boundary and the end of the run (the StatGroup flush
-  discipline the other batch tier uses).
+  discipline).
 """
 
 from __future__ import annotations
 
 import os
 import warnings
+from typing import Optional
 
 import numpy as np
 
@@ -53,7 +114,6 @@ from repro.common.hashing import table_index_array
 from repro.core import _ckernel
 from repro.core import kernels as krn
 from repro.core.pipeline import OoOPipeline
-from repro.core.vector import _MLP_DIVISOR
 from repro.filters.null_filter import NullFilter
 from repro.filters.pa_filter import PAFilter
 from repro.filters.pc_filter import PCFilter
@@ -64,15 +124,19 @@ from repro.sanitize import SanitizerViolation
 from repro.trace.record import InstrClass
 from repro.trace.stream import Trace
 
-MODE_JIT = "jit"
 MODE_CC = "cc"
 MODE_INTERP = "interp"
 
-#: Stable ids recorded in the result payload (``pipeline.kernel_mode_id``).
-MODE_IDS = {MODE_INTERP: 0, MODE_CC: 1, MODE_JIT: 2}
+#: Stable ids recorded in the result payload (``pipeline.kernel_mode_id``);
+#: cached payloads carry them, so existing ids never change meaning.
+MODE_IDS = {MODE_INTERP: 0, MODE_CC: 1}
 
-#: Environment override: force one leg (``jit`` / ``cc`` / ``interp``).
+#: Environment override: force one leg (``cc`` / ``interp``).
 MODE_ENV = "REPRO_KERNEL_MODE"
+
+#: divisor applied to the summed miss latency in the cycle estimate —
+#: stands in for the memory-level parallelism the OoO window extracts.
+_MLP_DIVISOR = 4
 
 _SCHEME_IDS = {
     "modulo": krn.SCHEME_MODULO,
@@ -90,54 +154,33 @@ def _warn_once(message: str) -> None:
         warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
-def available_modes() -> tuple:
-    """Usable legs in preference order (``interp`` is always last)."""
-    modes = []
-    if krn.HAVE_JIT:
-        modes.append(MODE_JIT)
-    if _ckernel.load() is not None:
-        modes.append(MODE_CC)
-    modes.append(MODE_INTERP)
-    return tuple(modes)
-
-
 def select_mode() -> str:
-    """Pick the execution leg: env override first, else fastest available."""
+    """Pick the execution leg: env override first, else ``cc`` when it
+    builds.  Warns (once per process) only on a fall back to ``interp``."""
     requested = os.environ.get(MODE_ENV, "").strip().lower()
-    modes = available_modes()
-    if requested:
-        if requested not in MODE_IDS:
-            raise ValueError(
-                f"unknown {MODE_ENV}={requested!r}; choose from jit, cc, interp"
-            )
-        if requested in modes:
-            return requested
-        reason = krn.JIT_ERROR if requested == MODE_JIT else _ckernel.LOAD_ERROR
-        _warn_once(
-            f"kernel engine: requested mode {requested!r} is unavailable "
-            f"({reason or 'not built'}); falling back to {modes[0]!r} "
-            "(counters are identical across legs, only timing differs)"
+    if requested and requested not in MODE_IDS:
+        raise ValueError(
+            f"unknown {MODE_ENV}={requested!r}; choose from cc, interp"
         )
-        return modes[0]
-    if modes[0] != MODE_JIT:
-        reason = krn.JIT_ERROR or "numba is not importable"
-        _warn_once(
-            f"kernel engine: numba JIT unavailable ({reason}); running the "
-            f"{modes[0]!r} leg (counters are identical across legs, only "
-            "timing differs)"
-        )
-    return modes[0]
+    if requested == MODE_INTERP:
+        return MODE_INTERP
+    if _ckernel.load() is not None:
+        return MODE_CC
+    _warn_once(
+        f"kernel engine: the cc leg is unavailable "
+        f"({_ckernel.LOAD_ERROR or 'not built'}); falling back to 'interp' "
+        "(counters are identical across legs, only timing differs)"
+    )
+    return MODE_INTERP
 
 
 def _span_fn(mode: str):
-    if mode == MODE_JIT:
-        return krn.kernel_span
     if mode == MODE_CC:
         fn = _ckernel.load()
-        if fn is None:  # pragma: no cover - select_mode never hands us this
+        if fn is None:
             raise RuntimeError(f"cc leg unavailable: {_ckernel.LOAD_ERROR}")
         return fn
-    return krn.py_kernel_span
+    return krn.kernel_span
 
 
 def _map_capacity(n_mem: int) -> int:
@@ -153,10 +196,11 @@ class KernelState:
     """All flat arrays of one kernel run, plus their invariant audit.
 
     Grouping the arrays in one object gives the sanitizer a single
-    ``validate()`` entry point (wired into ``CHECK_WALK``) that mirrors
-    the vector engine's compact-state sweeps: L1 frame/tag consistency,
-    RIB => PIB lineage, PIB <=> prefetch fill source, per-set tag
-    uniqueness, history-table counter range, and the L2 frame/tag sweep.
+    ``validate()`` entry point (wired into ``CHECK_WALK``) that applies
+    the object-model ``Cache.validate`` rules to the flat state: L1
+    frame/tag consistency, RIB => PIB lineage, PIB <=> prefetch fill
+    source, per-set tag uniqueness, history-table counter range, and
+    the L2 frame/tag sweep.
     """
 
     __slots__ = (
@@ -297,7 +341,9 @@ class KernelState:
 class KernelEngine(OoOPipeline):
     """Classification-accurate compiled engine (no cycle-level timing)."""
 
-    kernel_mode: str = ""
+    #: Leg to run instead of :func:`select_mode`'s choice; the cc-vs-interp
+    #: gate pins each leg through it, whatever ``REPRO_KERNEL_MODE`` says.
+    mode: Optional[str] = None
 
     def _check_supported(self) -> None:
         if self.stride is not None:
@@ -314,12 +360,11 @@ class KernelEngine(OoOPipeline):
         if ftype not in (NullFilter, PAFilter, PCFilter):
             raise ValueError(
                 f"the kernel engine inlines only the null/PA/PC filters, not "
-                f"{ftype.__name__}; run this filter on the vector or pipeline "
-                "engine"
+                f"{ftype.__name__}; run this filter on the pipeline engine"
             )
 
-    # One long straight-line method on purpose, mirroring VectorEngine.run
-    # section for section so a side-by-side diff of the two tiers is easy.
+    # One long straight-line method on purpose: precompute, state setup,
+    # fold, and span drive read top to bottom in execution order.
     def run(self, trace: Trace) -> int:  # noqa: C901 - deliberate hot-loop driver
         self._check_supported()
         cfg = self.config
@@ -328,8 +373,7 @@ class KernelEngine(OoOPipeline):
         if limit is not None:
             n = min(n, limit)
 
-        mode = select_mode()
-        self.kernel_mode = mode
+        mode = self.mode if self.mode is not None else select_mode()
         self.stats.set("kernel_mode_id", MODE_IDS[mode])
         span = _span_fn(mode)
 
@@ -341,7 +385,7 @@ class KernelEngine(OoOPipeline):
         sw_on = self.sw_unit is not None
         degree = cfg.prefetch.degree
 
-        # ---- batch precompute (identical to the vector tier) -------------
+        # ---- batch precompute (whole-trace numpy passes) ------------------
         iclass = trace.iclass[:n]
         LOAD = int(InstrClass.LOAD)
         STORE = int(InstrClass.STORE)
@@ -422,7 +466,7 @@ class KernelEngine(OoOPipeline):
 
         def call(start: int, stop: int) -> None:
             # errstate: the interp leg's uint64 golden-ratio multiplies
-            # overflow by design; numba/C wrap silently, numpy warns.
+            # overflow by design; C wraps silently, numpy warns.
             with np.errstate(over="ignore"):
                 status = int(span(*args, start, stop))
             if status != 0:

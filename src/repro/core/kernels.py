@@ -1,33 +1,30 @@
-"""Flat-array classification kernels — the compiled tier's source of truth.
+"""Flat-array classification kernels — the kernel engine's source of truth.
 
 This module holds the hot loop of :class:`~repro.core.kernel.KernelEngine`
 written once, in a deliberately restricted dialect: module-level functions
 over preallocated flat numpy arrays, scalar integer locals, no Python
-objects, no closures, no allocation.  That dialect is the intersection of
-three execution legs:
+objects, no closures, no allocation.  That dialect is what lets one source
+back both execution legs:
 
-* **jit** — when :mod:`numba` is importable (and ``NUMBA_DISABLE_JIT`` is
-  not set), every function below is wrapped in ``@njit(cache=True)`` at
-  import time and the loop runs as native code;
 * **cc** — :mod:`repro.core._ckernel` carries a line-for-line C port of
   these functions (sharing the slot constants below via generated
   ``#define`` lines), compiled on first use with the system C compiler;
-* **interp** — the undecorated functions in this file run as plain
-  Python, the always-available fallback.
+* **interp** — the functions in this file run as plain Python, the
+  always-available readable reference.
 
-All three legs must produce **bit-identical counters**; the golden corpus
-and ``tests/test_kernel_engine.py`` enforce it.  The update rules are a
-faithful port of :meth:`repro.core.vector.VectorEngine.run` — the
-zero-contention functional semantics documented there — so the kernel
-tier inherits the vector tier's fidelity contract against the pipeline.
+Both legs must produce **bit-identical counters**; ``repro-sim verify``
+(``run_kernel_parity``) and ``tests/test_kernel_engine.py`` enforce it.
+The update rules implement the zero-contention functional semantics
+documented in :mod:`repro.core.kernel`, the engine's fidelity contract
+against the pipeline.
 
-Numba-compatibility rules for editing this file:
+Rules for editing this file (they keep the C port a mechanical
+translation):
 
 * only integer scalars and 1-D numpy arrays cross function boundaries;
 * unsigned 64-bit arithmetic (the multiplicative hash) is done through
-  explicit ``np.uint64`` casts on *every* operand — mixing ``uint64``
-  with a Python int literal promotes to ``float64`` under numba and
-  silently corrupts the hash;
+  explicit ``np.uint64`` casts on *every* operand, matching C's
+  ``uint64_t`` wraparound;
 * no ``dict``/``set``/``list`` — the SDP shadow directory is an
   open-addressed table over int64 arrays (``-1`` empty, ``-2``
   tombstone) with deterministic linear probing;
@@ -37,12 +34,10 @@ Numba-compatibility rules for editing this file:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 # ----------------------------------------------------------------------
-# Shared slot layout (identical to repro.core.vector's deferred counters)
+# Shared slot layout (mirrored into the C leg as #define lines)
 # ----------------------------------------------------------------------
 #: Slots of the deferred-counter array ``K``.
 (
@@ -87,8 +82,6 @@ MAP_TOMB = -2
 #: Knuth's 64-bit golden ratio (same constant as repro.common.hashing).
 GOLDEN64 = 0x9E3779B97F4A7C15
 
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-
 
 # ----------------------------------------------------------------------
 # Hashing (bit-identical to repro.common.hashing.table_index)
@@ -115,8 +108,8 @@ def probe_start(key, mask):
 
     Golden-ratio multiply, then fold the high bits down (the low bits
     of a product alone depend only on the key's low bits).  ``int()``
-    narrows to a 64-bit signed value under numba/C; the ``& mask``
-    keeps only low bits, which agree across all three legs.
+    narrows to a 64-bit signed value in C; the ``& mask`` keeps only
+    low bits, which agree across both legs.
     """
     u = np.uint64(key) * np.uint64(GOLDEN64)
     u = u ^ (u >> np.uint64(33))
@@ -142,8 +135,8 @@ def map_insert(keys, mask, key):
     """Slot for ``key`` (existing or newly claimed), or -1 when full.
 
     Reuses the first tombstone on the probe path so deletions do not
-    leak slots; the probe order is deterministic, so all three legs
-    claim identical slots.
+    leak slots; the probe order is deterministic, so both legs claim
+    identical slots.
     """
     idx = probe_start(key, mask)
     first_tomb = -1
@@ -550,42 +543,3 @@ def kernel_span(
                         K[K_SDPL] += 1
                 S[S_SDP_LAST] = line
     return 0
-
-
-# ----------------------------------------------------------------------
-# JIT wrapping — selected once at import time
-# ----------------------------------------------------------------------
-def _jit_requested() -> bool:
-    """Numba is usable unless NUMBA_DISABLE_JIT asks for pure Python."""
-    return os.environ.get("NUMBA_DISABLE_JIT", "").strip().lower() not in _TRUTHY
-
-
-#: The undecorated interpreter-leg entry point (always available).
-py_kernel_span = kernel_span
-
-HAVE_JIT = False
-JIT_ERROR = ""
-
-if _jit_requested():
-    try:
-        from numba import njit  # type: ignore[import-not-found]
-
-        _opts = {"cache": True, "nogil": True}
-        table_hash = njit(**_opts)(table_hash)
-        probe_start = njit(**_opts)(probe_start)
-        map_lookup = njit(**_opts)(map_lookup)
-        map_insert = njit(**_opts)(map_insert)
-        map_delete = njit(**_opts)(map_delete)
-        feedback = njit(**_opts)(feedback)
-        l2_fetch = njit(**_opts)(l2_fetch)
-        l2_writeback = njit(**_opts)(l2_writeback)
-        l1_fill = njit(**_opts)(l1_fill)
-        route = njit(**_opts)(route)
-        kernel_span = njit(**_opts)(kernel_span)
-        HAVE_JIT = True
-    except ImportError as exc:  # numba absent: interp/cc legs take over
-        JIT_ERROR = str(exc)
-    except Exception as exc:  # pragma: no cover - numba present but broken
-        JIT_ERROR = f"numba failed to initialise: {exc}"
-else:
-    JIT_ERROR = "disabled by NUMBA_DISABLE_JIT"

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.common.config import FilterKind, SimulationConfig
-from repro.common.stats import Stats
+from repro.common.config import KNOWN_ENGINES, FilterKind, SimulationConfig
+from repro.common.stats import StatGroup, Stats
 from repro.core.classifier import PrefetchClassifier, PrefetchTally
-from repro.core.interval import make_engine  # noqa: F401  (re-exported)
+from repro.core.pipeline import OoOPipeline
 from repro.filters.adaptive import AdaptiveFilter
 from repro.filters.base import PollutionFilter
 from repro.filters.null_filter import NullFilter
@@ -70,6 +70,26 @@ class SimulationResult:
     @property
     def bad_good_ratio(self) -> float:
         return self.prefetch.bad_good_ratio
+
+
+def make_engine(
+    kind: str,
+    config: SimulationConfig,
+    hierarchy: MemoryHierarchy,
+    filter_,
+    classifier: PrefetchClassifier,
+    stats: Optional[StatGroup] = None,
+) -> OoOPipeline:
+    """Engine factory: ``"pipeline"`` (default) or ``"kernel"``."""
+    if kind == "pipeline":
+        return OoOPipeline(config, hierarchy, filter_, classifier, stats)
+    if kind == "kernel":
+        from repro.core.kernel import KernelEngine
+
+        return KernelEngine(config, hierarchy, filter_, classifier, stats)
+    raise ValueError(
+        f"unknown engine kind {kind!r}; choose one of {', '.join(KNOWN_ENGINES)}"
+    )
 
 
 def build_filter(config: SimulationConfig, stats: Stats) -> PollutionFilter:

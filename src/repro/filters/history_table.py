@@ -11,9 +11,7 @@ Section 5.3 sweeps 1024 (256 B) through 16384 (4 KB) entries.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.common.hashing import table_index, table_index_array
+from repro.common.hashing import table_index
 from repro.common.saturating import SaturatingCounterArray
 from repro.common.stats import StatGroup
 
@@ -58,23 +56,6 @@ class HistoryTable:
 
     def index_of(self, key: int) -> int:
         return table_index(key, self.entries, self.hash_scheme)
-
-    def index_many(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`index_of` over an array of keys."""
-        return table_index_array(keys, self.entries, self.hash_scheme)
-
-    def predict_many(self, keys: np.ndarray) -> np.ndarray:
-        """Batch lookup path: per-key allow/deny without touching counters.
-
-        Lookups have no side effects on the counters, so this matches a
-        scalar :meth:`predict_good` loop exactly; the per-decision lookup
-        statistics are folded in as bulk counts.
-        """
-        allowed = self.counters.predict_many(self.index_many(keys))
-        good = int(np.count_nonzero(allowed))
-        self._n_lookup_good += good
-        self._n_lookup_bad += len(allowed) - good
-        return allowed
 
     def predict_good(self, key: int) -> bool:
         """Lookup: should a prefetch keyed by ``key`` be performed?"""

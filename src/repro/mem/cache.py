@@ -160,12 +160,11 @@ class Cache:
     def sets(self) -> List[List[_Line]]:
         """The object-model line array, built on first touch.
 
-        The batch engine tiers (vector, kernel) keep their own flat-array
-        cache state and never probe these lines, so a large L2's ~10^5
-        ``_Line`` objects would be pure construction waste there.  After
-        the first access this is a plain instance attribute (that is how
-        ``cached_property`` stores its result), so the pipeline's per-
-        access cost is unchanged."""
+        The kernel engine keeps its own flat-array cache state and never
+        probes these lines, so a large L2's ~10^5 ``_Line`` objects would
+        be pure construction waste there.  After the first access this is
+        a plain instance attribute (that is how ``cached_property`` stores
+        its result), so the pipeline's per-access cost is unchanged."""
         return [[_Line() for _ in range(self._ways)] for _ in range(self._num_sets)]
 
     # ------------------------------------------------------------------

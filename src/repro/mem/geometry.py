@@ -1,16 +1,10 @@
-"""Vector-friendly cache-address arithmetic.
+"""Flat array-of-ways cache state for the kernel engine.
 
-The scalar per-access helpers live on :class:`~repro.common.config
-.CacheConfig` (``line_address`` / ``set_index``); this module provides the
-same decomposition as whole-array numpy kernels, so batch engines can strip
-offsets and split set/tag for an entire trace chunk in a handful of
-vectorised operations instead of a Python call per access.
-
-All functions take byte- or line-address arrays of dtype ``uint64`` (other
-integer dtypes are converted) and return ``uint64`` arrays.  They are
-element-for-element identical to the scalar ``CacheConfig`` methods — the
-vector engine's parity against the pipeline engine depends on that, and
-``tests/test_vector_engine.py`` locks it in.
+The object-model :class:`~repro.mem.cache.Cache` keeps per-line objects;
+the kernel engine instead keeps one numpy array per line field, so its
+compiled loop can index a whole cache with plain integer arithmetic.
+The scalar address helpers (``line_address`` / ``set_index``) stay on
+:class:`~repro.common.config.CacheConfig`.
 """
 
 from __future__ import annotations
@@ -22,34 +16,12 @@ import numpy as np
 from repro.common.config import CacheConfig
 
 
-def line_addresses(byte_addrs: np.ndarray, config: CacheConfig) -> np.ndarray:
-    """Strip the line-offset bits from an array of byte addresses."""
-    a = np.ascontiguousarray(byte_addrs, dtype=np.uint64)
-    return a >> np.uint64(config.offset_bits)
-
-
-def set_indices(line_addrs: np.ndarray, config: CacheConfig) -> np.ndarray:
-    """Set index of each line address (power-of-two set count assumed)."""
-    a = np.ascontiguousarray(line_addrs, dtype=np.uint64)
-    return a & np.uint64(config.num_sets - 1)
-
-
-def decompose(byte_addrs: np.ndarray, config: CacheConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """Batch line/set decomposition: ``(line_addresses, set_indices)``.
-
-    The full line address doubles as the tag (the caches store whole line
-    addresses rather than truncated tags), so no third component is needed.
-    """
-    lines = line_addresses(byte_addrs, config)
-    return lines, set_indices(lines, config)
-
-
 def allocate_flat_cache(
     config: CacheConfig,
     flags: Tuple[str, ...] = (),
     extra: Tuple[str, ...] = (),
 ) -> dict:
-    """Flat array-of-ways cache state for the compiled engine tiers.
+    """Flat array-of-ways cache state for the kernel engine.
 
     One slot per way, set-major: way ``w`` of set ``s`` lives at index
     ``s * ways + w``, so a kernel reaches a set with

@@ -155,9 +155,9 @@ class Sanitizer:
 
     The engine owns one instance and calls :meth:`periodic` every
     ``interval`` instructions; the simulator calls :meth:`final` once
-    after the run.  The vector engine keeps its own compact state and
+    after the run.  The kernel engine keeps its own flat-array state and
     drives :meth:`fire_trip` + its local checks instead of
-    :meth:`periodic` — see :meth:`repro.core.vector.VectorEngine.run`.
+    :meth:`periodic` — see :meth:`repro.core.kernel.KernelEngine.run`.
     """
 
     __slots__ = ("interval", "checks")
@@ -241,7 +241,7 @@ class Sanitizer:
         Every demand access acquires exactly one port and probes the L1
         exactly once, so two independently-maintained counters must
         agree.  Only meaningful for engines that arbitrate ports (the
-        vector engine never touches the arbiter: grants stay 0) and
+        kernel engine never touches the arbiter: grants stay 0) and
         without the prefetch buffer (promotion re-probes the L1).
         """
         if engine.hierarchy.buffer is not None:

@@ -1,22 +1,20 @@
 """Cross-engine differential oracle + golden-run corpus.
 
 Two independent implementations of the same machine — the event-driven
-``OoOPipeline`` and the batch ``VectorEngine`` — are this repo's
+``OoOPipeline`` and the flat-array ``KernelEngine`` — are this repo's
 strongest correctness oracle: a model bug has to be made *twice, in two
 different styles* to survive a comparison between them.  This module
-promotes the one-off parity test (``tests/test_vector_engine.py``) into
-a reusable library behind ``repro-sim verify``:
+is the reusable library behind ``repro-sim verify``:
 
 * :func:`run_parity` runs one (workload, filter) pair through both
-  engines under :func:`~repro.core.vector.relaxed_config` twins and
-  checks the documented parity contract — exact equality for
-  trace-determined counters (instructions, L1 demand accesses), a
-  rel-or-abs tolerance for classification counters whose residuals come
-  from 1-cycle enqueue delay and LRU timestamp ties;
-* :func:`run_kernel_parity` holds the compiled tier to a stricter
-  contract: :class:`~repro.core.kernel.KernelEngine` re-implements the
-  vector engine's functional model as flat-array kernels, so its full
-  golden counter vector must match the vector engine **bit-for-bit** on
+  engines under :func:`relaxed_config` twins and checks the documented
+  parity contract — exact equality for trace-determined counters
+  (instructions, L1 demand accesses), a rel-or-abs tolerance for
+  classification counters whose residuals come from 1-cycle enqueue
+  delay and LRU timestamp ties;
+* :func:`run_kernel_parity` holds the kernel's two execution legs to a
+  stricter contract: the ``cc`` leg is a C port of the Python ``interp``
+  leg, so its full golden counter vector must match **bit-for-bit** on
   the paper-default machine — no tolerance band at all;
 * :func:`verify_golden` replays a corpus of locked counter vectors
   (``tests/golden/*.json``) and demands bit-identical results, gated on
@@ -26,8 +24,9 @@ a reusable library behind ``repro-sim verify``:
 * :func:`write_corpus` is the explicit regeneration path, also exposed
   as ``tests/golden/regen.py``.
 
-The tolerances here are deliberately the same constants the tier-1 test
-uses — one contract, two enforcement points (CI test and CLI command).
+The tolerances here are the single definition of the contract; the
+tier-1 tests (``tests/test_relaxed_parity.py``) import them, so the CI
+test and the CLI command enforce the same numbers.
 """
 
 from __future__ import annotations
@@ -40,11 +39,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.analysis.result_cache import MODEL_VERSION
 from repro.analysis.sweep import run_workload
 from repro.common.config import FilterKind, SimulationConfig
-from repro.core.vector import relaxed_config
+from repro.core import _ckernel
+from repro.core.kernel import MODE_CC, MODE_INTERP
+from repro.core.simulator import SimulationResult, Simulator
+from repro.workloads import cached_trace
 
 #: Parity tolerance for classification counters under the contention-free
-#: machine (mirrors ``tests/test_vector_engine.py`` — a delta passes when
-#: it is small relatively OR absolutely).
+#: machine (a delta passes when it is small relatively OR absolutely: tiny
+#: counters produce large ratios from single-event timestamp ties).
 REL_TOL = 0.12
 ABS_TOL = 80
 
@@ -70,20 +72,46 @@ DEFAULT_SEED = 0
 
 
 # ----------------------------------------------------------------------
-# Parity (pipeline vs vector under the relaxed machine)
+# Parity (pipeline vs kernel under the relaxed machine)
 # ----------------------------------------------------------------------
+def relaxed_config(config: SimulationConfig) -> SimulationConfig:
+    """A contention-free twin of ``config`` for kernel/pipeline parity.
+
+    Same caches, prefetchers and filter, but every throttle that delays
+    or drops a pipeline prefetch is widened until it cannot bind: unit
+    miss latencies (no stall shadows, so MSHR residency is momentary),
+    L1 ports matching the issue width (the port arbiter never backs
+    up), and MSHR/queue capacities far above any reachable occupancy.
+    Under such a machine the pipeline issues every surviving prefetch
+    promptly — the semantic the kernel engine implements directly — so
+    the two engines' classification counters must agree.
+    """
+    h = config.hierarchy
+    return replace(
+        config,
+        hierarchy=replace(
+            h,
+            l1=replace(h.l1, latency=1, ports=config.processor.issue_width),
+            l2=replace(h.l2, latency=1),
+            memory_latency=1,
+            mshr_entries=1 << 16,
+        ),
+        prefetch=replace(config.prefetch, queue_entries=1 << 16),
+    )
+
+
 @dataclass(frozen=True)
 class ParityDelta:
     """One compared counter: both engines' values and the verdict."""
 
     key: str
     pipeline: int
-    vector: int
+    kernel: int
     exact: bool
 
     @property
     def delta(self) -> int:
-        return abs(self.pipeline - self.vector)
+        return abs(self.pipeline - self.kernel)
 
     @property
     def rel(self) -> float:
@@ -92,13 +120,13 @@ class ParityDelta:
     @property
     def ok(self) -> bool:
         if self.exact:
-            return self.pipeline == self.vector
+            return self.pipeline == self.kernel
         return self.rel <= REL_TOL or self.delta <= ABS_TOL
 
 
 @dataclass(frozen=True)
 class ParityReport:
-    """The outcome of one pipeline-vs-vector differential run."""
+    """The outcome of one pipeline-vs-kernel differential run."""
 
     workload: str
     filter_name: str
@@ -136,42 +164,52 @@ def run_parity(
         cfg = replace(cfg, sanitize=True)
     cfg = relaxed_config(cfg)
     p = run_workload(workload, cfg, n_insts, seed, "pipeline")
-    v = run_workload(workload, cfg, n_insts, seed, "vector")
+    k = run_workload(workload, cfg, n_insts, seed, "kernel")
     deltas: List[ParityDelta] = []
     for key in EXACT_KEYS:
-        deltas.append(ParityDelta(key, int(getattr(p, key)), int(getattr(v, key)), exact=True))
+        deltas.append(ParityDelta(key, int(getattr(p, key)), int(getattr(k, key)), exact=True))
     for key in COUNTER_KEYS:
         deltas.append(
-            ParityDelta(key, int(getattr(p.prefetch, key)), int(getattr(v.prefetch, key)), exact=False)
+            ParityDelta(key, int(getattr(p.prefetch, key)), int(getattr(k.prefetch, key)), exact=False)
         )
     for key in SCALAR_KEYS:
-        deltas.append(ParityDelta(key, int(getattr(p, key)), int(getattr(v, key)), exact=False))
+        deltas.append(ParityDelta(key, int(getattr(p, key)), int(getattr(k, key)), exact=False))
     return ParityReport(workload, kind.value, n_insts, seed, tuple(deltas))
 
 
 # ----------------------------------------------------------------------
-# Exact parity (vector vs kernel — same functional model, zero tolerance)
+# Exact parity (cc vs interp — one kernel source, zero tolerance)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ExactParityReport:
-    """Outcome of one vector-vs-kernel bit-identity run.
+    """Outcome of one cc-vs-interp bit-identity run.
 
-    The kernel engine is a lowering of the vector engine, not an
-    independent model, so the comparison is exact over the full golden
-    counter vector (scalars, cycles and every prefetch tally) on the
-    *paper-default* machine — relaxation would only mask a porting bug.
+    The ``cc`` leg is a port of the ``interp`` leg, not an independent
+    model, so the comparison is exact over the full golden counter vector
+    (scalars, cycles and every prefetch tally) on the *paper-default*
+    machine — relaxation would only mask a porting bug.  ``skipped``
+    carries the reason when the ``cc`` leg cannot be built here.
     """
 
     workload: str
     filter_name: str
     n_insts: int
     seed: int
-    kernel_mode: str
     mismatches: Tuple[str, ...]
+    skipped: str = ""
 
     @property
     def ok(self) -> bool:
         return not self.mismatches
+
+
+def run_kernel_leg(
+    workload: str, config: SimulationConfig, n_insts: int, seed: int, mode: str
+) -> SimulationResult:
+    """One kernel-engine run pinned to execution leg ``mode``."""
+    sim = Simulator(config, engine="kernel")
+    sim.engine.mode = mode
+    return sim.run(cached_trace(workload, n_insts, seed))
 
 
 def run_kernel_parity(
@@ -182,23 +220,22 @@ def run_kernel_parity(
     sanitize: bool = False,
     config: Optional[SimulationConfig] = None,
 ) -> ExactParityReport:
-    """Run vector and kernel on the same config and demand bit identity."""
-    from repro.core.kernel import select_mode
-
+    """Run the cc and interp legs on the same config and demand bit
+    identity, whatever ``REPRO_KERNEL_MODE`` says."""
+    if _ckernel.load() is None:
+        reason = f"cc leg unavailable: {_ckernel.LOAD_ERROR or 'not built'}"
+        return ExactParityReport(workload, kind.value, n_insts, seed, (), reason)
     cfg = config if config is not None else SimulationConfig.paper_default(kind)
     if sanitize and not cfg.sanitize:
         cfg = replace(cfg, sanitize=True)
-    v = run_workload(workload, cfg, n_insts, seed, "vector")
-    k = run_workload(workload, cfg, n_insts, seed, "kernel")
-    expected, got = golden_counters(v), golden_counters(k)
+    expected = golden_counters(run_kernel_leg(workload, cfg, n_insts, seed, MODE_INTERP))
+    got = golden_counters(run_kernel_leg(workload, cfg, n_insts, seed, MODE_CC))
     mismatches = tuple(
-        f"{key}: vector {expected[key]} != kernel {got[key]}"
+        f"{key}: interp {expected[key]} != cc {got[key]}"
         for key in expected
         if expected[key] != got[key]
     )
-    return ExactParityReport(
-        workload, kind.value, n_insts, seed, select_mode(), mismatches
-    )
+    return ExactParityReport(workload, kind.value, n_insts, seed, mismatches)
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +269,7 @@ def default_corpus() -> Tuple[Tuple[str, str, str], ...]:
         (workload, filter_name, engine)
         for workload in DEFAULT_WORKLOADS
         for filter_name in DEFAULT_FILTERS
-        for engine in ("pipeline", "vector", "kernel")
+        for engine in ("pipeline", "kernel")
     )
 
 

@@ -1,7 +1,7 @@
 """On-disk trace cache and zero-copy shared-memory trace handoff.
 
 Trace synthesis is deterministic but not free: a million-instruction
-workload takes longer to *generate* than the vector engine takes to
+workload takes longer to *generate* than the kernel engine takes to
 *simulate* it, and a parallel sweep regenerates the same trace once per
 worker process.  This module removes both costs:
 

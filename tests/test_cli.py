@@ -30,14 +30,10 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "pa" in out and "pc" in out and "none" in out
 
-    def test_run_with_vector_engine(self, capsys):
-        assert main(["run", "--workload", "fpppp", "--engine", "vector", "--insts", "4000"]) == 0
-        assert "IPC" in capsys.readouterr().out
-
     def test_bench_engines_writes_report(self, capsys, tmp_path):
         out = tmp_path / "bench.json"
         assert main([
-            "bench", "--engines", "pipeline", "vector",
+            "bench", "--engines", "pipeline", "kernel",
             "--workload", "fpppp", "--insts", "4000", "--out", str(out),
         ]) == 0
         import json
@@ -46,7 +42,7 @@ class TestCLI:
         assert report["reference_engine"] == "pipeline"
         assert len(report["rows"]) == 3  # one workload x three filters
         assert report["trace_store"][0]["cold_seconds"] > 0
-        assert "vector" in report["summary"]
+        assert "kernel" in report["summary"]
 
     def test_bench_sweep_report_carries_a_health_block(self, capsys, tmp_path):
         out = tmp_path / "bench_sweep.json"

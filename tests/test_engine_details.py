@@ -1,13 +1,12 @@
 """Focused tests for engine internals: drain throttles, backpressure,
-interval engine, and extension-slot duck typing."""
+and extension-slot duck typing."""
 
 import numpy as np
 import pytest
 
 from repro.common.config import SimulationConfig
-from repro.core.interval import IntervalEngine, make_engine
 from repro.core.pipeline import _DRAIN_BURST, _MSHR_DEMAND_RESERVE, OoOPipeline
-from repro.core.simulator import Simulator
+from repro.core.simulator import Simulator, make_engine
 from repro.prefetch.markov import MarkovPrefetcher
 from repro.trace.stream import TraceBuilder
 from repro.workloads import build_trace
@@ -56,36 +55,6 @@ class TestDrainThrottles:
         assert r.prefetch.issued > 100
         # and the queue is not just dropping everything
         assert r.prefetch.dropped < r.prefetch.generated * 0.5
-
-
-class TestIntervalEngine:
-    def test_factory(self):
-        cfg = SimulationConfig.paper_default()
-        sim = Simulator(cfg, engine="interval")
-        assert isinstance(sim.engine, IntervalEngine)
-
-    def test_runs_and_conserves(self):
-        trace = build_trace("gcc", 10000, seed=1)
-        sim = Simulator(SimulationConfig.paper_default(), engine="interval")
-        r = sim.run(trace)
-        assert r.prefetch.issued == r.prefetch.good + r.prefetch.bad
-        assert 0 < r.ipc <= 8
-
-    def test_faster_than_pipeline_in_cycles_consistency(self):
-        """Interval and pipeline engines agree on functional counts exactly
-        when timing does not feed back (prefetch off)."""
-        cfg = SimulationConfig.paper_default().with_prefetch(nsp=False, sdp=False, software=False)
-        trace = build_trace("fpppp", 8000, seed=1, software_prefetch=False)
-        rp = Simulator(cfg).run(trace)
-        ri = Simulator(cfg, engine="interval").run(trace)
-        assert rp.l1_demand_misses == ri.l1_demand_misses
-        assert rp.l2_demand_misses == ri.l2_demand_misses
-
-    def test_warmup_supported(self):
-        cfg = SimulationConfig.paper_default().with_warmup(4000)
-        trace = build_trace("gcc", 10000, seed=1)
-        r = Simulator(cfg, engine="interval").run(trace)
-        assert r.instructions == len(trace) - 4000
 
 
 class TestExtensionSlot:

@@ -51,7 +51,7 @@ class TestSimulationJob:
             SimulationJob("em3d", _cfg(), N + 1, 0),
             SimulationJob("em3d", _cfg(), N, 1),
             SimulationJob("em3d", _cfg(), N, 0, software_prefetch=False),
-            SimulationJob("em3d", _cfg(), N, 0, engine="interval"),
+            SimulationJob("em3d", _cfg(), N, 0, engine="kernel"),
         ]
         keys = {base.key()} | {v.key() for v in variants}
         assert len(keys) == len(variants) + 1
@@ -203,7 +203,7 @@ class TestSweepWiring:
             assert result.cycles > 0
 
 
-@pytest.mark.parametrize("engine", ["pipeline", "interval"])
+@pytest.mark.parametrize("engine", ["pipeline", "kernel"])
 def test_engines_run_through_jobs(engine):
     [r] = run_jobs([SimulationJob("wave5", _cfg(), N, 0, engine=engine)], workers=1)
     assert r.cycles > 0 and r.instructions > 0

@@ -180,11 +180,11 @@ class TestCliGate:
         out = tmp_path / "bench.json"
         assert main([
             "bench", "--runs", "1", "--insts", "2000",
-            "--engines", "pipeline", "interval", "--workload", "em3d", "--out", str(out),
+            "--engines", "pipeline", "kernel", "--workload", "em3d", "--out", str(out),
         ]) == 0
         assert main([
             "bench", "--runs", "1", "--insts", "2000",
-            "--engines", "pipeline", "interval", "--workload", "em3d", "--out", str(tmp_path / "again.json"),
+            "--engines", "pipeline", "kernel", "--workload", "em3d", "--out", str(tmp_path / "again.json"),
             "--baseline", str(out), "--max-regress", "0.99",
         ]) == 0
         assert "regression gate: ok" in capsys.readouterr().out
@@ -195,7 +195,7 @@ class TestCliGate:
         out = tmp_path / "bench.json"
         assert main([
             "bench", "--runs", "1", "--insts", "2000",
-            "--engines", "pipeline", "interval", "--workload", "em3d", "--out", str(out),
+            "--engines", "pipeline", "kernel", "--workload", "em3d", "--out", str(out),
         ]) == 0
         inflated = json.loads(out.read_text())
         for block in inflated["summary"].values():
@@ -204,7 +204,7 @@ class TestCliGate:
         baseline.write_text(json.dumps(inflated))
         assert main([
             "bench", "--runs", "1", "--insts", "2000",
-            "--engines", "pipeline", "interval", "--workload", "em3d", "--out", str(tmp_path / "again.json"),
+            "--engines", "pipeline", "kernel", "--workload", "em3d", "--out", str(tmp_path / "again.json"),
             "--baseline", str(baseline), "--max-regress", "0.25",
         ]) == 1
         assert "regression gate: FAIL" in capsys.readouterr().out

@@ -31,7 +31,16 @@ from repro.sanitize.differential import run_parity, verify_golden, write_corpus
 from repro.trace.stream import Trace, TraceBuilder
 
 N = 4_000
-ENGINES = ("pipeline", "interval", "vector")
+ENGINES = ("pipeline", "kernel")
+KINDS = (FilterKind.NONE, FilterKind.PA, FilterKind.PC, FilterKind.ADAPTIVE)
+#: ADAPTIVE stays pipeline-only: the kernel engine rejects it (pinned by
+#: tests/test_kernel_engine.py::TestEngineSelection).
+SANITIZED_CASES = [
+    (kind, engine)
+    for engine in ENGINES
+    for kind in KINDS
+    if not (engine == "kernel" and kind is FilterKind.ADAPTIVE)
+]
 
 
 def _cfg(kind=FilterKind.PA, **overrides) -> SimulationConfig:
@@ -44,7 +53,7 @@ def _cfg(kind=FilterKind.PA, **overrides) -> SimulationConfig:
 # ----------------------------------------------------------------------
 class TestConfigValidation:
     def test_unknown_engine_names_the_choices(self):
-        with pytest.raises(ValueError, match="pipeline.*interval.*vector"):
+        with pytest.raises(ValueError, match="pipeline.*kernel"):
             _cfg(engine="warp-drive")
 
     def test_negative_warmup_rejected(self):
@@ -77,9 +86,8 @@ class TestConfigValidation:
 # Property: sanitized runs are clean and bit-identical
 # ----------------------------------------------------------------------
 class TestSanitizedRuns:
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("kind", [FilterKind.NONE, FilterKind.PA, FilterKind.PC, FilterKind.ADAPTIVE])
-    def test_no_violation_and_bit_identical(self, engine, kind, monkeypatch):
+    @pytest.mark.parametrize("kind,engine", SANITIZED_CASES)
+    def test_no_violation_and_bit_identical(self, kind, engine, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE_INTERVAL", "512")  # many sweeps
         plain = run_workload("em3d", _cfg(kind), N, 0, engine)
         checked = run_workload("em3d", _cfg(kind).with_sanitize(), N, 0, engine)
@@ -216,7 +224,7 @@ class TestFaultInjection:
 
     def test_result_cache_corrupt_artifact_quarantined(self, tmp_path):
         cache = ResultCache(tmp_path)
-        result = run_workload("em3d", _cfg(), N, 0, "vector")
+        result = run_workload("em3d", _cfg(), N, 0, "kernel")
         with inject_faults("corrupt-artifact@cache"):
             cache.put("k", result)
         fresh = ResultCache(tmp_path)
@@ -264,7 +272,7 @@ class TestFaultInjection:
 # ----------------------------------------------------------------------
 class TestResumeQuarantine:
     def test_corrupt_journal_line_mid_resume_reruns_job(self, tmp_path):
-        job = SimulationJob("em3d", _cfg(engine="vector"), N, 0)
+        job = SimulationJob("em3d", _cfg(engine="kernel"), N, 0)
         journal = RunJournal(tmp_path / "run.jsonl")
         first = execute_batch([job], workers=1, journal=journal)
         assert first.outcomes[0].ok and not first.outcomes[0].from_journal
@@ -398,7 +406,7 @@ class TestDifferentialOracle:
         assert not bad, bad
 
     def test_golden_corpus_round_trip(self, tmp_path):
-        specs = [("em3d", "pa", "vector")]
+        specs = [("em3d", "pa", "kernel")]
         (path,) = write_corpus(tmp_path, specs=specs, n_insts=3_000)
         outcomes = verify_golden(tmp_path)
         assert len(outcomes) == 1 and outcomes[0].ok
@@ -439,7 +447,7 @@ class TestSanitizeCLI:
     def test_verify_command_with_golden_dir(self, tmp_path, capsys):
         from repro.cli import main
 
-        write_corpus(tmp_path, specs=[("em3d", "none", "vector")], n_insts=3_000)
+        write_corpus(tmp_path, specs=[("em3d", "none", "kernel")], n_insts=3_000)
         code = main([
             "verify", "--workload", "em3d", "--filter", "none",
             "--insts", "3000", "--golden", str(tmp_path),

@@ -11,13 +11,6 @@ from repro.filters.pa_filter import PAFilter
 from repro.filters.pc_filter import PCFilter
 
 
-def run_workload_ipc(name: str, cfg: SimulationConfig, engine: str) -> float:
-    from repro.workloads import build_trace
-
-    trace = build_trace(name, 25_000, seed=1)
-    return run_simulation(cfg, trace, engine=engine).ipc
-
-
 class TestBuildFilter:
     @pytest.mark.parametrize(
         "kind,cls",
@@ -77,27 +70,6 @@ class TestSimulatorRun:
             r.l1_prefetch_fills / r.l1_demand_accesses
         )
 
-    def test_interval_engine_runs(self, em3d_trace, small_config):
-        r = run_simulation(small_config, em3d_trace, engine="interval")
-        assert r.cycles > 0
-
     def test_unknown_engine(self, em3d_trace, small_config):
         with pytest.raises(ValueError):
             Simulator(small_config, engine="cycle_accurate")
-
-    def test_interval_pipeline_agree_directionally(self):
-        """The interval engine must preserve the orderings sweeps rely on.
-
-        Measured past the init/warmup region, where both engines see steady
-        state: the cache-friendly FP benchmark must rank far above the
-        pointer-chasing one under either engine.
-        """
-        from repro.common.config import SimulationConfig
-
-        cfg = SimulationConfig.paper_default().with_warmup(10_000)
-        pipe_hot = run_workload_ipc("fpppp", cfg, "pipeline")
-        pipe_cold = run_workload_ipc("mcf", cfg, "pipeline")
-        int_hot = run_workload_ipc("fpppp", cfg, "interval")
-        int_cold = run_workload_ipc("mcf", cfg, "interval")
-        assert pipe_hot > pipe_cold
-        assert int_hot > int_cold
