@@ -8,7 +8,7 @@ does **not** own is where the simulations physically run.  That is an
 
 * :class:`PoolBackend` (the default, ``"pool"``) — the in-process
   ``ProcessPoolExecutor`` ladder this repo has always used: pool →
-  fresh pool → serial, shared-memory traces, suspect quarantine.
+  fresh pool → serial, fork-inherited traces, suspect quarantine.
 * :class:`SharedFSBackend` (``"shared-fs"``) — a shared-filesystem
   work queue (:mod:`repro.analysis.workqueue`) drainable by any number
   of ``repro-sim worker`` processes on any host that can see the
@@ -76,7 +76,7 @@ class ExecutionBackend(ABC):
     name: str = "abstract"
 
     @abstractmethod
-    def execute(self, batch, pending: Sequence[int], workers: int, share_traces: bool) -> None:
+    def execute(self, batch, pending: Sequence[int], workers: int) -> None:
         """Run ``batch.jobs[i]`` for every ``i`` in ``pending``."""
 
 
@@ -85,13 +85,13 @@ class PoolBackend(ExecutionBackend):
 
     name = "pool"
 
-    def execute(self, batch, pending: Sequence[int], workers: int, share_traces: bool) -> None:
+    def execute(self, batch, pending: Sequence[int], workers: int) -> None:
         from repro.analysis.resilience import _pool_phase, _serial_phase
 
         if workers <= 1 or len(pending) == 1:
             _serial_phase(batch, pending)
         else:
-            _pool_phase(batch, list(pending), workers, share_traces)
+            _pool_phase(batch, list(pending), workers)
 
 
 class SharedFSBackend(ExecutionBackend):
@@ -178,12 +178,16 @@ class SharedFSBackend(ExecutionBackend):
 
     # ------------------------------------------------------------------
     def _spawn_worker(self, queue: FileQueue, index: int, batch,
-                      deadline_at: Optional[float] = None):
+                      deadline_at: Optional[float] = None,
+                      broker: Optional[str] = None,
+                      logs_dir: Optional[Path] = None):
         """Launch one ``repro-sim worker`` subprocess against the queue.
 
         Best-effort by design: a host that cannot spawn (sandbox, fork
-        limits) degrades to the parent draining alone.  Workers log to
-        the queue's ``logs/`` directory and exit when the queue drains.
+        limits) degrades to the parent draining alone.  Workers exit
+        when the queue drains.  A filesystem queue passes no ``broker``
+        and its workers log to the queue's ``logs/`` directory; a TCP
+        drain passes the broker address and a ``logs_dir`` of its own.
         """
         from repro.analysis.supervisor import spawn_worker
 
@@ -201,6 +205,8 @@ class SharedFSBackend(ExecutionBackend):
             timeout=batch.policy.timeout,
             deadline_s=deadline_s,
             trace_store_dir=store.directory if store is not None else None,
+            broker=broker,
+            logs_dir=logs_dir,
         )
 
     @staticmethod
@@ -255,7 +261,7 @@ class SharedFSBackend(ExecutionBackend):
                 )
             batch.give_up(index)
 
-    def execute(self, batch, pending: Sequence[int], workers: int, share_traces: bool) -> None:
+    def execute(self, batch, pending: Sequence[int], workers: int) -> None:
         from repro.analysis.worker import drain_queue
 
         # Inside a pool worker already (nested fan-out): spawning more
@@ -494,30 +500,7 @@ class TCPBackend(SharedFSBackend):
     def broker_spec(self) -> str:
         return f"{self.broker_host}:{self.broker_port}"
 
-    def _spawn_worker(self, queue, index: int, batch,
-                      deadline_at: Optional[float] = None,
-                      logs_dir: Optional[Path] = None):
-        from repro.analysis.supervisor import spawn_worker
-
-        name = f"spawn{index}-{uuid.uuid4().hex[:6]}"
-        deadline_s = None
-        if deadline_at is not None:
-            deadline_s = max(0.0, deadline_at - time.monotonic())
-        store = getattr(batch, "trace_store", None)
-        return spawn_worker(
-            queue,
-            name,
-            batch=self.batch,
-            poll=self.poll,
-            retries=max(0, batch.policy.max_attempts - 1),
-            timeout=batch.policy.timeout,
-            deadline_s=deadline_s,
-            trace_store_dir=store.directory if store is not None else None,
-            broker=self.broker_spec,
-            logs_dir=logs_dir,
-        )
-
-    def execute(self, batch, pending: Sequence[int], workers: int, share_traces: bool) -> None:
+    def execute(self, batch, pending: Sequence[int], workers: int) -> None:
         from repro.analysis.netqueue import BrokerError, BrokerUnreachable, NetQueue
         from repro.analysis.worker import drain_queue
 
@@ -595,7 +578,9 @@ class TCPBackend(SharedFSBackend):
         procs = []
         for i in range(spawn):
             try:
-                procs.append(self._spawn_worker(queue, i, batch, deadline_at, logs_dir))
+                procs.append(self._spawn_worker(
+                    queue, i, batch, deadline_at, broker=self.broker_spec, logs_dir=logs_dir
+                ))
             except OSError as exc:
                 batch.degrade(f"tcp: could not spawn worker {i} ({exc!r})")
                 break

@@ -34,12 +34,11 @@ Design points:
   .ResultCache` attached, cached keys are served without touching a worker
   and fresh results are written back, so a warm cache turns a whole suite
   into pure disk reads.
-* **Zero-copy traces** — before fanning out, the parent materialises each
+* **One trace acquisition per trace** — every executor acquires each
   distinct trace once (through a :class:`~repro.trace.store.TraceStore`
-  when given one) and publishes it via POSIX shared memory; workers map
-  the columns in place instead of regenerating multi-megabyte traces per
-  process.  If shared memory is unavailable the batch still runs —
-  workers just synthesise their own traces as before.
+  when given one) and runs all of that trace's jobs on it.  The pool's
+  parent acquires them before it forks, and its workers read them from
+  the memory they inherit instead of building or loading their own.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.checkpoint import RunJournal
 from repro.analysis.resilience import (
@@ -59,7 +58,7 @@ from repro.analysis.resilience import (
 from repro.analysis.result_cache import ResultCache, run_key
 from repro.common.config import SimulationConfig
 from repro.core.simulator import SimulationResult
-from repro.trace.store import SharedTrace, SharedTraceHandle, TraceStore, attach_trace, share_trace
+from repro.trace.store import TraceStore
 
 _WORKERS_ENV = "REPRO_WORKERS"
 
@@ -131,34 +130,16 @@ def job_from_dict(data: Dict) -> SimulationJob:
     )
 
 
-def execute_job(
-    job: SimulationJob,
-    trace_handle: Optional[SharedTraceHandle] = None,
-    trace=None,
-) -> SimulationResult:
-    """Run one job in the current process (the worker entry point).
+def execute_job(job: SimulationJob, trace=None) -> SimulationResult:
+    """Run one job in the current process (the executors' entry point).
 
-    ``trace_handle`` maps a parent-owned shared-memory trace instead of
-    regenerating it; ``trace`` passes one in-process.  The import is lazy
-    to keep this module light for the executor's child processes and free
-    of an import cycle with the sweep drivers.
+    ``trace`` passes in a trace the caller already acquired; without one
+    the job builds its own.  The import is lazy to keep this module
+    light for the executor's child processes and free of an import
+    cycle with the sweep drivers.
     """
     from repro.analysis.sweep import run_workload
 
-    if trace is None and trace_handle is not None:
-        attachment = attach_trace(trace_handle)
-        try:
-            return run_workload(
-                job.workload,
-                job.config,
-                job.n_insts,
-                job.seed,
-                job.engine,
-                job.software_prefetch,
-                trace=attachment.trace,
-            )
-        finally:
-            attachment.detach()
     return run_workload(
         job.workload,
         job.config,
@@ -203,52 +184,11 @@ def _mark_pool_worker() -> None:
     os.environ[_POOL_WORKER_ENV] = "1"
 
 
-def _trace_params(job: SimulationJob) -> Tuple[str, int, int, bool]:
-    return (job.workload, job.n_insts, job.seed, job.software_prefetch)
-
-
-def _share_pending_traces(
-    pending: Sequence[tuple[int, SimulationJob]],
-    trace_store: Optional[TraceStore],
-) -> Dict[Tuple[str, int, int, bool], SharedTrace]:
-    """Publish each distinct pending trace once via shared memory.
-
-    Best-effort: a platform without (enough) shared memory returns what
-    was shared so far and the rest of the batch falls back to per-worker
-    synthesis.  Any *unexpected* failure closes the segments shared so
-    far before propagating — a raising batch never strands ``/dev/shm``
-    segments (an ``atexit`` guard in :mod:`repro.trace.store` backstops
-    even that).
-    """
-    shared: Dict[Tuple[str, int, int, bool], SharedTrace] = {}
-    try:
-        for _, job in pending:
-            params = _trace_params(job)
-            if params in shared:
-                continue
-            try:
-                if trace_store is not None:
-                    trace = trace_store.get_or_build(*params)
-                else:
-                    from repro.workloads import cached_trace
-
-                    trace = cached_trace(*params)
-                shared[params] = share_trace(trace)
-            except OSError:
-                break
-    except BaseException:
-        for entry in shared.values():
-            entry.close()
-        raise
-    return shared
-
-
 def run_jobs(
     jobs: Sequence[SimulationJob],
     workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     trace_store: Optional[TraceStore] = None,
-    share_traces: bool = True,
     policy: Optional[RetryPolicy] = None,
     journal: Optional[RunJournal] = None,
     return_report: bool = False,
@@ -262,10 +202,9 @@ def run_jobs(
     in-process (as does any call made from inside a pool worker).  With
     ``cache`` set, cached jobs are never executed and fresh results are
     persisted.  With ``trace_store`` set, traces come from (and are saved
-    to) the on-disk store instead of being synthesised per call; with
-    ``share_traces`` (the default), parallel workers additionally map
-    each distinct trace from parent-owned shared memory instead of
-    building their own copy.
+    to) the on-disk store instead of being synthesised per call.  Either
+    way each distinct trace is acquired once per batch, and pool workers
+    read it from the parent's memory, inherited by fork.
 
     Failure semantics (see :mod:`repro.analysis.resilience`): each job
     is retried under ``policy`` (default:
@@ -303,7 +242,6 @@ def run_jobs(
         workers=workers,
         cache=cache,
         trace_store=trace_store,
-        share_traces=share_traces,
         policy=policy,
         journal=journal,
         backend=backend,

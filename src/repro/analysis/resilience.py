@@ -18,8 +18,9 @@ each job as its own unit of failure:
   deadline, the pool's processes are killed, a fresh pool takes over,
   and the hung job is retried (or failed) under the same policy.
   In-flight innocents are resubmitted without charging them an attempt.
-  Serial execution enforces the same deadline with ``SIGALRM`` where
-  available (main thread, Unix).
+  In-process execution enforces the same deadline with ``SIGALRM``
+  where available (main thread, Unix) and by an after-the-fact
+  monotonic check everywhere else.
 * **Graceful degradation** — pool → fresh pool → serial: a pool that
   cannot start runs the batch serially; a pool that keeps breaking
   (more than ``max_pool_restarts`` replacements) finishes serially.
@@ -39,14 +40,23 @@ the chargees: a suspect is retried with nothing else in flight, so a
 repeat breakage (or hang) implicates only the poison job — innocents
 are never charged a second collateral attempt.
 
+Every in-process executor — the serial phase here and the queue worker
+in :mod:`repro.analysis.worker` — runs the same grouped loop: jobs are
+grouped by (engine, trace), each group's trace is acquired once
+(:func:`acquire_trace`), and each job goes through
+:func:`run_attempts`.  Pool workers run no loop of their own: the parent
+acquires every pending trace before it forks the pool, and the workers
+read them from the memory they inherit (:data:`_POOL_TRACES`).
+
 Fault-injection points (:mod:`repro.common.faults`) are threaded
-through the worker entry so the chaos suite can prove every path above
-end-to-end; the plan is shipped to workers as an argument, not just an
-inherited environment variable, so it survives any pool start method.
+through the attempt loop and the pool worker entry so the chaos suite
+can prove every path above end-to-end; forked workers inherit the
+plan's environment variables.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -55,15 +65,10 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.checkpoint import RunJournal
-from repro.common.faults import (
-    FaultInjector,
-    ambient_fault_args,
-    fault_point,
-    hash_unit,
-)
+from repro.common.faults import fault_point, hash_unit
 from repro.core.simulator import SimulationResult
 
 #: Poll granularity of the scheduler loop (seconds).  Small enough that
@@ -269,20 +274,29 @@ def job_token(job) -> str:
 
 
 # ----------------------------------------------------------------------
-# Worker entry
+# Traces and the attempt loop (shared by every executor)
 # ----------------------------------------------------------------------
-def _worker_run(job, handle, attempt: int, fault_args: Optional[Tuple[str, int]]):
-    """What a pool worker actually runs: fault point, then the job.
+def _trace_params(job) -> Tuple[str, int, int, bool]:
+    return (job.workload, job.n_insts, job.seed, job.software_prefetch)
 
-    ``fault_args`` carries the (text, seed) fault plan explicitly so
-    injection works under every pool start method; with no plan this
-    falls through to the ambient environment (normally empty).
-    """
-    from repro.analysis import parallel as _parallel
 
-    injector = FaultInjector.from_text(*fault_args) if fault_args else None
-    fault_point("worker", key=job_token(job), attempt=attempt, injector=injector)
-    return _parallel.execute_job(job, trace_handle=handle)
+def _group_by_trace(items: Sequence, job_of: Callable) -> Dict[Tuple, List]:
+    """``items`` grouped by ``(engine, trace params)``, in first-seen order."""
+    groups: Dict[Tuple, List] = {}
+    for item in items:
+        job = job_of(item)
+        groups.setdefault((job.engine_name, _trace_params(job)), []).append(item)
+    return groups
+
+
+def acquire_trace(params: Tuple[str, int, int, bool], trace_store=None):
+    """The trace for ``params``: from ``trace_store`` when given, else
+    the in-process :func:`~repro.workloads.cached_trace` memo."""
+    if trace_store is not None:
+        return trace_store.get_or_build(*params)
+    from repro.workloads import cached_trace
+
+    return cached_trace(*params)
 
 
 @contextmanager
@@ -290,8 +304,8 @@ def _serial_deadline(seconds: Optional[float]) -> Iterator[bool]:
     """Enforce a wall-clock deadline on in-process execution via SIGALRM.
 
     Yields whether the deadline is actually armed — only on Unix, in the
-    main thread; elsewhere the job simply runs unbounded (callers record
-    a degradation the first time that happens).
+    main thread; elsewhere :func:`run_attempts` checks the budget after
+    the job returns instead.
     """
     if (
         not seconds
@@ -311,6 +325,79 @@ def _serial_deadline(seconds: Optional[float]) -> Iterator[bool]:
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def run_attempts(
+    job,
+    trace,
+    policy: RetryPolicy,
+    label: str,
+    degrade: Callable[[str], None],
+    prior: int = 0,
+) -> Tuple[Optional[SimulationResult], List[JobAttempt]]:
+    """Try one job in this process until it succeeds or the policy gives up.
+
+    Seeded backoff before every retry, the ``worker`` fault site on
+    every attempt, and per-job exception isolation.  ``policy.timeout``
+    is a SIGALRM deadline where one can be armed; elsewhere the job
+    runs to the end and an overrun is charged after the fact, so either
+    way it costs one ``timeout`` attempt (``degrade`` hears once that
+    the deadline could not interrupt the job).  ``label`` names the
+    executor in timeout messages; ``prior`` counts the attempts the job
+    already spent elsewhere (a pool that broke under it).
+
+    Returns the result (``None`` once the attempts are spent) and the
+    failed attempts, oldest first.
+    """
+    from repro.analysis import parallel as _parallel
+
+    token = job_token(job)
+    failed: List[JobAttempt] = []
+    warned = False
+    while True:
+        attempt = prior + len(failed)
+        if attempt:
+            time.sleep(policy.delay(attempt, token))
+        started = time.monotonic()
+        try:
+            with _serial_deadline(policy.timeout) as armed:
+                if policy.timeout and not armed and not warned:
+                    warned = True
+                    degrade(
+                        f"timeout not enforceable for {token} on this platform; "
+                        "falling back to a post-hoc monotonic check"
+                    )
+                fault_point("worker", key=token, attempt=attempt)
+                result = _parallel.execute_job(job, trace=trace)
+            if policy.timeout and not armed and time.monotonic() - started > policy.timeout:
+                # The completed result is discarded: the job is charged
+                # what an armed deadline would have reported.
+                raise JobTimeout()
+        except JobTimeout:
+            failed.append(JobAttempt(
+                attempt, "timeout", f"exceeded {policy.timeout}s ({label})",
+                time.monotonic() - started,
+            ))
+        except Exception as exc:  # noqa: BLE001 - per-job isolation is the point
+            failed.append(JobAttempt(attempt, "exception", repr(exc), time.monotonic() - started))
+        else:
+            return result, failed
+        if attempt + 1 >= policy.max_attempts:
+            return None, failed
+
+
+#: Traces the parent acquired for the pool it is about to fork, keyed by
+#: trace params.  Forked workers inherit the filled dict, so no worker
+#: builds or loads a trace; :func:`_pool_phase` clears it afterwards.
+_POOL_TRACES: Dict[Tuple, Any] = {}
+
+
+def _worker_run(job, attempt: int):
+    """What a pool worker runs: the fault point, then the job on its inherited trace."""
+    from repro.analysis import parallel as _parallel
+
+    fault_point("worker", key=job_token(job), attempt=attempt)
+    return _parallel.execute_job(job, trace=_POOL_TRACES.get(_trace_params(job)))
 
 
 # ----------------------------------------------------------------------
@@ -381,58 +468,40 @@ class _Batch:
         self.report.degradations.append(event)
 
 
-def _run_one_serial(batch: _Batch, index: int) -> None:
-    """Serial attempt loop for one job: retries, backoff, optional deadline."""
-    from repro.analysis import parallel as _parallel
-
-    job = batch.jobs[index]
-    token = job_token(job)
-    policy = batch.policy
-    warned_unenforceable = False
-    while True:
-        attempt = len(batch.outcome(index).attempts)
-        if attempt:
-            time.sleep(policy.delay(attempt, token))
-        started = time.monotonic()
-        try:
-            trace = None
-            if batch.trace_store is not None:
-                trace = batch.trace_store.get_or_build(
-                    job.workload, job.n_insts, job.seed, job.software_prefetch
-                )
-            with _serial_deadline(policy.timeout) as armed:
-                if policy.timeout and not armed and not warned_unenforceable:
-                    warned_unenforceable = True
-                    batch.degrade(
-                        f"serial: per-job timeout not enforceable for {token} on this platform"
-                    )
-                fault_point("worker", key=token, attempt=attempt)
-                if trace is not None:
-                    result = _parallel.execute_job(job, trace=trace)
-                else:
-                    result = _parallel.execute_job(job)
-        except JobTimeout:
-            batch.record_failure(
-                index, "timeout", f"exceeded {policy.timeout}s (serial)", time.monotonic() - started
-            )
-        except Exception as exc:  # noqa: BLE001 - per-job isolation is the point
-            batch.record_failure(index, "exception", repr(exc), time.monotonic() - started)
-        else:
-            batch.complete(index, result)
-            return
-        if not batch.attempts_left(index):
-            batch.give_up(index)
-            return
-
-
 def _serial_phase(batch: _Batch, pending: Sequence[int]) -> None:
+    """Run ``pending`` in this process: the queue worker's loop without the queue.
+
+    Groups keep the order in which they first appear, so a trace-major
+    grid still runs in submission order.  A trace that cannot be
+    acquired fails its group's jobs, one ``exception`` attempt each.
+    """
     cut_off = 0
-    for index in pending:
-        if batch.past_deadline():
-            batch.mark_unclaimed(index)
-            cut_off += 1
-            continue
-        _run_one_serial(batch, index)
+    for (_, params), members in _group_by_trace(pending, batch.jobs.__getitem__).items():
+        trace = error = None
+        for index in members:
+            if batch.past_deadline():
+                batch.mark_unclaimed(index)
+                cut_off += 1
+                continue
+            if trace is None and error is None:
+                try:
+                    trace = acquire_trace(params, batch.trace_store)
+                except Exception as exc:  # noqa: BLE001 - fail the group, not the batch
+                    error = f"trace acquisition failed: {exc!r}"
+            if error is not None:
+                batch.record_failure(index, "exception", error, 0.0)
+                batch.give_up(index)
+                continue
+            result, failed = run_attempts(
+                batch.jobs[index], trace, batch.policy, "serial",
+                lambda event: batch.degrade("serial: " + event),
+                prior=len(batch.outcome(index).attempts),
+            )
+            batch.outcome(index).attempts.extend(failed)
+            if result is None:
+                batch.give_up(index)
+            else:
+                batch.complete(index, result)
     if cut_off:
         batch.degrade(f"deadline: {cut_off} job(s) left unclaimed (serial)")
 
@@ -478,18 +547,16 @@ def _kill_pool(pool) -> None:
         pass
 
 
-def _pool_phase(batch: _Batch, pending: List[int], workers: int, share_traces: bool) -> None:
+def _pool_phase(batch: _Batch, pending: List[int], workers: int) -> None:
     """The parallel scheduler: bounded in-flight submission, deadlines, ladder."""
     from repro.analysis import parallel as _parallel
 
     policy = batch.policy
-    fault_args = ambient_fault_args()
     width = min(workers, len(pending))
-    shared: Dict = {}
     pool = None
     restarts = 0
 
-    ready: Deque[int] = deque(pending)
+    ready: Deque[int] = deque()
     waiting: List[Tuple[float, int]] = []  # (eligible_at, index) backoff queue
     inflight: Dict = {}  # future -> (index, started_at)
     #: Jobs charged a pool-broken or timeout attempt.  A suspect is
@@ -499,8 +566,13 @@ def _pool_phase(batch: _Batch, pending: List[int], workers: int, share_traces: b
     suspects: set = set()
 
     def fresh_pool():
+        # Workers read their traces from the parent's _POOL_TRACES, so
+        # the pool must fork.  Python 3.14 stops making fork the Linux
+        # default; a host without fork raises ValueError here.
         return _parallel.ProcessPoolExecutor(
-            max_workers=width, initializer=_parallel._mark_pool_worker
+            max_workers=width,
+            initializer=_parallel._mark_pool_worker,
+            mp_context=multiprocessing.get_context("fork"),
         )
 
     def remaining_indices() -> List[int]:
@@ -533,7 +605,7 @@ def _pool_phase(batch: _Batch, pending: List[int], workers: int, share_traces: b
         try:
             pool = fresh_pool()
             return True
-        except (OSError, RuntimeError) as exc:
+        except (OSError, RuntimeError, ValueError) as exc:
             batch.degrade(f"serial-fallback: pool restart failed ({exc!r})")
             _serial_phase(batch, remaining_indices())
             return False
@@ -551,14 +623,25 @@ def _pool_phase(batch: _Batch, pending: List[int], workers: int, share_traces: b
         inflight.clear()
 
     try:
-        if share_traces:
-            pairs = [(i, batch.jobs[i]) for i in pending]
-            shared = _parallel._share_pending_traces(pairs, batch.trace_store)
+        # Every distinct trace is acquired once, before the first fork.
+        errors: Dict[Tuple, str] = {}
+        for index in pending:
+            params = _trace_params(batch.jobs[index])
+            if params not in _POOL_TRACES and params not in errors:
+                try:
+                    _POOL_TRACES[params] = acquire_trace(params, batch.trace_store)
+                except Exception as exc:  # noqa: BLE001 - fail its jobs, not the batch
+                    errors[params] = f"trace acquisition failed: {exc!r}"
+            if params in errors:
+                batch.record_failure(index, "exception", errors[params], 0.0)
+                batch.give_up(index)
+            else:
+                ready.append(index)
         try:
             pool = fresh_pool()
-        except (OSError, RuntimeError) as exc:
+        except (OSError, RuntimeError, ValueError) as exc:
             batch.degrade(f"serial-fallback: process pool unavailable ({exc!r})")
-            _serial_phase(batch, pending)
+            _serial_phase(batch, list(ready))
             return
 
         while ready or waiting or inflight:
@@ -604,12 +687,9 @@ def _pool_phase(batch: _Batch, pending: List[int], workers: int, share_traces: b
                     index = ready.popleft()
                 else:
                     break  # only suspects left: wait for the pool to drain
-                job = batch.jobs[index]
-                entry = shared.get(_parallel._trace_params(job))
-                handle = entry.handle if entry is not None else None
                 attempt = len(batch.outcome(index).attempts)
                 try:
-                    future = pool.submit(_worker_run, job, handle, attempt, fault_args)
+                    future = pool.submit(_worker_run, batch.jobs[index], attempt)
                 except (BrokenExecutor, RuntimeError):
                     # The pool died between ticks; this job is innocent.
                     ready.appendleft(index)
@@ -689,8 +769,7 @@ def _pool_phase(batch: _Batch, pending: List[int], workers: int, share_traces: b
                     ):
                         return
     finally:
-        for entry in shared.values():
-            entry.close()
+        _POOL_TRACES.clear()
         if pool is not None:
             try:
                 pool.shutdown(wait=False, cancel_futures=True)
@@ -703,7 +782,6 @@ def execute_batch(
     workers: Optional[int] = None,
     cache=None,
     trace_store=None,
-    share_traces: bool = True,
     policy: Optional[RetryPolicy] = None,
     journal: Optional[RunJournal] = None,
     backend=None,
@@ -717,8 +795,9 @@ def execute_batch(
     whose ``outcomes`` align with ``jobs``.
 
     ``backend`` (an :class:`~repro.analysis.backend.ExecutionBackend`
-    instance, or ``None`` for the built-in pool/serial ladder) owns the
-    execution phase only: the journal/cache prefilter, outcome records,
+    instance, or ``None`` for the built-in
+    :class:`~repro.analysis.backend.PoolBackend`) owns the execution
+    phase only: the journal/cache prefilter, outcome records,
     and failure semantics above are identical for every backend.
 
     ``deadline`` (seconds from now) bounds the whole batch: once it
@@ -765,11 +844,9 @@ def execute_batch(
 
     if not pending:
         return report
-    if backend is not None:
-        backend.execute(batch, pending, workers, share_traces)
-        return report
-    if workers <= 1 or len(pending) == 1:
-        _serial_phase(batch, pending)
-        return report
-    _pool_phase(batch, pending, workers, share_traces)
+    if backend is None:
+        from repro.analysis.backend import PoolBackend
+
+        backend = PoolBackend()
+    backend.execute(batch, pending, workers)
     return report

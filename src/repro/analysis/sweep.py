@@ -50,8 +50,8 @@ def run_workload(
     Dispatches to the two-pass protocols automatically when the config asks
     for the ORACLE or STATIC filter.  ``engine=None`` defers to
     ``config.engine``; a pre-built ``trace`` (e.g. from a
-    :class:`~repro.trace.store.TraceStore` or a shared-memory mapping)
-    skips trace synthesis entirely.
+    :class:`~repro.trace.store.TraceStore`, or one a pool worker
+    inherited from its parent) skips trace synthesis entirely.
     """
     if trace is None:
         trace = _trace_for(workload, n_insts, seed, software_prefetch)

@@ -13,7 +13,9 @@ jobs sharing a trace are far cheaper together than apart: synthesising
 compilation, attribute caches) repeats per fresh process.  So each
 claimed batch is grouped by ``(engine, trace parameters)`` and each
 group acquires its trace exactly **once**; members after the first pay
-only the simulation itself.  :class:`WorkerStats` separates
+only the simulation itself.  Each job then runs through
+:func:`~repro.analysis.resilience.run_attempts`, the attempt loop the
+serial executor runs too.  :class:`WorkerStats` separates
 first-of-group from rest-of-group wall time so ``repro-sim bench
 --sweep`` can report the amortization win instead of asserting it.
 
@@ -53,13 +55,12 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.netqueue import BrokerUnreachable
-from repro.analysis.parallel import _trace_params, execute_job
 from repro.analysis.resilience import (
     DEFAULT_POLICY,
-    JobAttempt,
-    JobTimeout,
     RetryPolicy,
-    _serial_deadline,
+    _group_by_trace,
+    acquire_trace,
+    run_attempts,
 )
 from repro.analysis.result_cache import result_to_dict
 from repro.analysis.workqueue import _BEAT_FRACTION, Claim, FileQueue, new_worker_id
@@ -183,74 +184,22 @@ def _run_claim(
     worker: str,
     stats: WorkerStats,
 ) -> Tuple[Dict, bool]:
-    """One claim under the retry policy; returns (done record, ok).
+    """One claim through the shared attempt loop; returns (done record, ok).
 
-    Mirrors the serial attempt loop of the resilience engine: seeded
-    backoff between tries, SIGALRM deadline where the platform allows,
-    the ``worker`` fault site on every attempt.  The outcome — success
-    or exhausted failure — becomes a queue ``done/`` record either way,
-    so the parent sees the same attempt history a pool backend would
-    have reported.
+    Success or exhausted failure becomes a queue ``done/`` record either
+    way, so the parent sees the same attempt history a pool backend
+    would have reported.
     """
-    attempts: List[Dict] = []
-    warned = False
-    while True:
-        attempt = len(attempts)
-        if attempt:
-            time.sleep(policy.delay(attempt, claim.token))
-        started = time.monotonic()
-        try:
-            with _serial_deadline(policy.timeout) as armed:
-                if policy.timeout and not armed and not warned:
-                    warned = True
-                    stats.degradations.append(
-                        f"timeout not enforceable for {claim.token} on this platform; "
-                        "falling back to a post-hoc monotonic check between jobs"
-                    )
-                fault_point("worker", key=claim.token, attempt=attempt)
-                result = execute_job(claim.job, trace=trace)
-            if (
-                policy.timeout
-                and not armed
-                and time.monotonic() - started > policy.timeout
-            ):
-                # SIGALRM could not interrupt this job (non-main thread
-                # or non-Unix), so the budget is enforced after the
-                # fact: the completed result is discarded and the job
-                # charged a timeout attempt, matching what an armed
-                # deadline would have reported.
-                raise JobTimeout()
-        except JobTimeout:
-            attempts.append(
-                JobAttempt(
-                    attempt, "timeout", f"exceeded {policy.timeout}s (queue worker)",
-                    time.monotonic() - started,
-                ).to_dict()
-            )
-        except Exception as exc:  # noqa: BLE001 - per-job isolation
-            attempts.append(
-                JobAttempt(attempt, "exception", repr(exc), time.monotonic() - started).to_dict()
-            )
-        else:
-            return (
-                {
-                    "ok": True,
-                    "result": result_to_dict(result),
-                    "attempts": attempts,
-                    "worker": worker,
-                },
-                True,
-            )
-        if len(attempts) >= policy.max_attempts:
-            return (
-                {
-                    "ok": False,
-                    "error": attempts[-1]["error"],
-                    "attempts": attempts,
-                    "worker": worker,
-                },
-                False,
-            )
+    result, failed = run_attempts(
+        claim.job, trace, policy, "queue worker", stats.degradations.append
+    )
+    attempts = [a.to_dict() for a in failed]
+    if result is None:
+        record = {"ok": False, "error": attempts[-1]["error"]}
+    else:
+        record = {"ok": True, "result": result_to_dict(result)}
+    record.update(attempts=attempts, worker=worker)
+    return record, result is not None
 
 
 def _run_claims(
@@ -262,20 +211,12 @@ def _run_claims(
     stats: WorkerStats,
 ) -> None:
     """Run a claimed batch, grouped so each distinct trace is acquired once."""
-    groups: Dict[Tuple, List[Claim]] = {}
-    for claim in claims:
-        groups.setdefault((claim.job.engine_name, _trace_params(claim.job)), []).append(claim)
-
+    groups = _group_by_trace(claims, lambda claim: claim.job)
     for (_, params), members in sorted(groups.items()):
         stats.groups += 1
         acquire_started = time.monotonic()
         try:
-            if trace_store is not None:
-                trace = trace_store.get_or_build(*params)
-            else:
-                from repro.workloads import cached_trace
-
-                trace = cached_trace(*params)
+            trace = acquire_trace(params, trace_store)
         except Exception as exc:  # noqa: BLE001 - fail the group's jobs, not the worker
             for claim in members:
                 queue.complete(

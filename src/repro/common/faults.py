@@ -1,9 +1,8 @@
 """Deterministic, seedable fault injection for chaos testing.
 
 The resilience layer (:mod:`repro.analysis.resilience`) promises that a
-crashing worker, a hung job, a corrupt cache file, or a missing
-shared-memory facility degrades a batch gracefully instead of aborting
-it.  Promises like that rot unless they are exercised, so this module
+crashing worker, a hung job, or a corrupt cache file degrades a batch
+gracefully instead of aborting it.  Promises like that rot unless they are exercised, so this module
 lets tests (and brave operators) *inject* exactly those failures at
 well-known sites, deterministically.
 
@@ -13,7 +12,6 @@ A fault plan is a semicolon-separated list of specs::
     hang@worker:match=|seed=12|,attempts=0,seconds=30
     exit@worker:p=0.25
     corrupt-cache@cache
-    shm-unavailable@shm
 
 Each spec is ``<kind>@<site>`` plus optional comma-separated options:
 
@@ -52,9 +50,6 @@ Kinds and where they fire:
   deliberately corrupt live model state and demand the very next
   invariant sweep detect it (chaos-tests the sanitizer itself; see
   :mod:`repro.sanitize`).
-* ``shm-unavailable`` — returned to the call site, which raises
-  ``OSError`` from ``share_trace`` (exercises the no-shared-memory
-  fallback).
 * ``enospc`` — returned to the ``pressure`` check points, which treat
   the disk as full (free bytes = 0) so workers drain-and-exit and the
   stores skip writes instead of dying mid-write (exercises the
@@ -79,10 +74,8 @@ Kinds and where they fire:
   retry budget (or exit with the pressure-friendly code past it).
 
 Plans are ambient (``REPRO_FAULTS`` / ``REPRO_FAULT_SEED`` environment
-variables, so forked pool workers inherit them) or explicit (an
-:class:`FaultInjector` passed to :func:`fault_point` — the resilience
-engine ships the plan to workers as an argument, which also covers
-``spawn``-style start methods that do not inherit mutated env vars).
+variables, which forked pool workers and spawned queue workers inherit)
+or explicit (an :class:`FaultInjector` passed to :func:`fault_point`).
 With no plan installed, :func:`fault_point` is a near-free no-op.
 """
 
@@ -111,7 +104,6 @@ KINDS = (
     "corrupt-cache",
     "corrupt-artifact",
     "invariant-trip",
-    "shm-unavailable",
     "enospc",
     "mem-pressure",
     "conn-reset",
@@ -130,7 +122,6 @@ KINDS = (
 SITES = {
     "worker": "a sweep job crashing, hanging, or hard-exiting inside a pool worker",
     "cache": "a result-cache entry corrupted on disk between write and read",
-    "shm": "the POSIX shared-memory facility being unavailable on the host",
     "journal": "a run-journal line corrupted between append and --resume replay",
     "sanitizer": "live model state corrupted immediately before an invariant sweep",
     "worker-death": "a queue worker process dying mid-lease (OOM-kill, host loss)",
@@ -254,15 +245,11 @@ class FaultInjector:
             raise FaultInjected(
                 f"injected exit outside a pool worker at {site} (key={key!r})"
             )
-        return spec  # corrupt-cache / shm-unavailable: the call site acts
+        return spec  # corrupt-cache / drop / ...: the call site acts
 
 
 def ambient_fault_args() -> Optional[Tuple[str, int]]:
-    """The env-installed plan as plain picklable data (or ``None``).
-
-    The resilience engine ships this to pool workers as an argument so
-    the plan survives ``spawn``/``forkserver`` start methods too.
-    """
+    """The env-installed plan as plain ``(text, seed)`` data (or ``None``)."""
     text = os.environ.get(FAULTS_ENV)
     if not text:
         return None
@@ -288,8 +275,9 @@ def fault_point(
 ) -> Optional[FaultSpec]:
     """An injection site: fires the first matching fault of the active plan.
 
-    ``raise``/``hang``/``exit`` faults act here; ``corrupt-cache`` and
-    ``shm-unavailable`` specs are *returned* for the call site to act on.
+    ``raise``/``hang``/``exit`` faults act here; every other kind
+    (``corrupt-cache``, ``drop``, ...) is *returned* for the call site to
+    act on.
     With no plan active this returns ``None`` after one env lookup.
     """
     if injector is None:

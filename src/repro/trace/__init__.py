@@ -18,15 +18,7 @@ from repro.trace.record import (
     TraceRecord,
 )
 from repro.trace.sampling import sample_windows, systematic_sample
-from repro.trace.store import (
-    SharedTrace,
-    SharedTraceHandle,
-    TraceAttachment,
-    TraceStore,
-    attach_trace,
-    share_trace,
-    trace_key,
-)
+from repro.trace.store import TraceStore, trace_key
 from repro.trace.stream import Trace, TraceBuilder
 from repro.trace.synth import (
     gaussian_pointer_chase,
@@ -45,14 +37,9 @@ __all__ = [
     "STORE",
     "SW_PREFETCH",
     "InstrClass",
-    "SharedTrace",
-    "SharedTraceHandle",
     "Trace",
-    "TraceAttachment",
     "TraceStore",
-    "attach_trace",
     "sample_windows",
-    "share_trace",
     "systematic_sample",
     "trace_key",
     "TraceBuilder",

@@ -1,45 +1,26 @@
-"""On-disk trace cache and zero-copy shared-memory trace handoff.
+"""On-disk, content-addressed cache of generated traces.
 
 Trace synthesis is deterministic but not free: a million-instruction
 workload takes longer to *generate* than the kernel engine takes to
-*simulate* it, and a parallel sweep regenerates the same trace once per
-worker process.  This module removes both costs:
+*simulate* it.  :class:`TraceStore` persists generated traces as
+``.npz`` files keyed by the SHA-256 of their complete inputs (workload,
+length, seed, software-prefetch settings, generator version), exactly
+mirroring the :mod:`repro.analysis.result_cache` conventions — same
+environment variable, same atomic-replace writes, same corrupt-file
+tolerance.
 
-* :class:`TraceStore` persists generated traces as ``.npz`` files keyed
-  by the SHA-256 of their complete inputs (workload, length, seed,
-  software-prefetch settings, generator version), exactly mirroring the
-  :mod:`repro.analysis.result_cache` conventions — same environment
-  variable, same atomic-replace writes, same corrupt-file tolerance.
-* :func:`share_trace` / :func:`attach_trace` move a trace between
-  processes through POSIX shared memory: the parent materialises the
-  four columns once into one segment, workers map them read-only with
-  no copy and no pickling of multi-megabyte arrays.
-
-Sharing protocol (the part that is easy to get wrong):
-
-1. the parent calls :func:`share_trace` and keeps the returned
-   :class:`SharedTrace` alive while any worker might attach;
-2. each worker calls :func:`attach_trace` with the (picklable)
-   :class:`SharedTraceHandle`, uses the trace, then calls
-   ``detach()`` on the attachment;
-3. the parent finally calls :meth:`SharedTrace.close` which unlinks
-   the segment.
-
-Workers never unlink: the owner does, exactly once, in step 3.  (On
-Python < 3.13 an attachment also registers with the resource tracker;
-because workers inherit the owner's tracker process this is a no-op —
-see :func:`attach_trace`.)
+Within one batch each distinct trace is acquired once
+(:func:`repro.analysis.resilience.acquire_trace`); a process pool's
+workers read the parent's copy, inherited by fork, and never touch the
+store themselves.
 """
 
 from __future__ import annotations
 
-import atexit
 import hashlib
 import io
 import json
 import os
-import weakref
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -242,161 +223,3 @@ class TraceStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TraceStore({str(self.directory)!r}, hits={self.hits}, misses={self.misses})"
-
-
-# ----------------------------------------------------------------------
-# Shared-memory handoff
-# ----------------------------------------------------------------------
-#: Every live owner-side segment, so an abnormal exit (uncaught
-#: exception, ``sys.exit`` mid-sweep) still unlinks them: ``close()`` is
-#: idempotent and drops the entry via weak reference, and the ``atexit``
-#: hook closes whatever is left.  A SIGKILL still strands segments —
-#: nothing in-process can help there — but every Python-visible exit
-#: path is covered.
-_LIVE_SEGMENTS: "weakref.WeakSet[SharedTrace]" = weakref.WeakSet()
-
-
-def _close_leftover_segments() -> None:  # pragma: no cover - exit hook
-    for segment in list(_LIVE_SEGMENTS):
-        segment.close()
-
-
-atexit.register(_close_leftover_segments)
-
-
-@dataclass(frozen=True)
-class SharedTraceHandle:
-    """Everything a worker needs to map a shared trace: plain picklable data."""
-
-    shm_name: str
-    length: int
-    trace_name: str
-
-
-def _layout(n: int) -> tuple[int, int, int, int, int]:
-    """Byte offsets of (pc, addr, iclass, taken) and the total size.
-
-    The two ``uint64`` columns lead so they stay 8-byte aligned; the two
-    1-byte columns follow.
-    """
-    pc_off = 0
-    addr_off = 8 * n
-    iclass_off = 16 * n
-    taken_off = 17 * n
-    return pc_off, addr_off, iclass_off, taken_off, 18 * n
-
-
-class SharedTrace:
-    """Owner side of a shared trace segment (created by :func:`share_trace`).
-
-    Keep it alive while workers may attach; ``close()`` unlinks the
-    segment.  Usable as a context manager.
-    """
-
-    def __init__(self, shm, handle: SharedTraceHandle) -> None:
-        self._shm = shm
-        self.handle = handle
-
-    def close(self) -> None:
-        if self._shm is not None:
-            try:
-                self._shm.close()
-                self._shm.unlink()
-            except (BufferError, FileNotFoundError, OSError):
-                pass
-            self._shm = None
-
-    def __enter__(self) -> "SharedTrace":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        self.close()
-
-
-class TraceAttachment:
-    """Worker side of a shared trace segment: the trace plus its mapping.
-
-    The :class:`~repro.trace.stream.Trace` columns are views straight
-    into the shared segment — zero copies — so the mapping must stay
-    open for as long as the trace is used; call ``detach()`` after.
-    """
-
-    def __init__(self, shm, trace: Trace) -> None:
-        self._shm = shm
-        self.trace = trace
-
-    def detach(self) -> None:
-        if self._shm is None:
-            return
-        self.trace = None  # type: ignore[assignment]  # drop buffer views first
-        try:
-            self._shm.close()
-        except BufferError:
-            # The caller still holds views into the mapping, so it cannot
-            # be unmapped yet.  Keep the handle: a later detach (after the
-            # views die) finishes the job, and so does garbage collection.
-            return
-        except OSError:
-            pass
-        self._shm = None
-
-    def __enter__(self) -> Trace:
-        return self.trace
-
-    def __exit__(self, *exc) -> None:
-        self.detach()
-
-
-def share_trace(trace: Trace) -> SharedTrace:
-    """Copy ``trace`` into a fresh shared-memory segment (parent side).
-
-    Raises ``OSError`` when shared memory is unavailable (including via
-    an injected ``shm-unavailable`` fault); callers fall back to
-    per-worker trace synthesis.
-    """
-    from multiprocessing import shared_memory
-
-    spec = fault_point("shm", key=trace.name)
-    if spec is not None and spec.kind == "shm-unavailable":
-        raise OSError("injected fault: shared memory unavailable")
-
-    n = len(trace)
-    pc_off, addr_off, iclass_off, taken_off, total = _layout(n)
-    shm = shared_memory.SharedMemory(create=True, size=max(1, total))
-    buf = shm.buf
-    np.frombuffer(buf, dtype=np.uint64, count=n, offset=pc_off)[:] = trace.pc
-    np.frombuffer(buf, dtype=np.uint64, count=n, offset=addr_off)[:] = trace.addr
-    np.frombuffer(buf, dtype=np.uint8, count=n, offset=iclass_off)[:] = trace.iclass
-    np.frombuffer(buf, dtype=np.bool_, count=n, offset=taken_off)[:] = trace.taken
-    handle = SharedTraceHandle(shm_name=shm.name, length=n, trace_name=trace.name)
-    shared = SharedTrace(shm, handle)
-    _LIVE_SEGMENTS.add(shared)
-    return shared
-
-
-def attach_trace(handle: SharedTraceHandle) -> TraceAttachment:
-    """Map a shared trace read-only in this process (worker side)."""
-    from multiprocessing import shared_memory
-
-    # Python < 3.13 registers even a plain attachment with the resource
-    # tracker.  That is harmless here — multiprocessing children inherit
-    # the parent's tracker process, whose registry is a set, so the
-    # attach-side register is a no-op and the owner's ``unlink`` retires
-    # the entry exactly once.  (A process *not* descended from the owner
-    # would bring its own tracker and steal the segment at exit; pass
-    # handles only parent -> worker, as :func:`run_jobs` does.)
-    shm = shared_memory.SharedMemory(name=handle.shm_name)
-    n = handle.length
-    pc_off, addr_off, iclass_off, taken_off, _ = _layout(n)
-    buf = shm.buf
-    trace = Trace(
-        np.frombuffer(buf, dtype=np.uint8, count=n, offset=iclass_off),
-        np.frombuffer(buf, dtype=np.uint64, count=n, offset=pc_off),
-        np.frombuffer(buf, dtype=np.uint64, count=n, offset=addr_off),
-        np.frombuffer(buf, dtype=np.bool_, count=n, offset=taken_off),
-        name=handle.trace_name,
-    )
-    return TraceAttachment(shm, trace)

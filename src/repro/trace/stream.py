@@ -39,7 +39,8 @@ def _as_column(values, dtype: np.dtype, column: str) -> np.ndarray:
     enormous addresses that alias real cache sets.  Those dtypes are
     scanned and rejected with the offending record index; unsigned/bool
     inputs — every internal producer, including the zero-copy views from
-    ``head()`` and shared-memory attachment — skip the scan entirely.
+    ``head()`` and traces loaded from a ``TraceStore`` — skip the scan
+    entirely.
     """
     arr = np.asarray(values)
     kind = arr.dtype.kind

@@ -107,7 +107,7 @@ def test_register_backend_extends_the_registry(tmp_path):
     class Recorder(ExecutionBackend):
         name = "recorder"
 
-        def execute(self, batch, pending, workers, share_traces):
+        def execute(self, batch, pending, workers):
             from repro.analysis.resilience import _serial_phase
 
             _serial_phase(batch, pending)

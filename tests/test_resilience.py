@@ -159,6 +159,31 @@ class TestSerialIsolation:
         for x, y in zip(clean, report.results):
             assert _fingerprint(x) == _fingerprint(y)
 
+    def test_serial_timeout_enforced_off_the_main_thread(self):
+        """SIGALRM cannot arm off the main thread; an overrunning job is
+        still charged one timeout attempt, after the fact."""
+        import threading
+
+        box = {}
+
+        def _run():
+            with inject_faults("hang@worker:seconds=0.6"):
+                box["report"] = run_jobs(
+                    _jobs(1, "gzip"),
+                    workers=1,
+                    policy=RetryPolicy(max_attempts=1, timeout=0.2),
+                    return_report=True,
+                )
+
+        thread = threading.Thread(target=_run)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        [outcome] = box["report"].outcomes
+        assert not outcome.ok
+        [attempt] = outcome.attempts
+        assert attempt.kind == "timeout" and "(serial)" in attempt.error
+
     def test_failures_are_journaled_with_attempt_history(self, tmp_path):
         jobs = _jobs(1, "gzip")
         journal = RunJournal(tmp_path / "j.jsonl")
@@ -266,17 +291,36 @@ class TestPoolChaos:
             if outcome.index != 2:
                 assert len(outcome.attempts) <= 1
 
-    def test_shm_unavailable_falls_back_to_per_worker_traces(self, many_cpus, tmp_path):
+    def test_pool_workers_inherit_traces_instead_of_acquiring_them(
+        self, many_cpus, tmp_path, monkeypatch
+    ):
+        """The parent acquires every trace before it forks the pool; a
+        worker that built or loaded one itself would fail its job here."""
+        import repro.workloads as workloads_mod
         from repro.trace.store import TraceStore
 
         jobs = _jobs(4, "gzip")
         clean = run_jobs(jobs, workers=1)
-        with inject_faults("shm-unavailable@shm"):
-            results = run_jobs(
-                jobs, workers=2, trace_store=TraceStore(tmp_path), share_traces=True
+        parent = os.getpid()
+
+        def parent_only(real):
+            def guarded(*args, **kwargs):
+                if os.getpid() != parent:
+                    raise AssertionError("a pool worker acquired its own trace")
+                return real(*args, **kwargs)
+
+            return guarded
+
+        monkeypatch.setattr(workloads_mod, "build_trace", parent_only(workloads_mod.build_trace))
+        monkeypatch.setattr(TraceStore, "get", parent_only(TraceStore.get))
+        for store in (TraceStore(tmp_path), None):
+            workloads_mod.cached_trace.cache_clear()
+            report = run_jobs(
+                jobs, workers=2, trace_store=store, policy=NO_RETRY, return_report=True
             )
-        for a, b in zip(clean, results):
-            assert _fingerprint(a) == _fingerprint(b)
+            assert not report.failures and not report.degradations
+            for a, b in zip(clean, report.results):
+                assert _fingerprint(a) == _fingerprint(b)
 
     def test_unstartable_pool_degrades_to_serial_with_event(self, many_cpus, monkeypatch):
         class BrokenPool:

@@ -1,21 +1,12 @@
-"""Trace store: on-disk round-trips, shared-memory handoff, run_jobs wiring."""
+"""Trace store: on-disk round-trips, health counters, run_jobs wiring."""
 
-import multiprocessing
 import os
 
 import numpy as np
-import pytest
 
-import repro.analysis.parallel as parallel_mod
 from repro.analysis.parallel import SimulationJob, run_jobs
 from repro.common.config import FilterKind, SimulationConfig
-from repro.trace.store import (
-    SharedTrace,
-    TraceStore,
-    attach_trace,
-    share_trace,
-    trace_key,
-)
+from repro.trace.store import TraceStore, trace_key
 from repro.workloads import build_trace
 
 N = 8_000
@@ -104,81 +95,6 @@ class TestTraceStore:
         assert str(store.directory).startswith(str(tmp_path))
 
 
-def _child_checks_shared_trace(handle, expected_pc_sum, queue):
-    try:
-        attachment = attach_trace(handle)
-        trace = attachment.trace
-        ok = int(trace.pc.sum()) == expected_pc_sum and len(trace) == handle.length
-        trace = None  # drop buffer views before detaching
-        attachment.detach()
-        queue.put(ok)
-    except Exception as exc:  # pragma: no cover - surfaced in the assert
-        queue.put(repr(exc))
-
-
-class TestSharedMemory:
-    def test_same_process_round_trip(self):
-        trace = _trace()
-        shared = share_trace(trace)
-        try:
-            attachment = attach_trace(shared.handle)
-            try:
-                assert _same_trace(trace, attachment.trace)
-                assert attachment.trace.pc.base is not None  # a view, not a copy
-            finally:
-                attachment.detach()
-        finally:
-            shared.close()
-
-    def test_cross_process_round_trip(self):
-        trace = _trace()
-        with share_trace(trace) as shared:
-            queue = multiprocessing.Queue()
-            child = multiprocessing.Process(
-                target=_child_checks_shared_trace,
-                args=(shared.handle, int(trace.pc.sum()), queue),
-            )
-            child.start()
-            verdict = queue.get(timeout=60)
-            child.join(timeout=60)
-            assert child.exitcode == 0
-            assert verdict is True
-
-    def test_close_unlinks_segment(self):
-        from multiprocessing import shared_memory
-
-        shared = share_trace(_trace(n=500))
-        name = shared.handle.shm_name
-        shared.close()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_close_is_idempotent(self):
-        shared = share_trace(_trace(n=500))
-        shared.close()
-        shared.close()  # second close must be a no-op, not an error
-
-    def test_detach_tolerates_live_views(self):
-        """Detaching while a caller still holds column views must not
-        raise; a second detach after the views die closes the mapping."""
-        shared = share_trace(_trace(n=500))
-        attachment = attach_trace(shared.handle)
-        leaked = attachment.trace.pc  # keep a view alive across detach
-        attachment.detach()  # must not raise; mapping stays pinned
-        assert attachment._shm is not None
-        del leaked
-        attachment.detach()  # views gone: now the unmap succeeds
-        assert attachment._shm is None
-        shared.close()
-
-    def test_attachment_context_manager(self):
-        trace = _trace(n=500)
-        with share_trace(trace) as shared:
-            with attach_trace(shared.handle) as mapped:
-                assert _same_trace(trace, mapped)
-                mapped = None  # drop the views before __exit__ unmaps
-
-
 class TestRunJobsIntegration:
     def _jobs(self):
         cfg = SimulationConfig.paper_default(FilterKind.PA).with_warmup(N // 4)
@@ -193,38 +109,24 @@ class TestRunJobsIntegration:
         assert [r.cycles for r in again] == [r.cycles for r in results]
         assert store.hits >= 2
 
-    def test_share_pending_traces_shares_each_trace_once(self):
-        jobs = self._jobs() + self._jobs()  # duplicated params
-        pending = list(enumerate(jobs))
-        shared = parallel_mod._share_pending_traces(pending, None)
-        try:
-            assert len(shared) == 2  # deduplicated by trace params
-            for entry in shared.values():
-                assert isinstance(entry, SharedTrace)
-        finally:
-            for entry in shared.values():
-                entry.close()
-
-    def test_share_pending_traces_degrades_on_oserror(self, monkeypatch):
-        monkeypatch.setattr(
-            parallel_mod, "share_trace", lambda trace: (_ for _ in ()).throw(OSError("shm full"))
-        )
-        shared = parallel_mod._share_pending_traces(list(enumerate(self._jobs())), None)
-        assert shared == {}  # best-effort: empty dict, no exception
+    def test_serial_batch_acquires_each_trace_once(self, tmp_path):
+        """2 traces x 3 configs: one store read per trace, not per job."""
+        configs = [
+            SimulationConfig.paper_default(kind).with_warmup(N // 4)
+            for kind in (FilterKind.NONE, FilterKind.PA, FilterKind.PC)
+        ]
+        jobs = [SimulationJob(w, cfg, N, 0) for w in ("em3d", "mcf") for cfg in configs]
+        store = TraceStore(tmp_path)
+        results = run_jobs(jobs, workers=1, trace_store=store)
+        assert all(r.cycles > 0 for r in results)
+        assert store.hits + store.misses == 2
 
     def test_parallel_results_match_serial_with_sharing(self):
         jobs = self._jobs()
         serial = run_jobs(jobs, workers=1)
-        parallel = run_jobs(jobs, workers=2, share_traces=True)
+        parallel = run_jobs(jobs, workers=2)
         for a, b in zip(serial, parallel):
             assert (a.cycles, a.prefetch) == (b.cycles, b.prefetch)
-
-    def test_no_segments_leak_after_run_jobs(self):
-        run_jobs(self._jobs(), workers=2, share_traces=True)
-        # /dev/shm should hold no segments created by this process.
-        if os.path.isdir("/dev/shm"):
-            mine = [p for p in os.listdir("/dev/shm") if p.startswith("psm_")]
-            assert mine == []
 
 
 class TestStoreHealthCounters:
@@ -257,28 +159,3 @@ class TestStoreHealthCounters:
         os.utime(old, (1, 1))
         store = TraceStore(tmp_path)
         assert store.stale_tmp_removed == 1 and not old.exists()
-
-
-class TestShmFaultsAndLeakGuard:
-    def test_shm_unavailable_fault_raises_oserror(self):
-        from repro.common.faults import inject_faults
-
-        with inject_faults("shm-unavailable@shm"):
-            with pytest.raises(OSError, match="injected"):
-                share_trace(_trace(n=512))
-
-    def test_atexit_guard_closes_leftover_segments(self):
-        from multiprocessing import shared_memory
-
-        from repro.trace.store import _close_leftover_segments
-
-        shared = share_trace(_trace(n=512))
-        name = shared.handle.shm_name
-        _close_leftover_segments()  # what an abnormal exit would run
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_close_is_idempotent(self):
-        shared = share_trace(_trace(n=512))
-        shared.close()
-        shared.close()  # second close must be a no-op, not an error
