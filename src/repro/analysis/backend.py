@@ -6,9 +6,10 @@ policy, per-job outcome records, crash-consistent journaling.  What it
 does **not** own is where the simulations physically run.  That is an
 :class:`ExecutionBackend`:
 
-* :class:`PoolBackend` (the default, ``"pool"``) — the in-process
-  ``ProcessPoolExecutor`` ladder this repo has always used: pool →
-  fresh pool → serial, fork-inherited traces, suspect quarantine.
+* :class:`PoolBackend` (the default, ``"pool"``) — forked local
+  workers, one pipe and one job in flight each, reading fork-inherited
+  traces; a dead or hung worker charges only its own job, and a host
+  that cannot fork runs the batch serially.
 * :class:`SharedFSBackend` (``"shared-fs"``) — a shared-filesystem
   work queue (:mod:`repro.analysis.workqueue`) drainable by any number
   of ``repro-sim worker`` processes on any host that can see the
@@ -81,7 +82,7 @@ class ExecutionBackend(ABC):
 
 
 class PoolBackend(ExecutionBackend):
-    """The built-in in-process pool with its full degradation ladder."""
+    """The built-in local fork pool, or serial execution for one job or worker."""
 
     name = "pool"
 

@@ -3,7 +3,7 @@
 Every experiment in this repository decomposes into independent
 ``(workload, config, filter)`` simulations, so the natural speedup lever is
 process-level fan-out: :func:`run_jobs` executes a batch of
-:class:`SimulationJob` descriptions across a ``ProcessPoolExecutor`` and
+:class:`SimulationJob` descriptions across forked worker processes and
 returns results in submission order regardless of completion order.
 
 Design points:
@@ -12,15 +12,15 @@ Design points:
   ``run_jobs(jobs)[i]`` always corresponds to ``jobs[i]`` no matter which
   worker finished first; and every job is itself a pure function of its
   fields (trace synthesis is seeded).
-* **Serial fallback** — ``workers=1``, a single pending job, a broken
-  process pool (e.g. a sandbox that forbids ``fork``), or running *inside*
-  a pool worker already (nested fan-out would oversubscribe the machine
-  quadratically) all degrade to plain in-process execution with identical
-  results.
+* **Serial fallback** — ``workers=1``, a single pending job, a host
+  whose workers cannot be forked (e.g. a sandbox that forbids ``fork``),
+  or running *inside* a pool worker already (nested fan-out would
+  oversubscribe the machine quadratically) all degrade to plain
+  in-process execution with identical results.
 * **Fault tolerance** — execution is delegated to
-  :func:`repro.analysis.resilience.execute_batch`: a worker exception or
-  a broken/hung pool fails only the job concerned (retried under a
-  :class:`~repro.analysis.resilience.RetryPolicy`), surviving results
+  :func:`repro.analysis.resilience.execute_batch`: a worker exception, a
+  dead worker, or a hung one fails only the job concerned (retried under
+  a :class:`~repro.analysis.resilience.RetryPolicy`), surviving results
   are kept, and with a :class:`~repro.analysis.checkpoint.RunJournal`
   attached a killed batch resumes where it died.  ``run_jobs`` raises
   :class:`~repro.analysis.resilience.JobsFailedError` (carrying the full
@@ -38,13 +38,13 @@ Design points:
   distinct trace once (through a :class:`~repro.trace.store.TraceStore`
   when given one) and runs all of that trace's jobs on it.  The pool's
   parent acquires them before it forks, and its workers read them from
-  the memory they inherit instead of building or loading their own.
+  the memory they inherit instead of building or loading their own; only
+  the results cross a pipe back.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -73,8 +73,8 @@ class SimulationJob:
     """One independent simulation, fully described by plain data.
 
     The job (not a live simulator) is what crosses the process boundary:
-    workers rebuild the machine from the config, which keeps the pickled
-    payload tiny and sidesteps every unpicklable hardware-model handle.
+    workers rebuild the machine from the config, which keeps the queue
+    record tiny and sidesteps every unpicklable hardware-model handle.
     ``engine=None`` defers to ``config.engine`` — the two spellings hash
     to the same cache key, so a sweep can name its engine either way.
     """
@@ -180,7 +180,7 @@ def default_workers() -> int:
 
 
 def _mark_pool_worker() -> None:
-    """Pool initializer: brand the worker so nested fan-out stays serial."""
+    """Brand a worker process so nested fan-out stays serial."""
     os.environ[_POOL_WORKER_ENV] = "1"
 
 

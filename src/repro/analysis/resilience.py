@@ -14,67 +14,60 @@ each job as its own unit of failure:
   :class:`RetryPolicy` gives each job ``max_attempts`` tries; the
   delay between tries grows geometrically and is jittered by a
   *seeded hash* (reproducible, no RNG state crossing processes).
-* **Per-job wall-clock timeouts** — a hung worker is detected by
-  deadline, the pool's processes are killed, a fresh pool takes over,
-  and the hung job is retried (or failed) under the same policy.
-  In-flight innocents are resubmitted without charging them an attempt.
-  In-process execution enforces the same deadline with ``SIGALRM``
-  where available (main thread, Unix) and by an after-the-fact
-  monotonic check everywhere else.
-* **Graceful degradation** — pool → fresh pool → serial: a pool that
-  cannot start runs the batch serially; a pool that keeps breaking
-  (more than ``max_pool_restarts`` replacements) finishes serially.
-  Every such event is recorded in ``BatchReport.degradations``.
+* **Per-job wall-clock timeouts** — every executor, pool workers
+  included, enforces the deadline with ``SIGALRM`` where one can be
+  armed (main thread, Unix) and by an after-the-fact monotonic check
+  everywhere else.  A pool worker that stays silent past its job's
+  whole budget (every remaining attempt's timeout and backoff, plus
+  one more timeout of grace) is killed by the parent, which charges
+  that job one ``timeout`` attempt.
+* **Graceful degradation** — a host that cannot fork, a pool whose
+  workers cannot start, or a pool that loses every worker finishes the
+  batch serially.  Every such event is recorded in
+  ``BatchReport.degradations``.
 * **Crash consistency** — with a
   :class:`~repro.analysis.checkpoint.RunJournal` attached, every
   completed job is journaled (fsync'd) the moment it finishes, and
   journaled successes are never re-run — a killed batch resumes where
   it died.
 
-A worker that dies *hard* (``os._exit``, segfault, OOM-kill) breaks a
-``ProcessPoolExecutor`` for every in-flight future at once, and the
-executor cannot say which job was responsible.  The engine charges each
-in-flight job one ``pool-broken`` attempt (bounded collateral: at most
-``workers`` jobs are in flight), replaces the pool, and *quarantines*
-the chargees: a suspect is retried with nothing else in flight, so a
-repeat breakage (or hang) implicates only the poison job — innocents
-are never charged a second collateral attempt.
+The pool is a set of forked workers, each with its own pipe and at most
+one job in flight, so the parent always knows which job a worker was
+running.  A worker that dies *hard* (``os._exit``, segfault, OOM-kill)
+closes its pipe; the parent charges that one job a ``pool-broken``
+attempt, requeues it under the policy, and forks a replacement while
+work remains.  No other job is charged, so a poison job exhausts its
+own attempts and nobody else's.
 
-Every in-process executor — the serial phase here and the queue worker
-in :mod:`repro.analysis.worker` — runs the same grouped loop: jobs are
-grouped by (engine, trace), each group's trace is acquired once
-(:func:`acquire_trace`), and each job goes through
-:func:`run_attempts`.  Pool workers run no loop of their own: the parent
-acquires every pending trace before it forks the pool, and the workers
-read them from the memory they inherit (:data:`_POOL_TRACES`).
+Every executor — the serial phase, the pool workers, and the queue
+worker in :mod:`repro.analysis.worker` — runs each job through
+:func:`run_attempts`.  The serial phase and the queue worker group
+jobs by (engine, trace) and acquire each group's trace once
+(:func:`acquire_trace`); the pool's parent acquires every pending trace
+before it forks, and its workers read them from the memory they
+inherit.
 
 Fault-injection points (:mod:`repro.common.faults`) are threaded
-through the attempt loop and the pool worker entry so the chaos suite
-can prove every path above end-to-end; forked workers inherit the
-plan's environment variables.
+through the attempt loop so the chaos suite can prove every path above
+end-to-end; forked workers inherit the plan's environment variables.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from multiprocessing import get_context
+from multiprocessing.connection import wait
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.checkpoint import RunJournal
 from repro.common.faults import fault_point, hash_unit
 from repro.core.simulator import SimulationResult
-
-#: Poll granularity of the scheduler loop (seconds).  Small enough that
-#: a timeout or backoff expiry is noticed promptly, large enough that an
-#: idle wait costs nothing measurable next to a simulation.
-_TICK = 0.05
 
 
 class JobTimeout(Exception):
@@ -101,7 +94,6 @@ class RetryPolicy:
     backoff_max: float = 30.0
     jitter: float = 0.25  # fraction of the base delay
     seed: int = 0
-    max_pool_restarts: int = 2  # fresh pools before degrading to serial
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -344,7 +336,7 @@ def run_attempts(
     way it costs one ``timeout`` attempt (``degrade`` hears once that
     the deadline could not interrupt the job).  ``label`` names the
     executor in timeout messages; ``prior`` counts the attempts the job
-    already spent elsewhere (a pool that broke under it).
+    already spent elsewhere (workers or lease owners that died under it).
 
     Returns the result (``None`` once the attempts are spent) and the
     failed attempts, oldest first.
@@ -386,18 +378,29 @@ def run_attempts(
             return None, failed
 
 
-#: Traces the parent acquired for the pool it is about to fork, keyed by
-#: trace params.  Forked workers inherit the filled dict, so no worker
-#: builds or loads a trace; :func:`_pool_phase` clears it afterwards.
-_POOL_TRACES: Dict[Tuple, Any] = {}
+def _pool_worker(conn, parent_end, jobs, traces, policy: RetryPolicy) -> None:
+    """A forked pool worker: run each job the parent sends, reply on ``conn``.
 
-
-def _worker_run(job, attempt: int):
-    """What a pool worker runs: the fault point, then the job on its inherited trace."""
+    A message is ``(index, prior_attempts)``; the reply is ``(result,
+    failed_attempts, degradation_events)``.  ``jobs``, ``traces`` and
+    ``policy`` arrive by fork, never pickled.  The parent kills the
+    worker when the batch ends; closing the inherited ``parent_end``
+    lets EOF end the loop instead if the parent dies first.
+    """
     from repro.analysis import parallel as _parallel
 
-    fault_point("worker", key=job_token(job), attempt=attempt)
-    return _parallel.execute_job(job, trace=_POOL_TRACES.get(_trace_params(job)))
+    parent_end.close()
+    _parallel._mark_pool_worker()
+    while True:
+        try:
+            index, prior = conn.recv()
+        except (EOFError, OSError):  # the parent is gone
+            return
+        job, events = jobs[index], []
+        result, failed = run_attempts(
+            job, traces[_trace_params(job)], policy, "pool worker", events.append, prior=prior
+        )
+        conn.send((result, failed, events))
 
 
 # ----------------------------------------------------------------------
@@ -506,275 +509,166 @@ def _serial_phase(batch: _Batch, pending: Sequence[int]) -> None:
         batch.degrade(f"deadline: {cut_off} job(s) left unclaimed (serial)")
 
 
-def _kill_pool(pool) -> None:
-    """Tear a pool down *now*, hung workers included.
-
-    ``shutdown`` alone would wait on a worker stuck in a 30-second hang;
-    terminating the worker processes first (via the executor's process
-    table — a private but long-stable CPython attribute) makes teardown
-    prompt.  Everything is best-effort: a pool we fail to kill is
-    abandoned to ``shutdown(wait=False)``.
-    """
-    processes = getattr(pool, "_processes", None) or {}
-    for proc in list(processes.values()):
-        try:
-            proc.terminate()
-        except Exception:  # noqa: BLE001 - already-dead/foreign process
-            pass
-    deadline = time.monotonic() + 1.0
-    for proc in list(processes.values()):
-        try:
-            proc.join(max(0.0, deadline - time.monotonic()))
-            if proc.is_alive():
-                proc.kill()
-        except Exception:  # noqa: BLE001
-            pass
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:  # noqa: BLE001
-        pass
-    try:
-        # A killed pool's management thread has already closed its wakeup
-        # pipe; Python 3.11's interpreter-exit hook would still try to
-        # write to it and print "Exception ignored ... Bad file
-        # descriptor".  Deregistering the dead thread silences that.
-        from concurrent.futures import process as _cf_process
-
-        thread = getattr(pool, "_executor_manager_thread", None)
-        if thread is not None:
-            _cf_process._threads_wakeups.pop(thread, None)
-    except Exception:  # noqa: BLE001
-        pass
-
-
 def _pool_phase(batch: _Batch, pending: List[int], workers: int) -> None:
-    """The parallel scheduler: bounded in-flight submission, deadlines, ladder."""
-    from repro.analysis import parallel as _parallel
+    """Run ``pending`` on forked workers, one job in flight per worker.
 
+    Each worker answers on its own pipe, so EOF names the one job a dead
+    worker was running: that job alone is charged a ``pool-broken``
+    attempt and requeued, and a replacement is forked while work
+    remains.  A worker that outlives its job's budget is killed and the
+    job charged a ``timeout`` attempt the same way.
+    """
     policy = batch.policy
-    width = min(workers, len(pending))
-    pool = None
-    restarts = 0
+    # Every distinct trace is acquired once, before the first fork.
+    traces: Dict[Tuple, Any] = {}
+    queue: Deque[int] = deque()
+    for (_, params), members in _group_by_trace(pending, batch.jobs.__getitem__).items():
+        try:
+            if params not in traces:
+                traces[params] = acquire_trace(params, batch.trace_store)
+        except Exception as exc:  # noqa: BLE001 - fail its jobs, not the batch
+            for index in members:
+                batch.record_failure(index, "exception", f"trace acquisition failed: {exc!r}", 0.0)
+                batch.give_up(index)
+            continue
+        queue.extend(members)
+    if not queue:
+        return
 
-    ready: Deque[int] = deque()
-    waiting: List[Tuple[float, int]] = []  # (eligible_at, index) backoff queue
-    inflight: Dict = {}  # future -> (index, started_at)
-    #: Jobs charged a pool-broken or timeout attempt.  A suspect is
-    #: resubmitted *alone* (nothing else in flight), so a repeat breakage
-    #: or hang implicates only it — innocents pay at most one collateral
-    #: attempt per poison job, never a second.
-    suspects: set = set()
+    live: Dict = {}  # conn -> worker process
+    idle: List = []  # conns of workers waiting for a job
+    busy: Dict = {}  # conn -> (index, sent_at, kill_at or None)
 
-    def fresh_pool():
-        # Workers read their traces from the parent's _POOL_TRACES, so
-        # the pool must fork.  Python 3.14 stops making fork the Linux
-        # default; a host without fork raises ValueError here.
-        return _parallel.ProcessPoolExecutor(
-            max_workers=width,
-            initializer=_parallel._mark_pool_worker,
-            mp_context=multiprocessing.get_context("fork"),
+    def fork() -> None:
+        context = get_context("fork")  # the workers inherit the traces
+        conn, child = context.Pipe()
+        process = context.Process(
+            target=_pool_worker, args=(child, conn, batch.jobs, traces, policy)
+        )
+        try:
+            process.start()
+        finally:
+            child.close()  # the worker holds the only copy, so its death is EOF here
+        live[conn] = process
+        idle.append(conn)
+
+    def kill_at(index: int, prior: int) -> Optional[float]:
+        """When the parent gives up on a silent worker: every remaining
+        attempt's timeout and backoff, plus one more timeout of grace."""
+        if policy.timeout is None:
+            return None
+        token = job_token(batch.jobs[index])
+        remaining = range(prior, policy.max_attempts)
+        return time.monotonic() + policy.timeout * (len(remaining) + 1) + sum(
+            policy.delay(attempt, token) for attempt in remaining
         )
 
-    def remaining_indices() -> List[int]:
-        out = [i for _, i in sorted(waiting)] + list(ready)
-        return sorted(set(out) | {i for i, _ in inflight.values()})
+    def retire(conn) -> Optional[int]:
+        """Reap a worker that is gone; returns its exit code."""
+        process = live.pop(conn)
+        process.join()
+        conn.close()
+        return process.exitcode
 
-    def requeue_or_fail(index: int) -> None:
-        # Past the sweep deadline, an in-flight job gets to *finish or
-        # time out* — it does not get fresh attempts.
+    def charge(index: int, started: float, kind: str, error: str, event: str) -> None:
+        """Charge a lost worker's job one attempt, requeue it under the
+        policy, and fork a replacement while work remains."""
+        batch.record_failure(index, kind, error, time.monotonic() - started)
+        # Past the sweep deadline, the job gets no fresh attempts.
         if batch.attempts_left(index) and not batch.past_deadline():
-            attempt = len(batch.outcome(index).attempts)
-            waiting.append(
-                (time.monotonic() + policy.delay(attempt, job_token(batch.jobs[index])), index)
-            )
+            queue.append(index)
         else:
             batch.give_up(index)
-
-    def restart_or_serial(event: str) -> bool:
-        """Kill + replace the pool.  ``False`` means the ladder's last
-        rung was reached and the remainder of the batch already finished
-        serially — the caller must return."""
-        nonlocal pool, restarts
-        _kill_pool(pool)
-        restarts += 1
-        if restarts > policy.max_pool_restarts:
-            batch.degrade(f"serial-fallback: {event}; pool restart budget spent")
-            _serial_phase(batch, remaining_indices())
-            return False
-        batch.degrade(event + f" (restart {restarts})")
+        if not queue:
+            return
+        event = f"{job_token(batch.jobs[index])} {event}"
         try:
-            pool = fresh_pool()
-            return True
-        except (OSError, RuntimeError, ValueError) as exc:
-            batch.degrade(f"serial-fallback: pool restart failed ({exc!r})")
-            _serial_phase(batch, remaining_indices())
-            return False
-
-    def charge_inflight_broken() -> None:
-        """Every in-flight sibling dies with the pool; each is charged
-        one ``pool-broken`` attempt (collateral bounded by pool width)."""
-        for index, started in list(inflight.values()):
-            batch.record_failure(
-                index, "pool-broken", "process pool broken while in flight",
-                time.monotonic() - started,
-            )
-            suspects.add(index)
-            requeue_or_fail(index)
-        inflight.clear()
+            fork()
+        except OSError as exc:
+            batch.degrade(f"pool-worker-lost: {event}; replacement failed ({exc!r})")
+        else:
+            batch.degrade(f"pool-worker-replaced: {event}")
 
     try:
-        # Every distinct trace is acquired once, before the first fork.
-        errors: Dict[Tuple, str] = {}
-        for index in pending:
-            params = _trace_params(batch.jobs[index])
-            if params not in _POOL_TRACES and params not in errors:
-                try:
-                    _POOL_TRACES[params] = acquire_trace(params, batch.trace_store)
-                except Exception as exc:  # noqa: BLE001 - fail its jobs, not the batch
-                    errors[params] = f"trace acquisition failed: {exc!r}"
-            if params in errors:
-                batch.record_failure(index, "exception", errors[params], 0.0)
-                batch.give_up(index)
-            else:
-                ready.append(index)
         try:
-            pool = fresh_pool()
-        except (OSError, RuntimeError, ValueError) as exc:
-            batch.degrade(f"serial-fallback: process pool unavailable ({exc!r})")
-            _serial_phase(batch, list(ready))
-            return
+            for _ in range(min(workers, len(queue))):
+                fork()
+        except (OSError, ValueError) as exc:
+            if not live:
+                batch.degrade(f"serial-fallback: process pool unavailable ({exc!r})")
+                _serial_phase(batch, list(queue))
+                return
 
-        while ready or waiting or inflight:
-            now = time.monotonic()
-
-            # Sweep deadline: stop launching work.  Whatever is in
-            # flight finishes (or hits the per-job timeout sweep below);
-            # everything still queued is marked unclaimed — except jobs
-            # that already burned attempts, which are failed honestly.
-            if (ready or waiting) and batch.past_deadline():
-                cut_off = 0
-                for index in [i for _, i in waiting] + list(ready):
-                    if batch.outcome(index).attempts:
-                        batch.give_up(index)
-                    else:
-                        batch.mark_unclaimed(index)
-                        cut_off += 1
-                waiting.clear()
-                ready.clear()
-                batch.degrade(f"deadline: {cut_off} job(s) left unclaimed (pool)")
-                continue
-
-            # Backoff expiry: move eligible jobs back onto the ready queue.
-            if waiting:
-                due = [w for w in waiting if w[0] <= now]
-                waiting[:] = [w for w in waiting if w[0] > now]
-                for _, index in sorted(due):
-                    ready.append(index)
-
-            # Top up the pool, never exceeding its width (so every
-            # submitted future starts promptly and deadlines are honest).
-            # Non-suspects are preferred; a suspect only launches into an
-            # otherwise-empty pool (see ``suspects`` above).
-            broken = False
-            while ready and len(inflight) < width:
-                if any(i in suspects for i, _ in inflight.values()):
-                    break  # a quarantined retry is in flight alone
-                pick = next((c for c in ready if c not in suspects), None)
-                if pick is not None:
-                    ready.remove(pick)
-                    index = pick
-                elif not inflight:
-                    index = ready.popleft()
-                else:
-                    break  # only suspects left: wait for the pool to drain
-                attempt = len(batch.outcome(index).attempts)
-                try:
-                    future = pool.submit(_worker_run, batch.jobs[index], attempt)
-                except (BrokenExecutor, RuntimeError):
-                    # The pool died between ticks; this job is innocent.
-                    ready.appendleft(index)
-                    broken = True
+        while queue or busy:
+            while queue and idle:
+                if batch.past_deadline():
+                    # Stop sending work.  In-flight jobs finish; queued
+                    # jobs that already burned attempts are failed honestly.
+                    cut_off = 0
+                    for index in queue:
+                        if batch.outcome(index).attempts:
+                            batch.give_up(index)
+                        else:
+                            batch.mark_unclaimed(index)
+                            cut_off += 1
+                    queue.clear()
+                    batch.degrade(f"deadline: {cut_off} job(s) left unclaimed (pool)")
                     break
-                inflight[future] = (index, time.monotonic())
-
-            if broken:
-                charge_inflight_broken()
-                if not restart_or_serial("pool-restarted: pool broken at submission"):
-                    return
-                continue
-
-            if not inflight:
-                if waiting:
-                    time.sleep(min(_TICK, max(0.0, min(w[0] for w in waiting) - now)))
-                continue
-
-            done, _ = wait(set(inflight), timeout=_TICK, return_when=FIRST_COMPLETED)
-
-            for future in done:
-                index, started = inflight.pop(future)
+                conn, index = idle.pop(), queue.popleft()
+                prior = len(batch.outcome(index).attempts)
                 try:
-                    result = future.result()
-                except BrokenExecutor:
-                    broken = True
-                    batch.record_failure(
-                        index, "pool-broken", "process pool broken under this job",
-                        time.monotonic() - started,
+                    conn.send((index, prior))
+                except OSError:
+                    # Died while idle: it held no job, so nothing is
+                    # charged, and it is not replaced, so this cannot loop.
+                    queue.appendleft(index)
+                    retire(conn)
+                    continue
+                busy[conn] = (index, time.monotonic(), kill_at(index, prior))
+
+            if not busy:
+                if queue:
+                    batch.degrade("serial-fallback: every pool worker lost")
+                    _serial_phase(batch, list(queue))
+                return
+
+            kill_times = [when for _, _, when in busy.values() if when is not None]
+            timeout = max(0.0, min(kill_times) - time.monotonic()) if kill_times else None
+            for conn in wait(list(busy), timeout):
+                index, started, _ = busy.pop(conn)
+                try:
+                    result, failed, events = conn.recv()
+                except (EOFError, OSError):  # the worker died
+                    code = retire(conn)
+                    charge(
+                        index, started, "pool-broken", f"pool worker died (exit {code})",
+                        f"ended its worker (exit {code})",
                     )
-                    suspects.add(index)
-                    requeue_or_fail(index)
-                except Exception as exc:  # noqa: BLE001 - per-job isolation
-                    batch.record_failure(
-                        index, "exception", repr(exc), time.monotonic() - started
-                    )
-                    requeue_or_fail(index)
+                    continue
+                idle.append(conn)
+                for event in events:
+                    batch.degrade("pool worker: " + event)
+                batch.outcome(index).attempts.extend(failed)
+                if result is None:
+                    batch.give_up(index)
                 else:
                     batch.complete(index, result)
 
-            if broken:
-                charge_inflight_broken()
-                if not restart_or_serial("pool-restarted: broken process pool"):
-                    return
-                continue
-
-            # Deadline sweep: a hung worker cannot be cancelled through
-            # the executor, so the whole pool is killed and replaced.
-            if policy.timeout is not None and inflight:
-                now = time.monotonic()
-                expired = [
-                    (future, index, started)
-                    for future, (index, started) in inflight.items()
-                    if now - started > policy.timeout
-                ]
-                if expired:
-                    for _, index, started in expired:
-                        batch.record_failure(
-                            index, "timeout",
-                            f"exceeded {policy.timeout}s wall clock", now - started,
-                        )
-                        suspects.add(index)
-                        requeue_or_fail(index)
-                    expired_keys = {future for future, _, _ in expired}
-                    # Innocent in-flight jobs lose their progress but not
-                    # an attempt: resubmitted after the pool is replaced.
-                    collateral = 0
-                    for future, (index, _) in inflight.items():
-                        if future not in expired_keys:
-                            ready.append(index)
-                            collateral += 1
-                    inflight.clear()
-                    timed_out = ", ".join(job_token(batch.jobs[i]) for _, i, _ in expired)
-                    if not restart_or_serial(
-                        f"pool-replaced: killed hung worker(s) for {timed_out}, "
-                        f"{collateral} innocent job(s) resubmitted"
-                    ):
-                        return
+            now = time.monotonic()
+            for conn, (index, started, when) in list(busy.items()):
+                if when is not None and now >= when:
+                    # A hang SIGALRM could not interrupt.
+                    del busy[conn]
+                    live[conn].kill()
+                    code = retire(conn)
+                    charge(
+                        index, started, "timeout", f"exceeded {policy.timeout}s wall clock",
+                        f"hung its worker past the job's budget (exit {code})",
+                    )
     finally:
-        _POOL_TRACES.clear()
-        if pool is not None:
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # noqa: BLE001 - pool already dead
-                pass
+        for conn in list(live):  # idle unless the loop itself raised
+            live[conn].kill()
+            retire(conn)
 
 
 def execute_batch(

@@ -188,10 +188,12 @@ def _run_claim(
 
     Success or exhausted failure becomes a queue ``done/`` record either
     way, so the parent sees the same attempt history a pool backend
-    would have reported.
+    would have reported.  Attempts count from the lease generation: each
+    owner that died holding the lease cost the job one attempt.
     """
     result, failed = run_attempts(
-        claim.job, trace, policy, "queue worker", stats.degradations.append
+        claim.job, trace, policy, "queue worker", stats.degradations.append,
+        prior=claim.generation,
     )
     attempts = [a.to_dict() for a in failed]
     if result is None:
@@ -275,9 +277,10 @@ def drain_queue(
 ) -> WorkerStats:
     """Drain ``queue`` until it is empty (or ``max_jobs`` have run).
 
-    The loop: claim up to ``batch`` unclaimed jobs; if that comes up
-    short, steal from owners whose heartbeats have gone stale; run the
-    batch grouped by (engine, trace); publish done records; repeat.
+    The loop: claim up to ``batch`` unclaimed jobs; only when none are
+    left, steal one stale lease (so a dead owner's other leases never
+    ride behind a poison job); run the batch grouped by (engine, trace);
+    publish done records; repeat.
     With nothing claimable but leases still live elsewhere, the worker
     idles on ``poll`` — either the owners finish or their leases go
     stale and get stolen, so a drain always terminates.
@@ -340,8 +343,8 @@ def drain_queue(
                 limit = min(limit, max_jobs - stats.executed)
             try:
                 claims = queue.claim(worker, limit=limit)
-                if len(claims) < limit:
-                    claims += queue.steal(worker, limit=limit - len(claims))
+                if not claims:
+                    claims = queue.steal(worker, limit=1)
                 if not claims:
                     jobs_left, leases_left = queue.outstanding()
                     if jobs_left == 0 and leases_left == 0 and exit_when_empty:

@@ -35,8 +35,9 @@ Kinds and where they fire:
   exception on the ``worker`` site).
 * ``hang`` — sleep ``seconds`` at the site (a hung worker).
 * ``exit`` — hard-kill the process via ``os._exit`` **only when inside
-  a pool worker** (breaks the process pool); outside a worker it
-  degrades to ``raise`` so a serial test run cannot kill pytest.
+  a pool worker** (the parent sees the worker's pipe close and charges
+  the job it was running); outside a worker it degrades to ``raise`` so
+  a serial test run cannot kill pytest.
 * ``drop`` — returned to the call site, which suppresses the site's
   side effect (e.g. a ``stale-lease`` heartbeat write that never lands
   on the shared filesystem, so the lease goes stale and is stolen).
@@ -91,9 +92,9 @@ from typing import Iterator, Optional, Sequence, Tuple
 FAULTS_ENV = "REPRO_FAULTS"
 FAULT_SEED_ENV = "REPRO_FAULT_SEED"
 
-#: Present in every pool worker's environment (set by the pool
-#: initializer in :mod:`repro.analysis.parallel`); ``exit`` faults only
-#: hard-kill when they see it.
+#: Present in every pool worker's environment (set by
+#: :func:`repro.analysis.parallel._mark_pool_worker`); ``exit`` faults
+#: only hard-kill when they see it.
 _POOL_WORKER_ENV = "REPRO_POOL_WORKER"
 
 KINDS = (
@@ -120,7 +121,7 @@ KINDS = (
 #: :func:`parse_faults` rejects plans naming unknown sites so a typo in
 #: ``REPRO_FAULTS`` fails loudly instead of injecting nothing.
 SITES = {
-    "worker": "a sweep job crashing, hanging, or hard-exiting inside a pool worker",
+    "worker": "a sweep job crashing, hanging, or hard-exiting in the executor running it",
     "cache": "a result-cache entry corrupted on disk between write and read",
     "journal": "a run-journal line corrupted between append and --resume replay",
     "sanitizer": "live model state corrupted immediately before an invariant sweep",
@@ -241,7 +242,7 @@ class FaultInjector:
                 # layer in at module load (faults is imported everywhere).
                 from repro.analysis.exitcodes import EXIT_CHAOS_DEATH
 
-                os._exit(EXIT_CHAOS_DEATH)  # hard worker death: breaks the process pool
+                os._exit(EXIT_CHAOS_DEATH)  # hard worker death mid-job
             raise FaultInjected(
                 f"injected exit outside a pool worker at {site} (key={key!r})"
             )

@@ -5,6 +5,7 @@ import os
 import pytest
 
 import repro.analysis.parallel as parallel_mod
+import repro.analysis.resilience as resilience_mod
 from repro.analysis.experiments import ExperimentSuite
 from repro.analysis.parallel import SimulationJob, default_workers, run_jobs
 from repro.analysis.result_cache import ResultCache
@@ -79,7 +80,7 @@ class TestRunJobs:
         def boom(*a, **k):  # the pool must never be constructed
             raise AssertionError("pool constructed for a single job")
 
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", boom)
+        monkeypatch.setattr(resilience_mod, "get_context", boom)
         [r] = run_jobs([SimulationJob("gzip", _cfg(), N, 0)], workers=8)
         assert r.cycles > 0
 
@@ -88,7 +89,7 @@ class TestRunJobs:
             def __init__(self, *a, **k):
                 raise OSError("no fork for you")
 
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr(resilience_mod, "get_context", BrokenPool)
         jobs = [SimulationJob("gzip", _cfg(k), N, 0) for k in (FilterKind.NONE, FilterKind.PA)]
         results = run_jobs(jobs, workers=4)
         reference = run_jobs(jobs, workers=1)
@@ -117,14 +118,18 @@ class TestRunJobs:
     def test_run_jobs_clamps_workers_to_cpu_count(self, monkeypatch):
         """An oversized explicit count must not spawn beyond the CPUs."""
         seen = {}
-        real_pool = parallel_mod.ProcessPoolExecutor
+        real_context = resilience_mod.get_context
 
-        class SpyPool(real_pool):
-            def __init__(self, max_workers=None, **kwargs):
-                seen["max_workers"] = max_workers
-                super().__init__(max_workers=max_workers, **kwargs)
+        class SpyContext:  # counts the workers the pool forks
+            def __init__(self, method):
+                self._real = real_context(method)
+                self.Pipe = self._real.Pipe
 
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", SpyPool)
+            def Process(self, **kwargs):
+                seen["max_workers"] = seen.get("max_workers", 0) + 1
+                return self._real.Process(**kwargs)
+
+        monkeypatch.setattr(resilience_mod, "get_context", SpyContext)
         jobs = [SimulationJob("gzip", _cfg(), n_insts=N, seed=s) for s in range(3)]
         run_jobs(jobs, workers=512)
         if "max_workers" in seen:  # pool path reached (more than one CPU)
@@ -137,7 +142,7 @@ class TestRunJobs:
         def boom(*a, **k):  # pragma: no cover - must never run
             raise AssertionError("nested run_jobs created a process pool")
 
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", boom)
+        monkeypatch.setattr(resilience_mod, "get_context", boom)
         jobs = [SimulationJob("gzip", _cfg(), n_insts=N, seed=s) for s in range(3)]
         results = run_jobs(jobs, workers=4)
         assert all(r is not None for r in results)

@@ -2,15 +2,18 @@
 
 The pool-path tests patch ``os.cpu_count`` because the engine (rightly)
 clamps worker counts to the CPU count — on a single-core CI box the pool
-phase would otherwise never run.  A real ``ProcessPoolExecutor`` with
-real worker processes is used throughout; only the clamp input is faked.
+phase would otherwise never run.  Real forked worker processes are used
+throughout; only the clamp input is faked.
 """
 
 import os
+import signal
+import time
 
 import pytest
 
 import repro.analysis.parallel as parallel_mod
+import repro.analysis.resilience as resilience_mod
 from repro.analysis.checkpoint import RunJournal
 from repro.analysis.parallel import SimulationJob, run_jobs
 from repro.analysis.resilience import (
@@ -233,7 +236,8 @@ class TestPoolChaos:
         hung = report.outcomes[12]
         assert hung.ok
         assert any(a.kind == "timeout" for a in hung.attempts)
-        assert any("pool-replaced" in d for d in report.degradations)
+        # SIGALRM ended the hang inside its worker: no worker was lost.
+        assert not any("pool-worker-replaced" in d for d in report.degradations)
         # Survivors match the clean serial run bit for bit.
         for i, outcome in enumerate(report.outcomes):
             if i != 7:
@@ -254,39 +258,42 @@ class TestPoolChaos:
             assert _fingerprint(a) == _fingerprint(b)
 
     def test_hard_worker_death_breaks_pool_and_recovers(self, many_cpus):
-        """``os._exit`` in a worker breaks the whole pool; in-flight jobs
-        are charged one bounded pool-broken attempt, the pool is
-        replaced, and every job still completes."""
+        """``os._exit`` in a worker charges the job it was running one
+        pool-broken attempt, the worker is replaced, and every job still
+        completes."""
         jobs = _jobs(8)
         clean = run_jobs(jobs, workers=1)
         with inject_faults("exit@worker:match=|seed=3|,attempts=0"):
             report = run_jobs(
                 jobs,
                 workers=4,
-                policy=RetryPolicy(max_attempts=3, max_pool_restarts=3, **FAST),
+                policy=RetryPolicy(max_attempts=3, **FAST),
                 return_report=True,
             )
         assert not report.failures
         kinds = [a.kind for o in report.outcomes for a in o.attempts]
         assert "pool-broken" in kinds
-        assert any("pool-restarted" in d for d in report.degradations)
+        assert any(
+            d.startswith("pool-worker-replaced") and "|seed=3|" in d for d in report.degradations
+        )
         for a, b in zip(clean, report.results):
             assert _fingerprint(a) == _fingerprint(b)
 
     def test_poison_job_exhausts_attempts_while_innocents_survive(self, many_cpus):
         """A job that kills its worker on *every* attempt must fail alone
-        after the restart budget absorbs the breakage."""
+        once its own attempts are spent."""
         jobs = _jobs(6)
         with inject_faults("exit@worker:match=|seed=2|"):
             report = run_jobs(
                 jobs,
                 workers=3,
-                policy=RetryPolicy(max_attempts=2, max_pool_restarts=5, **FAST),
+                policy=RetryPolicy(max_attempts=2, **FAST),
                 return_report=True,
             )
         assert [o.ok for o in report.outcomes].count(False) == 1
         assert not report.outcomes[2].ok
-        # Quarantine at work: innocents pay at most one collateral attempt.
+        # A death is charged to the job its worker was running, so
+        # innocents pay at most one collateral attempt.
         for outcome in report.outcomes:
             if outcome.index != 2:
                 assert len(outcome.attempts) <= 1
@@ -327,11 +334,78 @@ class TestPoolChaos:
             def __init__(self, *a, **k):
                 raise OSError("no fork for you")
 
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr(resilience_mod, "get_context", BrokenPool)
         jobs = _jobs(3, "gzip")
         report = run_jobs(jobs, workers=3, return_report=True)
         assert not report.failures
         assert any("serial-fallback" in d for d in report.degradations)
+
+    def test_expired_deadline_sends_nothing_and_a_rerun_completes(self, many_cpus, tmp_path):
+        """Past the sweep deadline no job is sent: every job comes back
+        unclaimed and unjournaled, so a re-run on the journal does them all."""
+        jobs = _jobs(6, "gzip")
+        clean = run_jobs(jobs, workers=1)
+        report = run_jobs(
+            jobs, workers=2, deadline=0.0, journal=RunJournal(tmp_path / "j.jsonl"),
+            return_report=True,
+        )
+        assert report.deadline_hit
+        assert all(o.unclaimed and not o.attempts for o in report.outcomes)
+        journal = RunJournal(tmp_path / "j.jsonl")
+        assert journal.completed() == {} and journal.failed() == {}
+        resumed = run_jobs(jobs, workers=2, journal=journal)
+        for a, b in zip(clean, resumed):
+            assert _fingerprint(a) == _fingerprint(b)
+
+    def test_hang_no_alarm_can_interrupt_is_ended_by_the_parent(self, many_cpus, monkeypatch):
+        """Without ``setitimer`` no worker can arm a deadline; the parent
+        kills a worker that outlives its job's budget and charges that
+        job one timeout attempt."""
+        jobs = _jobs(4, "gzip")
+        clean = run_jobs(jobs, workers=1)
+        monkeypatch.delattr(signal, "setitimer")  # forked workers inherit this
+        started = time.monotonic()
+        with inject_faults("hang@worker:match=|seed=1|,attempts=0,seconds=60"):
+            report = run_jobs(
+                jobs, workers=2, policy=RetryPolicy(max_attempts=2, timeout=0.5),
+                return_report=True,
+            )
+        assert time.monotonic() - started < 30
+        assert not report.failures
+        assert [a.kind for a in report.outcomes[1].attempts] == ["timeout"]
+        for a, b in zip(clean, report.results):
+            assert _fingerprint(a) == _fingerprint(b)
+
+    def test_losing_every_worker_finishes_the_batch_serially(self, many_cpus, monkeypatch):
+        """When no replacement can be forked, the dead workers' jobs are
+        requeued and run serially instead of being lost."""
+        jobs = _jobs(2, "gzip")
+        clean = run_jobs(jobs, workers=1)
+        real_context = resilience_mod.get_context
+        forks = []
+
+        class NoReplacements:  # the first two forks succeed, the rest fail
+            def __init__(self, method):
+                self._real = real_context(method)
+                self.Pipe = self._real.Pipe
+
+            def Process(self, **kwargs):
+                forks.append(kwargs)
+                if len(forks) > 2:
+                    raise OSError("fork refused")
+                return self._real.Process(**kwargs)
+
+        monkeypatch.setattr(resilience_mod, "get_context", NoReplacements)
+        with inject_faults("exit@worker:attempts=0"):
+            report = run_jobs(
+                jobs, workers=2, policy=RetryPolicy(max_attempts=2, **FAST), return_report=True
+            )
+        assert not report.failures
+        assert [[a.kind for a in o.attempts] for o in report.outcomes] == [["pool-broken"]] * 2
+        assert any("pool-worker-lost" in d for d in report.degradations)
+        assert any("every pool worker lost" in d for d in report.degradations)
+        for a, b in zip(clean, report.results):
+            assert _fingerprint(a) == _fingerprint(b)
 
 
 class TestGuardsUnderRetryPath:
@@ -343,7 +417,7 @@ class TestGuardsUnderRetryPath:
         def boom(*a, **k):  # pragma: no cover - must never run
             raise AssertionError("nested batch created a process pool")
 
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", boom)
+        monkeypatch.setattr(resilience_mod, "get_context", boom)
         jobs = _jobs(3, "gzip")
         with inject_faults("raise@worker:match=|seed=1|,attempts=0"):
             report = run_jobs(
@@ -355,14 +429,18 @@ class TestGuardsUnderRetryPath:
     def test_worker_clamp_applies_to_the_pool_width(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         seen = {}
-        real_pool = parallel_mod.ProcessPoolExecutor
+        real_context = resilience_mod.get_context
 
-        class SpyPool(real_pool):
-            def __init__(self, max_workers=None, **kwargs):
-                seen["max_workers"] = max_workers
-                super().__init__(max_workers=max_workers, **kwargs)
+        class SpyContext:  # counts the workers the pool forks
+            def __init__(self, method):
+                self._real = real_context(method)
+                self.Pipe = self._real.Pipe
 
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", SpyPool)
+            def Process(self, **kwargs):
+                seen["max_workers"] = seen.get("max_workers", 0) + 1
+                return self._real.Process(**kwargs)
+
+        monkeypatch.setattr(resilience_mod, "get_context", SpyContext)
         jobs = _jobs(4, "gzip")
         report = run_jobs(
             jobs, workers=512, policy=RetryPolicy(max_attempts=2, **FAST), return_report=True
