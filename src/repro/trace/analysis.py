@@ -24,6 +24,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.common.config import _power_of_two
 from repro.trace.record import BRANCH, LOAD, STORE, SW_PREFETCH
 from repro.trace.stream import Trace
 
@@ -31,6 +32,7 @@ _DEMAND = (int(LOAD), int(STORE))
 
 
 def _demand_lines(trace: Trace, line_bytes: int = 32) -> np.ndarray:
+    _power_of_two("line_bytes", line_bytes)
     mask = (trace.iclass == _DEMAND[0]) | (trace.iclass == _DEMAND[1])
     shift = np.uint64(line_bytes.bit_length() - 1)
     return (trace.addr[mask] >> shift).astype(np.uint64)

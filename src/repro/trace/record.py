@@ -51,6 +51,11 @@ TRACE_DTYPE = np.dtype(
     ]
 )
 
+#: One record's bytes as an opaque item: numpy copies, concatenates and
+#: masks these as plain memory, several times faster than the same
+#: operations on the structured ``TRACE_DTYPE``.
+RECORD_BYTES = np.dtype((np.void, TRACE_DTYPE.itemsize))
+
 
 @dataclass(frozen=True)
 class TraceRecord:

@@ -5,19 +5,29 @@ the representation every engine iterates over.  ``TraceBuilder`` is the
 append-only constructor used by workload generators; it also assigns PCs
 so that each *static* emission site in a generator gets a stable, distinct
 PC (which the PC-based filter and branch predictor rely on).
+
+The builder works in whole blocks.  An emitter lays a block out as one
+``TRACE_DTYPE`` array whose ``pc`` field holds *site codes*, indices into
+a tuple of site labels, and hands both to :meth:`TraceBuilder.block`.  The
+builder maps codes to PCs through one table per label tuple, filled in
+first-seen order only when a block brings a code the table has not seen,
+so every site gets the PC that record-by-record :meth:`TraceBuilder.site`
+calls would have given it.  Scalar records (``load/store/branch/...``)
+still work and are gathered into chunks between blocks.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Dict, Iterator, Sequence
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.trace.record import (
     BRANCH,
     LOAD,
+    RECORD_BYTES,
     STORE,
     SW_PREFETCH,
     TRACE_DTYPE,
@@ -237,19 +247,26 @@ class TraceBuilder:
     Generators call :meth:`site` once per static instruction location to get
     a stable PC, then emit dynamic records against it.  This mirrors how a
     real binary has a fixed PC per instruction while executing it many times.
+
+    Records accumulate as ``TRACE_DTYPE`` chunks: a whole block per
+    :meth:`block` call, ``count`` filler ops per :meth:`ops` call, and each
+    run of scalar records (:meth:`emit` and the helpers built on it) as one
+    chunk.  :meth:`build` concatenates them once.
     """
 
     def __init__(self, name: str = "", pc_base: int = _PC_BASE) -> None:
         self.name = name
-        self._iclass: list[int] = []
-        self._pc: list[int] = []
-        self._addr: list[int] = []
-        self._taken: list[bool] = []
+        self._chunks: List[np.ndarray] = []
+        self._rows: List[tuple] = []  # scalar records not yet in a chunk
+        self._len = 0
         self._sites: Dict[str, int] = {}
         self._next_pc = pc_base
+        #: labels tuple -> site code -> PC (-1 until the code is first seen)
+        self._tables: Dict[Tuple[str, ...], np.ndarray] = {}
+        self._op_chunks: Dict[tuple, np.ndarray] = {}
 
     def __len__(self) -> int:
-        return len(self._iclass)
+        return self._len
 
     def site(self, label: str) -> int:
         """Stable PC for the static instruction identified by ``label``."""
@@ -262,10 +279,8 @@ class TraceBuilder:
 
     # -- emission helpers --------------------------------------------------
     def emit(self, iclass: InstrClass, pc: int, addr: int = 0, taken: bool = False) -> None:
-        self._iclass.append(int(iclass))
-        self._pc.append(pc)
-        self._addr.append(addr)
-        self._taken.append(taken)
+        self._rows.append((int(iclass), pc, addr, taken))
+        self._len += 1
 
     def load(self, label: str, addr: int) -> None:
         self.emit(LOAD, self.site(label), addr)
@@ -281,15 +296,52 @@ class TraceBuilder:
 
     def ops(self, label: str, count: int, fp: bool = False) -> None:
         """``count`` filler ALU ops, each a distinct static site under ``label``."""
-        cls = InstrClass.FP_OP if fp else InstrClass.INT_OP
-        for i in range(count):
-            self.emit(cls, self.site(f"{label}#{i}"))
+        if count < 1:
+            return
+        key = (label, count, fp)
+        chunk = self._op_chunks.get(key)
+        if chunk is None:
+            chunk = self._op_chunks[key] = np.zeros(count, TRACE_DTYPE)
+            chunk["iclass"] = InstrClass.FP_OP if fp else InstrClass.INT_OP
+            chunk["pc"] = [self.site(f"{label}#{i}") for i in range(count)]
+        self._append(chunk)
+
+    def block(self, records: np.ndarray, labels: Tuple[str, ...]) -> None:
+        """Append ``records``, a ``TRACE_DTYPE`` array, as one chunk.
+
+        Each record's ``pc`` field arrives holding a site code, an index
+        into ``labels``, and is replaced by the PC of the static site
+        ``labels[code]``.  The code-to-PC table is kept per ``labels`` and
+        filled through :meth:`site` only when a block holds a code it has
+        not seen, in first-seen order, so PCs come out exactly as
+        record-by-record :meth:`site` calls would assign them.
+        """
+        table = self._tables.get(labels)
+        if table is None:
+            table = self._tables[labels] = np.full(len(labels), -1, dtype=np.int64)
+        codes = records["pc"]
+        pcs = table[codes]
+        if len(pcs) and pcs.min() < 0:
+            seen, first = np.unique(codes, return_index=True)
+            for code in seen[np.argsort(first)].tolist():
+                if table[code] < 0:
+                    table[code] = self.site(labels[code])
+            pcs = table[codes]
+        records["pc"] = pcs
+        self._append(records)
+
+    def _append(self, chunk: np.ndarray) -> None:
+        if self._rows:
+            self._chunks.append(np.array(self._rows, dtype=TRACE_DTYPE))
+            self._rows = []
+        self._chunks.append(chunk)
+        self._len += len(chunk)
 
     def build(self) -> Trace:
-        return Trace(
-            np.asarray(self._iclass, dtype=np.uint8),
-            np.asarray(self._pc, dtype=np.uint64),
-            np.asarray(self._addr, dtype=np.uint64),
-            np.asarray(self._taken, dtype=np.bool_),
-            self.name,
-        )
+        self._append(np.zeros(0, TRACE_DTYPE))  # seals pending scalar records
+        # Concatenated as raw records: numpy would otherwise re-promote the
+        # structured dtype once per chunk.
+        records = np.concatenate([c.view(RECORD_BYTES) for c in self._chunks])
+        records = records.view(TRACE_DTYPE)
+        self._chunks = [records]
+        return Trace.from_structured(records, self.name)

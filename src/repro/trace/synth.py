@@ -134,18 +134,15 @@ def lz_window_addresses(
     if window_bytes <= 0:
         raise ValueError("window must be positive")
     max_dist = max_match_distance or window_bytes
-    out = np.empty(count, dtype=np.uint64)
-    cursor = 0
     is_match = rng.random(count) < match_probability
     back = rng.integers(1, max(2, max_dist), size=count)
-    for i in range(count):
-        if is_match[i] and cursor > 0:
-            pos = max(0, cursor - int(back[i]) % (cursor + 1))
-        else:
-            pos = cursor
-            cursor += _ALIGN
-        out[i] = base + pos
-    return _align(out)
+    # Step 0 reads at the (empty) cursor; after it the cursor is always
+    # positive, so every later non-match step is a literal.
+    literal = ~is_match
+    literal[:1] = True
+    cursor = (np.cumsum(literal) - literal) * _ALIGN  # cursor before each step
+    pos = np.where(literal, cursor, cursor - back % (cursor + 1))
+    return _align(np.uint64(base) + pos.astype(np.uint64))
 
 
 def stencil_addresses(
@@ -164,20 +161,10 @@ def stencil_addresses(
     """
     if rows < 2 * radius + 1 or cols < 1:
         raise ValueError("grid too small for the stencil radius")
-    row_bytes = cols * element_bytes
-    out = np.empty(count, dtype=np.uint64)
-    i = 0
-    point = 0
+    # Step i visits interior point p = i // 3 (mod the interior), which
+    # sits ``radius`` rows down, at row offset (-radius, 0, +radius)[i % 3]:
+    # element p + radius * cols + offset * cols = p + (i % 3) * radius * cols.
+    step = np.arange(count, dtype=np.int64)
     interior = (rows - 2 * radius) * cols
-    while i < count:
-        p = point % interior
-        r = p // cols + radius
-        c = p % cols
-        center = base + (r * cols + c) * element_bytes
-        for dr in (-radius, 0, radius):
-            if i >= count:
-                break
-            out[i] = center + dr * row_bytes
-            i += 1
-        point += 1
-    return _align(out)
+    offs = step // 3 % interior + step % 3 * radius * cols
+    return _align(np.uint64(base) + offs.astype(np.uint64) * np.uint64(element_bytes))

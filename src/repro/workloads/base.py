@@ -18,10 +18,12 @@ from __future__ import annotations
 import abc
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Type
+from functools import lru_cache
+from typing import Dict, Iterable, List, Tuple, Type
 
 import numpy as np
 
+from repro.trace.record import BRANCH, FP_OP, INT_OP, LOAD, RECORD_BYTES, STORE, TRACE_DTYPE
 from repro.trace.stream import Trace, TraceBuilder
 
 
@@ -120,35 +122,109 @@ def emit_access_block(
     than it accesses data structures, and keeping the pools separate is what
     lets a compiler (and our software-prefetch pass) see the data sites'
     stable strides.
+
+    The block is laid out in a fixed number of array operations: each
+    access takes the row of records its site and load/store kind lay down
+    (see :func:`_access_sites`), and :func:`_emit_rows` fills in addresses
+    and branch outcomes and appends the rows as one chunk.
     """
-    addresses = list(addresses)
-    n = len(addresses)
+    if ops_per_access < 0 or branch_every < 0 or n_static_sites < 1:
+        raise ValueError(
+            "need ops_per_access >= 0, branch_every >= 0 and n_static_sites >= 1, got "
+            f"{ops_per_access}, {branch_every} and {n_static_sites}"
+        )
+    if not isinstance(addresses, np.ndarray):
+        addresses = list(addresses)
+    addr = np.asarray(addresses, dtype=np.uint64)
+    n = len(addr)
     if n == 0:
         return
-    store_draws = rng.random(n) < store_fraction
-    taken_draws = rng.random(n) < branch_taken_rate
-    cold_i = 0
-    local_i = 0
-    for i, addr in enumerate(addresses):
-        addr = int(addr)
-        if addr >= STACK_BASE:
-            site_label = f"{label}.loc{local_i % 2}"
-            local_i += 1
-        else:
-            site_label = f"{label}.d{cold_i % n_static_sites}"
-            cold_i += 1
-        if store_draws[i]:
-            builder.store(f"{site_label}.st", addr)
-        else:
-            builder.load(f"{site_label}.ld", addr)
-        if ops_per_access:
-            builder.ops(f"{site_label}.op", ops_per_access, fp=fp_ops)
-        if branch_every and i % branch_every == branch_every - 1:
-            builder.branch(f"{label}.br", bool(taken_draws[i]))
+    store = rng.random(n) < store_fraction
+    taken = rng.random(n) < branch_taken_rate
+    labels, rows = _access_sites(label, n_static_sites, ops_per_access, fp_ops, branch_every != 0)
+    # Each pool rotates over its sites by its own running count: locals over
+    # sites 0-1, data accesses over sites 2 .. n_static_sites + 1.
+    local = addr >= STACK_BASE
+    n_local = np.add.accumulate(local, dtype=np.intp)
+    site = np.where(local, (n_local + 1) % 2, 2 + (np.arange(n) - n_local) % n_static_sites)
+    _emit_rows(builder, labels, rows[2 * site + store], addr, taken, branch_every)
+
+
+@lru_cache(maxsize=1024)
+def _access_sites(
+    label: str, n_static_sites: int, ops_per_access: int, fp_ops: bool, branch: bool
+) -> Tuple[Tuple[str, ...], np.ndarray]:
+    """Site labels of an access block, and the row each kind of access lays down.
+
+    Sites ``loc0, loc1, d0, ...`` each own ``ops_per_access + 3``
+    consecutive site codes: load, store, the filler ops, and the loop
+    branch (every site's branch code names the block's one branch).  Row
+    ``2 * site + is_store`` holds an access's records: the load or store,
+    the filler ops and, when there is a branch, the branch slot, each with
+    its class and, in ``pc``, its site code.
+    """
+    op_class = FP_OP if fp_ops else INT_OP
+    labels: List[str] = []
+    classes: List[int] = []
+    for name in ["loc0", "loc1"] + [f"d{s}" for s in range(n_static_sites)]:
+        stem = f"{label}.{name}"
+        labels += [f"{stem}.ld", f"{stem}.st"]
+        labels += [f"{stem}.op#{j}" for j in range(ops_per_access)] + [f"{label}.br"]
+        classes += [LOAD, STORE] + [op_class] * ops_per_access + [BRANCH]
+    site, store = np.divmod(np.arange(2 * (n_static_sites + 2)), 2)
+    slots = np.arange(1 + ops_per_access + branch)
+    slots[1:] += 1  # past the store code
+    codes = (site * (ops_per_access + 3))[:, None] + slots
+    codes[:, 0] += store
+    return tuple(labels), _whole_rows(np.array(classes)[codes], codes)
+
+
+def _whole_rows(classes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Records with these classes and site codes, one void item per row.
+
+    Picking rows by fancy index then copies each row as plain bytes (see
+    :data:`~repro.trace.record.RECORD_BYTES`).
+    """
+    rows = np.zeros(codes.shape, TRACE_DTYPE)
+    rows["iclass"] = classes
+    rows["pc"] = codes
+    return rows.view((np.void, rows.strides[0]))[:, 0]
+
+
+def _emit_rows(
+    builder: TraceBuilder,
+    labels: Tuple[str, ...],
+    rows: np.ndarray,
+    addr: np.ndarray,
+    taken: np.ndarray,
+    branch_every: int,
+) -> None:
+    """Append one row of records per access, in row order, as one block.
+
+    ``rows`` (from :func:`_whole_rows`) comes with each record's class and
+    site code (an index into ``labels``) filled in: the memory op, its
+    filler ops and, when ``branch_every`` is non-zero, a last branch slot.
+    This sets the memory op's address and the branch outcome ``taken``,
+    keeps the branch slot only on rows ``i`` where ``i % branch_every ==
+    branch_every - 1``, and appends the result.
+    """
+    records = rows.view(TRACE_DTYPE).reshape(len(rows), -1)
+    records["addr"][:, 0] = addr
+    if branch_every:
+        records["taken"][:, -1] = taken
+        if branch_every > 1:
+            keep = np.ones(records.shape, dtype=bool)
+            keep[:, -1] = False
+            keep[branch_every - 1::branch_every, -1] = True
+            records = records.view(RECORD_BYTES)[keep].view(TRACE_DTYPE)
+    builder.block(records.reshape(-1), labels)
 
 
 #: Shared "stack" region: always-hot locals, spills, small temporaries.
 STACK_BASE = 0x7F80_0000
+
+#: An init-sweep line's records: store, filler op, loop branch (site codes 0-2).
+_INIT_ROW = _whole_rows(np.array([[STORE, INT_OP, BRANCH]]), np.array([[0, 1, 2]]))
 
 
 def emit_init_sweep(
@@ -166,16 +242,17 @@ def emit_init_sweep(
     L2-warm.  One store per cache line, in layout order — the cheapest
     faithful model of ``malloc`` + initialise.  Generators call this first;
     the experiment's warmup window is expected to cover it.
+
+    Laid out like an access block: per line a store, one filler op, and a
+    loop branch every 8 lines.
     """
     if region_bytes <= 0:
         raise ValueError("region must be positive")
     lines = max(1, region_bytes // line_bytes)
     taken = rng.random(lines) < 0.98
-    for i in range(lines):
-        builder.store(f"{label}.init", base + i * line_bytes)
-        builder.ops(f"{label}.initop", 1)
-        if i % 8 == 7:
-            builder.branch(f"{label}.initbr", bool(taken[i]))
+    addr = np.uint64(base) + np.arange(lines, dtype=np.uint64) * np.uint64(line_bytes)
+    labels = (f"{label}.init", f"{label}.initop#0", f"{label}.initbr")
+    _emit_rows(builder, labels, _INIT_ROW[np.zeros(lines, dtype=np.intp)], addr, taken, 8)
 
 
 def mix_local_accesses(

@@ -16,6 +16,24 @@ information a compiler has:
 * emit at most one prefetch per cache line per PC (compilers strength-
   reduce duplicate prefetches to the same line out of unrolled loops).
 
+The pass runs as array passes over the whole trace rather than stepping a
+per-PC state machine record by record:
+
+1. stable-sort the loads by PC, so each PC's loads stay in program order;
+2. take each load's stride from the previous load at its PC (a PC's first
+   load has none);
+3. ``stable`` is how many times in a row a non-zero stride has repeated —
+   the run length of equal non-zero strides ending at the load, minus one;
+4. a load is a candidate when ``stable >= confidence`` and its target
+   ``addr ± lookahead_lines * line_bytes`` (in the stride's direction) is
+   positive;
+5. a candidate emits when its target line differs from that of the
+   previous candidate at the same PC (a candidate that does not emit
+   already shares the last emitted line, so this is "one prefetch per line
+   per PC");
+6. inserted prefetches get PCs in first-emission order, one per load PC,
+   and go in with one ``np.insert`` per column.
+
 Pointer-chasing loads never develop a stable stride and get nothing —
 matching the paper's observation that software prefetches are far fewer
 than hardware ones but considerably more accurate.
@@ -23,25 +41,15 @@ than hardware ones but considerably more accurate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
-
 import numpy as np
 
+from repro.common.config import _power_of_two
 from repro.trace.record import LOAD, SW_PREFETCH
 from repro.trace.stream import Trace
 
 #: Synthetic PCs for inserted prefetch instructions live in their own page
 #: so they can never collide with generator-assigned PCs.
 _SW_PC_BASE = 0x0009_0000_0000
-
-
-@dataclass
-class _PCState:
-    last_addr: int = -1
-    stride: int = 0
-    stable: int = 0
-    last_pf_line: int = -1
 
 
 def insert_software_prefetches(
@@ -60,61 +68,42 @@ def insert_software_prefetches(
         raise ValueError("lookahead must be at least one line")
     if confidence < 1:
         raise ValueError("confidence must be positive")
+    _power_of_two("line_bytes", line_bytes)
 
-    shift = line_bytes.bit_length() - 1
-    states: Dict[int, _PCState] = {}
-    pf_pc_of: Dict[int, int] = {}
-
-    out_iclass: list[int] = []
-    out_pc: list[int] = []
-    out_addr: list[int] = []
-    out_taken: list[bool] = []
-
-    iclass_col = trace.iclass
-    pc_col = trace.pc
-    addr_col = trace.addr
-    taken_col = trace.taken
-    load_value = int(LOAD)
-    swpf_value = int(SW_PREFETCH)
-
-    for i in range(len(trace)):
-        cls = int(iclass_col[i])
-        pc = int(pc_col[i])
-        addr = int(addr_col[i])
-        if cls == load_value:
-            st = states.get(pc)
-            if st is None:
-                st = states[pc] = _PCState()
-            if st.last_addr >= 0:
-                stride = addr - st.last_addr
-                if stride == st.stride and stride != 0:
-                    st.stable += 1
-                else:
-                    st.stride = stride
-                    st.stable = 0
-            st.last_addr = addr
-            if st.stable >= confidence and st.stride != 0:
-                # Provably affine: prefetch `lookahead_lines` lines ahead.
-                direction = 1 if st.stride > 0 else -1
-                target = addr + direction * lookahead_lines * line_bytes
-                target_line = target >> shift
-                if target > 0 and target_line != st.last_pf_line:
-                    st.last_pf_line = target_line
-                    sw_pc = pf_pc_of.setdefault(pc, _SW_PC_BASE + 4 * len(pf_pc_of))
-                    out_iclass.append(swpf_value)
-                    out_pc.append(sw_pc)
-                    out_addr.append(target)
-                    out_taken.append(False)
-        out_iclass.append(cls)
-        out_pc.append(pc)
-        out_addr.append(addr)
-        out_taken.append(bool(taken_col[i]))
-
+    loads = np.flatnonzero(trace.iclass == int(LOAD))
+    # Each PC's loads in program order: a stable sort by PC.
+    order = loads[np.argsort(trace.pc[loads], kind="stable")]
+    pc = trace.pc[order]
+    addr = trace.addr[order].astype(np.int64)
+    first = np.ones(len(pc), dtype=bool)  # a PC's first load has no stride
+    first[1:] = pc[1:] != pc[:-1]
+    stride = np.diff(addr, prepend=addr[:1])
+    # `stable`: how many times in a row this load's non-zero stride repeated.
+    repeat = np.zeros(len(pc), dtype=bool)
+    repeat[1:] = ~first[1:] & ~first[:-1] & (stride[1:] == stride[:-1])
+    repeat &= stride != 0
+    index = np.arange(len(pc))
+    stable = index - np.maximum.accumulate(np.where(repeat, 0, index))
+    target = addr + np.sign(stride) * (lookahead_lines * line_bytes)
+    candidate = np.flatnonzero((stable >= confidence) & (target > 0))
+    # A candidate emits unless the previous candidate at its PC targeted
+    # the same line.
+    line = target[candidate] >> (line_bytes.bit_length() - 1)
+    cand_pc = pc[candidate]
+    emits = np.ones(len(candidate), dtype=bool)
+    emits[1:] = (cand_pc[1:] != cand_pc[:-1]) | (line[1:] != line[:-1])
+    emitted = candidate[emits]
+    emitted = emitted[np.argsort(order[emitted])]  # back to program order
+    # One prefetch PC per load PC, numbered in first-emission order.
+    _, first_at, which = np.unique(pc[emitted], return_index=True, return_inverse=True)
+    number = np.empty(len(first_at), dtype=np.uint64)
+    number[np.argsort(first_at)] = np.arange(len(first_at), dtype=np.uint64)
+    at = order[emitted]
     return Trace(
-        np.asarray(out_iclass, dtype=np.uint8),
-        np.asarray(out_pc, dtype=np.uint64),
-        np.asarray(out_addr, dtype=np.uint64),
-        np.asarray(out_taken, dtype=np.bool_),
+        np.insert(trace.iclass, at, int(SW_PREFETCH)),
+        np.insert(trace.pc, at, _SW_PC_BASE + 4 * number[which]),
+        np.insert(trace.addr, at, target[emitted].astype(np.uint64)),
+        np.insert(trace.taken, at, False),
         trace.name,
     )
 

@@ -168,7 +168,7 @@ class TestEviction:
 
 
 _CONCURRENT_WRITER = """
-import json, sys, time
+import json, sys
 from repro.analysis.result_cache import ResultCache, result_from_dict, run_key
 from repro.common.config import FilterKind, SimulationConfig
 
@@ -179,9 +179,10 @@ cache = ResultCache(cache_dir, budget=int(budget))
 cfg = SimulationConfig.paper_default(FilterKind.PA)
 last = None
 for seed in range(int(base), int(base) + 4):
+    sys.stdin.readline()  # the parent's "go" for this round
     last = run_key("em3d", cfg, 6000, seed)
     cache.put(last, result)
-    time.sleep(0.05)
+    print("ack", flush=True)
 print(json.dumps({"evicted": cache.evicted, "last": last}))
 """
 
@@ -193,6 +194,7 @@ def test_concurrent_evictors_never_double_count(tmp_path, sample_result):
     import json
     import subprocess
     import sys
+    import threading
     from pathlib import Path
 
     from repro.analysis.result_cache import result_to_dict
@@ -214,15 +216,33 @@ def test_concurrent_evictors_never_double_count(tmp_path, sample_result):
         subprocess.Popen(
             [sys.executable, "-c", _CONCURRENT_WRITER, str(cache_dir),
              str(result_json), str(budget), base],
-            env=env, stdout=subprocess.PIPE, text=True,
+            env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
         )
         for base in ("100", "200")
     ]
-    reports = []
-    for proc in procs:
-        out, _ = proc.communicate(timeout=120)
-        assert proc.returncode == 0, out
-        reports.append(json.loads(out))
+    # Lock-step rounds: both writers put once per round, racing each
+    # other's eviction pass, and no round starts before both have acked.
+    # Each writer's last put therefore lands in the final round, however
+    # late either process started.  A hung writer is killed after 120 s,
+    # which ends its output and fails the read below.
+    watchdog = threading.Timer(120, lambda: [proc.kill() for proc in procs])
+    watchdog.start()
+    try:
+        for _ in range(4):
+            for proc in procs:
+                proc.stdin.write("go\n")
+                proc.stdin.flush()
+            for proc in procs:
+                assert proc.stdout.readline() == "ack\n"
+        reports = []
+        for proc in procs:
+            proc.stdin.close()
+            out = proc.stdout.read()  # through the buffer the acks were read from
+            proc.wait(timeout=120)
+            assert proc.returncode == 0, out
+            reports.append(json.loads(out))
+    finally:
+        watchdog.cancel()
 
     survivors = {p.stem for p in cache_dir.glob("*.json")}
     written = 6 + 8

@@ -80,6 +80,16 @@ class TestFootprint:
         assert fp["bytes"] == 8 * 32
 
 
+@pytest.mark.parametrize("line_bytes", [0, 48, 100])
+def test_line_size_must_be_a_power_of_two(line_bytes):
+    # The line shift is bit_length() - 1, which for 48 is a 32-byte line:
+    # anything but a power of two must be refused, not measured wrongly.
+    t = loop_trace(lines=8, repeats=2)
+    for measure in (reuse_distance_histogram, working_set_curve, footprint, characterise):
+        with pytest.raises(ValueError, match="line_bytes must be a positive power of two"):
+            measure(t, line_bytes=line_bytes)
+
+
 class TestStrideProfile:
     def test_pure_stream_fully_strided(self):
         p = stride_profile(stream_trace(100))

@@ -144,6 +144,18 @@ class TestSoftwarePrefetchPass:
         with pytest.raises(ValueError):
             insert_software_prefetches(self._strided_trace(), confidence=0)
 
+    @pytest.mark.parametrize("line_bytes", [0, 48, 96])
+    def test_line_size_must_be_a_power_of_two(self, line_bytes):
+        # With a 48-byte line the pass would dedupe on 32-byte lines (its
+        # shift is bit_length() - 1) while stepping targets by 48.
+        with pytest.raises(ValueError, match="line_bytes must be a positive power of two"):
+            insert_software_prefetches(self._strided_trace(), line_bytes=line_bytes)
+
+    def test_line_size_sets_dedup_granularity(self):
+        # stride 8 over 64-byte lines: one prefetch per eight loads.
+        t = insert_software_prefetches(self._strided_trace(n=64, stride=8), line_bytes=64)
+        assert count_inserted(t) == 64 // 8
+
 
 class TestBuildTrace:
     def test_includes_sw_prefetches_by_default(self):
