@@ -117,17 +117,6 @@ def result_to_dict(result: SimulationResult) -> Dict[str, Any]:
     }
 
 
-def _stats_from_flat(flat: Dict[str, float]) -> Stats:
-    stats = Stats()
-    for dotted, value in flat.items():
-        parts = dotted.split(".")
-        group = stats
-        for name in parts[:-1]:
-            group = group[name]
-        group.set(parts[-1], value)
-    return stats
-
-
 def result_from_dict(data: Dict[str, Any]) -> SimulationResult:
     return SimulationResult(
         trace_name=data["trace_name"],
@@ -146,7 +135,7 @@ def result_from_dict(data: Dict[str, Any]) -> SimulationResult:
         l1_prefetch_fills=int(data["l1_prefetch_fills"]),
         prefetch_line_traffic=int(data["prefetch_line_traffic"]),
         demand_line_traffic=int(data["demand_line_traffic"]),
-        stats=_stats_from_flat(data["stats"]),
+        stats=Stats.from_flat(data["stats"]),
     )
 
 

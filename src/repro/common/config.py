@@ -51,7 +51,7 @@ class FilterKind(enum.Enum):
             ) from None
 
 
-#: Engine tiers :func:`repro.core.simulator.make_engine` can build.  Kept
+#: Engine tiers :class:`repro.core.simulator.Simulator` can build.  Kept
 #: here (the leaf of the import graph) so configs can be validated before
 #: any engine module is imported or any worker is spawned.
 KNOWN_ENGINES = ("pipeline", "kernel")

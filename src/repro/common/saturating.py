@@ -82,35 +82,6 @@ class SaturatingCounterArray:
                 snapshot={"index": index, "value": int(self.values[index]), "max": self.max_value},
             )
 
-    # -- kernel-engine array views ---------------------------------------
-    def export_int64(self) -> np.ndarray:
-        """A fresh int64 copy of the counter values.
-
-        The kernel engine updates counters in flat int64 arrays
-        (uint8 arithmetic in a kernel invites silent wraparound); pair
-        with :meth:`absorb_int64` to fold the result back.
-        """
-        return self.values.astype(np.int64)
-
-    def absorb_int64(self, values: np.ndarray) -> None:
-        """Write back an array exported by :meth:`export_int64`.
-
-        Range-checked: a kernel that let a counter escape ``[0,
-        max_value]`` corrupted its update rule, and absorbing the value
-        would truncate the evidence into a plausible-looking state.
-        """
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.shape != self.values.shape:
-            raise ValueError(
-                f"counter array shape {arr.shape} != table shape {self.values.shape}"
-            )
-        if len(arr) and (int(arr.min()) < 0 or int(arr.max()) > self.max_value):
-            raise ValueError(
-                f"counter values escape [0, {self.max_value}]: "
-                f"min {int(arr.min())}, max {int(arr.max())}"
-            )
-        self.values[:] = arr.astype(np.uint8)
-
     # -- analysis helpers ------------------------------------------------
     def fraction_predicting_true(self) -> float:
         return float(np.mean(self.values >= self.threshold))

@@ -6,7 +6,7 @@ root, and bumps named counters as events happen.  The registry supports
 * cheap increments (plain dict arithmetic, no object churn on the hot path),
 * nested namespaces (``stats["l1"]["demand_miss"]``),
 * snapshot/delta for measuring a window of execution,
-* flat export for CSV-style reporting,
+* flat export for CSV-style reporting, and the way back (:meth:`Stats.from_flat`),
 * deferred flushing: a hardware model may accumulate its hottest event
   counts in plain integer attributes and register a flush hook that folds
   them into the dict lazily — every read path (``get``/``flat``/``total``/
@@ -117,6 +117,18 @@ class Stats(StatGroup):
 
     def __init__(self) -> None:
         super().__init__("")
+
+    @classmethod
+    def from_flat(cls, flat: Mapping[str, float]) -> "Stats":
+        """Rebuild a tree from :meth:`flat` output, key order included."""
+        stats = cls()
+        for dotted, value in flat.items():
+            *path, key = dotted.split(".")
+            group = stats
+            for name in path:
+                group = group[name]
+            group.set(key, value)
+        return stats
 
     def snapshot(self) -> Dict[str, float]:
         return self.flat()

@@ -21,7 +21,7 @@ separately (Section 5.2.1's per-prefetcher analysis).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Mapping
 
 from repro.common.stats import StatGroup
 from repro.mem.cache import EvictedLine, FillSource
@@ -171,11 +171,16 @@ class PrefetchClassifier:
         return self.per_source[source]
 
     def check_conservation(self) -> None:
-        """Invariant: after the final flush, issued == good + bad per source."""
-        for source, tally in self.per_source.items():
-            if tally.issued != tally.classified:
-                raise AssertionError(
-                    f"{source.name}: issued={tally.issued} != classified={tally.classified}"
-                )
-            if tally.generated != tally.squashed + tally.filtered + tally.dropped + tally.issued:
-                raise AssertionError(f"{source.name}: lifecycle counts do not add up")
+        check_conservation(self.per_source)
+
+
+def check_conservation(per_source: Mapping[FillSource, PrefetchTally]) -> None:
+    """Invariant: after the final flush, issued == good + bad per source,
+    and every generated prefetch ended squashed, filtered, dropped or issued."""
+    for source, tally in per_source.items():
+        if tally.issued != tally.classified:
+            raise AssertionError(
+                f"{source.name}: issued={tally.issued} != classified={tally.classified}"
+            )
+        if tally.generated != tally.squashed + tally.filtered + tally.dropped + tally.issued:
+            raise AssertionError(f"{source.name}: lifecycle counts do not add up")

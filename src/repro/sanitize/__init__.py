@@ -10,10 +10,12 @@ that turns those invariants into *checked assertions*:
   state (tag/frame consistency, PIB => prefetched lineage, RIB => PIB,
   occupancy <= capacity, saturating counters in range, age-ordered
   windows);
-* the engines call :class:`Sanitizer` periodically (every
+* the pipeline engine calls :class:`Sanitizer` periodically (every
   ``interval`` instructions) and the simulator calls :meth:`Sanitizer
   .final` once at end of run, which adds the expensive checks (full L2
-  audit, stat-flush conservation, cross-counter conservation);
+  audit, stat-flush conservation, cross-counter conservation); the
+  kernel engine sweeps its flat state the same way through
+  ``KernelState.validate``;
 * a failed check raises :class:`SanitizerViolation` carrying the cycle,
   the site, and a state snapshot — enough to reproduce the corruption.
 
@@ -153,11 +155,12 @@ def check_flush_idempotent(group, site: str) -> None:
 class Sanitizer:
     """Periodic + end-of-run invariant checker for one simulation run.
 
-    The engine owns one instance and calls :meth:`periodic` every
-    ``interval`` instructions; the simulator calls :meth:`final` once
-    after the run.  The kernel engine keeps its own flat-array state and
-    drives :meth:`fire_trip` + its local checks instead of
-    :meth:`periodic` — see :meth:`repro.core.kernel.KernelEngine.run`.
+    The pipeline engine owns one instance and calls :meth:`periodic`
+    every ``interval`` instructions; the simulator calls :meth:`final`
+    once after a pipeline run.  The kernel engine builds none of the
+    objects these audit: it drives :meth:`fire_trip` and
+    :meth:`repro.core.kernel.KernelState.validate` over its flat arrays
+    instead — see :meth:`repro.core.kernel.KernelEngine.run`.
     """
 
     __slots__ = ("interval", "checks")
@@ -240,16 +243,12 @@ class Sanitizer:
 
         Every demand access acquires exactly one port and probes the L1
         exactly once, so two independently-maintained counters must
-        agree.  Only meaningful for engines that arbitrate ports (the
-        kernel engine never touches the arbiter: grants stay 0) and
-        without the prefetch buffer (promotion re-probes the L1).
+        agree — except with the prefetch buffer, whose promotion
+        re-probes the L1.
         """
         if engine.hierarchy.buffer is not None:
             return
-        ports = engine.hierarchy.ports.stats
-        grants = ports.get("demand_grants")
-        if not grants:
-            return
+        grants = engine.hierarchy.ports.stats.get("demand_grants")
         l1 = engine.hierarchy.l1.stats
         accesses = (
             l1.get("demand_read_hit")
