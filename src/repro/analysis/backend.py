@@ -10,21 +10,23 @@ does **not** own is where the simulations physically run.  That is an
   workers, one pipe and one job in flight each, reading fork-inherited
   traces; a dead or hung worker charges only its own job, and a host
   that cannot fork runs the batch serially.
-* :class:`SharedFSBackend` (``"shared-fs"``) — a shared-filesystem
-  work queue (:mod:`repro.analysis.workqueue`) drainable by any number
-  of ``repro-sim worker`` processes on any host that can see the
-  directory.  The submitting process publishes the jobs, optionally
-  spawns local workers, *participates in the drain itself* (so a sweep
-  completes even if every spawned worker dies — stale leases get
-  stolen), then folds the sealed ``done/`` records back into the
-  batch's outcomes, cache, and journal.
-* :class:`TCPBackend` (``"tcp"``) — the same queue protocol over a
-  length-prefixed JSON TCP connection to ``repro-sim broker``
-  (:mod:`repro.analysis.netqueue`), for workers that share no
-  filesystem with the submitter.  Retries with capped backoff, per-op
-  idempotency, and honest ``unclaimed`` outcomes on broker loss keep
-  the bit-identical-resume guarantee across resets, stalls, and
-  partitions.
+* :class:`QueueBackend` — a work queue drainable by any number of
+  ``repro-sim worker`` processes.  The submitting process publishes the
+  jobs, optionally spawns local workers, *participates in the drain
+  itself* (so a sweep completes even if every spawned worker dies —
+  stale leases get stolen), then folds the sealed done records back
+  into the batch's outcomes, cache, and journal.  Its two registry
+  names differ only in the queue handle each drain opens:
+
+  - ``"shared-fs"`` — a directory queue
+    (:mod:`repro.analysis.workqueue`) on any host that can see it;
+  - ``"tcp"`` — the same queue protocol over a length-prefixed JSON
+    TCP connection to ``repro-sim broker``
+    (:mod:`repro.analysis.netqueue`), for workers that share no
+    filesystem with the submitter.  Retries with capped backoff,
+    per-op idempotency, and honest ``unclaimed`` outcomes on broker
+    loss keep the bit-identical-resume guarantee across resets,
+    stalls, and partitions.
 
 The contract every backend must honour (and the chaos suite enforces):
 **swapping backends never changes results** — jobs are pure functions
@@ -49,6 +51,8 @@ import tempfile
 import time
 import uuid
 from abc import ABC, abstractmethod
+from contextlib import ExitStack
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -95,8 +99,20 @@ class PoolBackend(ExecutionBackend):
             _pool_phase(batch, list(pending), workers)
 
 
-class SharedFSBackend(ExecutionBackend):
-    """Drain a batch through a shared-filesystem work queue.
+class QueueBackend(ExecutionBackend):
+    """Drain a batch through a work queue: a shared directory or a broker.
+
+    The submitting process opens the queue, publishes the jobs,
+    optionally spawns local ``repro-sim worker`` processes,
+    *participates in the drain itself* (so a sweep completes even if
+    every spawned worker dies — stale leases get stolen), then folds the
+    queue's sealed done records back into the batch's outcomes, cache,
+    and journal.  The transport is only the queue handle opened at the
+    start of each :meth:`execute`: a
+    :class:`~repro.analysis.workqueue.FileQueue` on ``queue_dir``
+    (registry name ``shared-fs``), or a
+    :class:`~repro.analysis.netqueue.NetQueue` connected to ``broker``
+    (``tcp``), for workers that share no filesystem with the submitter.
 
     Parameters
     ----------
@@ -115,7 +131,8 @@ class SharedFSBackend(ExecutionBackend):
         parent still drains, so progress never depends on them.
     lease_ttl:
         Seconds of heartbeat silence before a worker's leases become
-        stealable.
+        stealable.  Directory queues only: a broker's queue keeps the
+        TTL the broker was started with.
     batch:
         Jobs claimed per worker per round — the amortization knob:
         larger batches give each worker more group-mates sharing a
@@ -137,13 +154,22 @@ class SharedFSBackend(ExecutionBackend):
         restarts crashed/pressure-exited workers with backoff, and
         quarantines poison jobs it observes from outside.  Requires at
         least one spawned worker (forced up to 1 if needed).
+    broker:
+        ``HOST:PORT`` of a ``repro-sim broker`` to drain instead of a
+        directory.  The queue directory, supervision and the poison
+        threshold then belong to the broker process and are refused
+        here.  Client calls retry under ``retry`` with a per-call
+        ``call_timeout``; a broker unreachable past that budget turns
+        the drain into honest ``unclaimed`` outcomes (never journaled),
+        so ``sweep --resume`` against a restarted broker completes
+        exactly the missing work.
 
     After ``execute`` returns, ``last_counts`` / ``last_worker_stats``
     / ``last_parent_stats`` / ``last_supervisor`` hold the drain's
-    telemetry for ``repro-sim bench --sweep``.
+    telemetry for ``repro-sim bench --sweep``; a broker drain also
+    fills ``last_transport`` (and ``batch.report.transport``) with its
+    wire-health counters.
     """
-
-    name = "shared-fs"
 
     def __init__(
         self,
@@ -156,6 +182,9 @@ class SharedFSBackend(ExecutionBackend):
         deadline: Optional[float] = None,
         supervise: bool = False,
         max_restarts: int = 10,
+        broker: Optional[str] = None,
+        retry=None,
+        call_timeout: Optional[float] = None,
     ) -> None:
         if spawn is not None and spawn < 0:
             raise ValueError(f"spawn must be >= 0 (got {spawn})")
@@ -163,6 +192,18 @@ class SharedFSBackend(ExecutionBackend):
             raise ValueError(f"batch must be >= 1 (got {batch})")
         if deadline is not None and deadline < 0:
             raise ValueError(f"deadline must be >= 0 seconds (got {deadline})")
+        if broker is not None:
+            if queue_dir or supervise or poison_threshold is not None:
+                raise ValueError(
+                    "--queue-dir/--supervised/--poison-threshold belong to the "
+                    "broker process, not a tcp sweep (start `repro-sim broker` "
+                    "with them instead)"
+                )
+            from repro.analysis.netqueue import parse_broker_spec
+
+            parse_broker_spec(broker)  # a malformed HOST:PORT fails before any submit
+        #: Registry name, and the prefix of every degradation it reports.
+        self.name = "shared-fs" if broker is None else "tcp"
         self.queue_dir = Path(queue_dir) if queue_dir is not None else None
         self.spawn = spawn
         self.lease_ttl = lease_ttl
@@ -172,23 +213,43 @@ class SharedFSBackend(ExecutionBackend):
         self.deadline = deadline
         self.supervise = supervise
         self.max_restarts = max_restarts
+        self.broker = broker
+        self.retry = retry
+        self.call_timeout = call_timeout
         self.last_counts: Dict = {}
         self.last_worker_stats: List[Dict] = []
         self.last_parent_stats: Dict = {}
         self.last_supervisor: Dict = {}
+        self.last_transport: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    def _spawn_worker(self, queue: FileQueue, index: int, batch,
+    def _open_queue(self, cleanup: ExitStack):
+        """This drain's queue handle; ``cleanup`` releases what it opened."""
+        if self.broker is not None:
+            from repro.analysis.netqueue import NetQueue, parse_broker_spec
+
+            queue = NetQueue(*parse_broker_spec(self.broker),
+                             retry=self.retry, call_timeout=self.call_timeout)
+            cleanup.callback(queue.close)
+            # Fail fast and actionably: an unreachable or misconfigured
+            # broker surfaces here, before anything is submitted or spawned.
+            queue.hello()
+            return queue
+        root = self.queue_dir
+        if root is None:
+            root = Path(tempfile.mkdtemp(prefix="repro-queue-"))
+            cleanup.callback(shutil.rmtree, root, ignore_errors=True)
+        return FileQueue(root, lease_ttl=self.lease_ttl, poison_threshold=self.poison_threshold)
+
+    def _spawn_worker(self, queue, index: int, batch,
                       deadline_at: Optional[float] = None,
-                      broker: Optional[str] = None,
                       logs_dir: Optional[Path] = None):
         """Launch one ``repro-sim worker`` subprocess against the queue.
 
         Best-effort by design: a host that cannot spawn (sandbox, fork
         limits) degrades to the parent draining alone.  Workers exit
-        when the queue drains.  A filesystem queue passes no ``broker``
-        and its workers log to the queue's ``logs/`` directory; a TCP
-        drain passes the broker address and a ``logs_dir`` of its own.
+        when the queue drains.  A directory queue's workers log to its
+        ``logs/`` directory; a broker drain's workers log to ``logs_dir``.
         """
         from repro.analysis.supervisor import spawn_worker
 
@@ -206,7 +267,7 @@ class SharedFSBackend(ExecutionBackend):
             timeout=batch.policy.timeout,
             deadline_s=deadline_s,
             trace_store_dir=store.directory if store is not None else None,
-            broker=broker,
+            broker=self.broker,
             logs_dir=logs_dir,
         )
 
@@ -263,73 +324,81 @@ class SharedFSBackend(ExecutionBackend):
             batch.give_up(index)
 
     def execute(self, batch, pending: Sequence[int], workers: int) -> None:
-        from repro.analysis.worker import drain_queue
-
         # Inside a pool worker already (nested fan-out): spawning more
         # processes would oversubscribe quadratically, exactly like a
         # nested pool — run serially instead.
         if os.environ.get("REPRO_POOL_WORKER"):
             from repro.analysis.resilience import _serial_phase
 
-            batch.degrade("shared-fs: nested inside a pool worker; ran serially")
+            batch.degrade(f"{self.name}: nested inside a pool worker; ran serially")
             _serial_phase(batch, pending)
             return
 
-        owns_dir = self.queue_dir is None
-        root = self.queue_dir or Path(tempfile.mkdtemp(prefix="repro-queue-"))
-        queue = FileQueue(root, lease_ttl=self.lease_ttl, poison_threshold=self.poison_threshold)
-        key_to_indices: Dict[str, List[int]] = {}
-        for index in pending:
-            key_to_indices.setdefault(batch.outcome(index).key, []).append(index)
-        # One queue job per distinct key; duplicates fan back out on apply.
-        queue.submit([batch.jobs[indices[0]] for indices in key_to_indices.values()])
+        # Every scratch directory and connection this drain opens is
+        # released here, whether the drain returns or raises.
+        with ExitStack() as cleanup:
+            queue = self._open_queue(cleanup)
+            key_to_indices: Dict[str, List[int]] = {}
+            for index in pending:
+                key_to_indices.setdefault(batch.outcome(index).key, []).append(index)
+            # One queue job per distinct key; duplicates fan back out on
+            # apply.  A queue already holding done records for some keys
+            # skips them — that is the resume path.
+            queue.submit([batch.jobs[indices[0]] for indices in key_to_indices.values()])
 
-        # A deadline set on the batch (sweep --deadline) wins; otherwise
-        # the backend's own budget starts ticking now.
-        deadline_at = getattr(batch, "deadline_at", None)
-        if deadline_at is None and self.deadline is not None:
-            deadline_at = time.monotonic() + self.deadline
+            # A deadline set on the batch (sweep --deadline) wins; otherwise
+            # the backend's own budget starts ticking now.
+            deadline_at = getattr(batch, "deadline_at", None)
+            if deadline_at is None and self.deadline is not None:
+                deadline_at = time.monotonic() + self.deadline
 
-        if self.supervise:
-            self._drain_supervised(batch, queue, workers, deadline_at)
-        else:
-            self._drain_participating(batch, queue, workers, deadline_at, drain_queue)
+            if self.supervise:
+                self._drain_supervised(batch, queue, workers, deadline_at)
+                disconnected = False
+            else:
+                disconnected = self._drain_participating(
+                    batch, queue, workers, deadline_at, cleanup
+                )
 
-        deadline_hit = bool(
-            getattr(batch.report, "deadline_hit", False)
-            or (deadline_at is not None and time.monotonic() >= deadline_at)
-        )
-        if deadline_hit:
-            batch.report.deadline_hit = True
+            deadline_hit = bool(
+                getattr(batch.report, "deadline_hit", False)
+                or (deadline_at is not None and time.monotonic() >= deadline_at)
+            )
+            if deadline_hit:
+                batch.report.deadline_hit = True
+            self._collect_and_fold(batch, queue, key_to_indices, deadline_hit, disconnected)
 
-        self._fold_outcomes(batch, queue, key_to_indices, deadline_hit)
-        if owns_dir:
-            shutil.rmtree(root, ignore_errors=True)
-
-    def _fold_outcomes(self, batch, queue, key_to_indices: Dict[str, List[int]],
-                       deadline_hit: bool, disconnected: bool = False,
-                       done_records: Optional[Dict[str, Dict]] = None,
-                       quarantined_records: Optional[Dict[str, Dict]] = None) -> None:
+    def _collect_and_fold(self, batch, queue, key_to_indices: Dict[str, List[int]],
+                          deadline_hit: bool, disconnected: bool) -> None:
         """Fold the queue's records into the batch's outcomes.
 
-        Shared by the filesystem and TCP drains: done records complete
-        (or permanently fail) their outcomes, quarantine records become
-        journaled poison failures, and keys with no record become
-        honest ``unclaimed`` outcomes when the drain was cut short
-        (deadline, or a broker that went unreachable) — *not* journaled,
-        so ``--resume`` completes exactly the missing work.  The TCP
-        backend prefetches both record maps (collection itself can fail
-        over the network); ``None`` means fetch from the queue here.
+        Done records complete (or permanently fail) their outcomes,
+        quarantine records become journaled poison failures, and keys
+        with no record become honest ``unclaimed`` outcomes when the
+        drain was cut short (deadline, or a broker that went
+        unreachable) — *not* journaled, so ``--resume`` completes
+        exactly the missing work.
         """
-        if quarantined_records is None:
-            quarantined_records = queue.collect_quarantined()
-        if done_records is None:
+        from repro.analysis.netqueue import BrokerError, BrokerUnreachable
+
+        # Collection is itself a network op for a broker; a broker lost
+        # *after* the drain must still leave the batch resumable.
+        done_records: Dict[str, Dict] = {}
+        quarantined_records: Dict[str, Dict] = {}
+        try:
             done_records = dict(queue.collect_new(set()))
+            quarantined_records = queue.collect_quarantined()
+        except (BrokerUnreachable, BrokerError) as exc:
+            disconnected = True
+            batch.degrade(
+                f"{self.name}: broker unreachable while collecting results ({exc}); "
+                "uncollected jobs left for --resume"
+            )
         applied = set()
         for key, record in done_records.items():
             indices = key_to_indices.get(key)
             if indices is None:
-                continue  # a previous sweep's job sharing this queue dir
+                continue  # a previous sweep's job sharing this queue
             applied.add(key)
             self._apply(batch, indices, record)
         poisoned_jobs = 0
@@ -378,20 +447,43 @@ class SharedFSBackend(ExecutionBackend):
             )
         if queue.quarantined:
             batch.degrade(f"{self.name}: {queue.quarantined} corrupt queue record(s) quarantined")
+        if self.broker is not None:
+            try:
+                queue.hello()  # refresh broker_restarts for the health report
+            except (BrokerUnreachable, BrokerError):
+                pass
+            self.last_transport = {
+                "reconnects": queue.reconnects,
+                "retried_calls": queue.retried_calls,
+                "replayed_ops": queue.replayed_ops,
+                "broker_restarts": queue.broker_restarts,
+            }
+            batch.report.transport = dict(self.last_transport)
 
-    def _drain_participating(self, batch, queue: FileQueue, workers: int,
-                             deadline_at, drain_queue) -> None:
-        """Default drain: spawn helpers, then the parent drains too."""
+    def _drain_participating(self, batch, queue, workers: int, deadline_at,
+                             cleanup: ExitStack) -> bool:
+        """Default drain: spawn helpers, then the parent drains too.
+
+        Returns whether the broker went unreachable past the retry budget.
+        """
+        from repro.analysis.netqueue import BrokerError, BrokerUnreachable
+        from repro.analysis.worker import drain_queue
         from repro.common.diskio import PressureGuard
 
         spawn = self.spawn if self.spawn is not None else max(0, workers - 1)
+        logs_dir = None
+        if spawn and self.broker is not None:
+            # A broker's workers share no queue directory to log into.
+            logs_dir = Path(tempfile.mkdtemp(prefix="repro-net-logs-"))
+            cleanup.callback(shutil.rmtree, logs_dir, ignore_errors=True)
         procs = []
         for i in range(spawn):
             try:
-                procs.append(self._spawn_worker(queue, i, batch, deadline_at))
+                procs.append(self._spawn_worker(queue, i, batch, deadline_at, logs_dir))
             except OSError as exc:
-                batch.degrade(f"shared-fs: could not spawn worker {i} ({exc!r})")
+                batch.degrade(f"{self.name}: could not spawn worker {i} ({exc!r})")
                 break
+        disconnected = False
         try:
             # The parent drains too: with zero live workers the sweep
             # still finishes, and stale leases of dead workers are stolen.
@@ -406,12 +498,19 @@ class SharedFSBackend(ExecutionBackend):
                 deadline=deadline_at,
             )
             self.last_parent_stats = stats.to_dict()
+            disconnected = stats.stopped == "disconnected"
             for event in stats.degradations:
-                batch.degrade(f"shared-fs: parent: {event}")
+                batch.degrade(f"{self.name}: parent: {event}")
         finally:
             self._reap(procs)
-            self.last_counts = queue.counts()
-            self.last_worker_stats = queue.read_stats()
+            try:
+                self.last_counts = queue.counts()
+                self.last_worker_stats = queue.read_stats()
+            except (BrokerUnreachable, BrokerError):
+                disconnected = True
+                self.last_counts = {}
+                self.last_worker_stats = []
+        return disconnected
 
     def _drain_supervised(self, batch, queue: FileQueue, workers: int,
                           deadline_at) -> None:
@@ -445,173 +544,14 @@ class SharedFSBackend(ExecutionBackend):
             batch.report.deadline_hit = True
         if report.restarts:
             batch.degrade(
-                f"shared-fs: supervisor restarted workers {report.restarts} time(s) "
+                f"{self.name}: supervisor restarted workers {report.restarts} time(s) "
                 f"({report.crash_restarts} crash, {report.pressure_restarts} pressure)"
             )
         if report.stopped == "fleet-exhausted":
             batch.degrade(
-                "shared-fs: supervisor fleet exhausted its restart budget "
+                f"{self.name}: supervisor fleet exhausted its restart budget "
                 "before the queue drained"
             )
-
-
-class TCPBackend(SharedFSBackend):
-    """Drain a batch through a TCP broker — no shared filesystem needed.
-
-    The submitting process connects a
-    :class:`~repro.analysis.netqueue.NetQueue` to ``repro-sim broker``,
-    publishes the batch's jobs, optionally spawns local ``repro-sim
-    worker --broker`` subprocesses, participates in the drain itself,
-    and folds the collected done records back into the batch — the
-    same shape as :class:`SharedFSBackend`, with the queue on the far
-    side of a socket.  Remote hosts join the same drain by pointing
-    their own workers at the broker.
-
-    Failure envelope: client calls retry with capped backoff + seeded
-    jitter inside ``retry``; a broker unreachable past that budget
-    turns the drain into honest ``unclaimed`` outcomes (never
-    journaled), so ``sweep --resume`` against a restarted broker
-    completes exactly the missing work.  ``last_transport`` and
-    ``batch.report.transport`` carry the wire-health counters for
-    ``bench --sweep``.
-    """
-
-    name = "tcp"
-
-    def __init__(
-        self,
-        broker: str,
-        spawn: Optional[int] = None,
-        batch: int = 8,
-        poll: float = 0.1,
-        deadline: Optional[float] = None,
-        retry=None,
-        call_timeout: Optional[float] = None,
-    ) -> None:
-        from repro.analysis.netqueue import parse_broker_spec
-
-        super().__init__(queue_dir=None, spawn=spawn, batch=batch, poll=poll,
-                         deadline=deadline)
-        self.broker_host, self.broker_port = parse_broker_spec(broker)
-        self.retry = retry
-        self.call_timeout = call_timeout
-        self.last_transport: Dict[str, int] = {}
-
-    @property
-    def broker_spec(self) -> str:
-        return f"{self.broker_host}:{self.broker_port}"
-
-    def execute(self, batch, pending: Sequence[int], workers: int) -> None:
-        from repro.analysis.netqueue import BrokerError, BrokerUnreachable, NetQueue
-        from repro.analysis.worker import drain_queue
-
-        if os.environ.get("REPRO_POOL_WORKER"):
-            from repro.analysis.resilience import _serial_phase
-
-            batch.degrade("tcp: nested inside a pool worker; ran serially")
-            _serial_phase(batch, pending)
-            return
-
-        queue = NetQueue(self.broker_host, self.broker_port,
-                         retry=self.retry, call_timeout=self.call_timeout)
-        # Fail fast and actionably: an unreachable or misconfigured
-        # broker surfaces here, before anything is submitted or spawned.
-        queue.hello()
-        key_to_indices: Dict[str, List[int]] = {}
-        for index in pending:
-            key_to_indices.setdefault(batch.outcome(index).key, []).append(index)
-        # One queue job per distinct key; a restarted broker's queue
-        # already holding done records for some keys skips them — that
-        # is the resume path.
-        queue.submit([batch.jobs[indices[0]] for indices in key_to_indices.values()])
-
-        deadline_at = getattr(batch, "deadline_at", None)
-        if deadline_at is None and self.deadline is not None:
-            deadline_at = time.monotonic() + self.deadline
-
-        disconnected = self._drain_tcp(batch, queue, workers, deadline_at, drain_queue)
-
-        deadline_hit = bool(
-            getattr(batch.report, "deadline_hit", False)
-            or (deadline_at is not None and time.monotonic() >= deadline_at)
-        )
-        if deadline_hit:
-            batch.report.deadline_hit = True
-
-        # Collection is itself a network op; a broker lost *after* the
-        # drain must still leave the batch in a resumable state.
-        done_records: Dict[str, Dict] = {}
-        quarantined_records: Dict[str, Dict] = {}
-        try:
-            done_records = dict(queue.collect_new(set()))
-            quarantined_records = queue.collect_quarantined()
-        except (BrokerUnreachable, BrokerError) as exc:
-            disconnected = True
-            batch.degrade(
-                f"tcp: broker unreachable while collecting results ({exc}); "
-                "uncollected jobs left for --resume"
-            )
-        self._fold_outcomes(batch, queue, key_to_indices, deadline_hit,
-                            disconnected=disconnected,
-                            done_records=done_records,
-                            quarantined_records=quarantined_records)
-        try:
-            queue.hello()  # refresh broker_restarts for the health report
-        except (BrokerUnreachable, BrokerError):
-            pass
-        self.last_transport = {
-            "reconnects": queue.reconnects,
-            "retried_calls": queue.retried_calls,
-            "replayed_ops": queue.replayed_ops,
-            "broker_restarts": queue.broker_restarts,
-        }
-        batch.report.transport = dict(self.last_transport)
-        queue.close()
-
-    def _drain_tcp(self, batch, queue, workers: int, deadline_at, drain_queue) -> bool:
-        """Spawn TCP workers, drain as the parent; True if the broker
-        went unreachable past the retry budget."""
-        from repro.analysis.netqueue import BrokerError, BrokerUnreachable
-        from repro.common.diskio import PressureGuard
-
-        spawn = self.spawn if self.spawn is not None else max(0, workers - 1)
-        logs_dir = Path(tempfile.mkdtemp(prefix="repro-net-logs-")) if spawn else None
-        procs = []
-        for i in range(spawn):
-            try:
-                procs.append(self._spawn_worker(
-                    queue, i, batch, deadline_at, broker=self.broker_spec, logs_dir=logs_dir
-                ))
-            except OSError as exc:
-                batch.degrade(f"tcp: could not spawn worker {i} ({exc!r})")
-                break
-        disconnected = False
-        try:
-            stats = drain_queue(
-                queue,
-                worker="parent-" + uuid.uuid4().hex[:6],
-                batch=self.batch,
-                policy=batch.policy,
-                trace_store=batch.trace_store,
-                poll=self.poll,
-                guard=PressureGuard(queue.root, key=f"{queue.root}|parent"),
-                deadline=deadline_at,
-            )
-            self.last_parent_stats = stats.to_dict()
-            if stats.stopped == "disconnected":
-                disconnected = True
-            for event in stats.degradations:
-                batch.degrade(f"tcp: parent: {event}")
-        finally:
-            self._reap(procs)
-            try:
-                self.last_counts = queue.counts()
-                self.last_worker_stats = queue.read_stats()
-            except (BrokerUnreachable, BrokerError):
-                disconnected = True
-                self.last_counts = {}
-                self.last_worker_stats = []
-        return disconnected
 
 
 # ----------------------------------------------------------------------
@@ -625,64 +565,50 @@ def register_backend(name: str, factory: Callable[[], ExecutionBackend]) -> None
     _REGISTRY[name] = factory
 
 
-def _shared_fs_from_env() -> SharedFSBackend:
-    """A :class:`SharedFSBackend` configured from ``REPRO_QUEUE_*`` vars."""
+def _env_num(env: str, cast, default):
+    raw = os.environ.get(env)
+    if not raw:
+        return default
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ValueError(f"{env}={raw!r} is not a valid {cast.__name__}") from None
 
-    def _num(env: str, cast, default):
-        raw = os.environ.get(env)
-        if not raw:
-            return default
-        try:
-            return cast(raw)
-        except ValueError:
-            raise ValueError(f"{env}={raw!r} is not a valid {cast.__name__}") from None
 
+def _queue_from_env(transport: str) -> QueueBackend:
+    """A :class:`QueueBackend` configured from ``REPRO_QUEUE_*`` vars;
+    ``tcp`` also needs ``REPRO_BROKER``, ``shared-fs`` honours
+    ``REPRO_QUEUE_DIR`` and ``REPRO_LEASE_TTL``."""
+    spawn = _env_num(QUEUE_WORKERS_ENV, int, None)
+    batch = _env_num(QUEUE_BATCH_ENV, int, 8)
+    if transport == "tcp":
+        from repro.analysis.netqueue import BROKER_ENV, net_timeout_from_env
+
+        broker = os.environ.get(BROKER_ENV)
+        if not broker:
+            raise ValueError(
+                f"backend 'tcp' needs a broker address: set {BROKER_ENV}=HOST:PORT "
+                "(or pass --broker on the command line)"
+            )
+        # The timeout env is validated here too so a typo fails pre-submit.
+        net_timeout_from_env()
+        return QueueBackend(broker=broker, spawn=spawn, batch=batch)
     queue_dir = os.environ.get(QUEUE_DIR_ENV) or None
     if queue_dir is not None:
         from repro.analysis.workqueue import validate_queue_dir
 
         queue_dir = validate_queue_dir(queue_dir, what=QUEUE_DIR_ENV)
-    return SharedFSBackend(
+    return QueueBackend(
         queue_dir=queue_dir,
-        spawn=_num(QUEUE_WORKERS_ENV, int, None),
-        lease_ttl=_num(LEASE_TTL_ENV, float, 30.0),
-        batch=_num(QUEUE_BATCH_ENV, int, 8),
+        spawn=spawn,
+        lease_ttl=_env_num(LEASE_TTL_ENV, float, 30.0),
+        batch=batch,
     )
 
 
-def _tcp_from_env() -> "TCPBackend":
-    """A :class:`TCPBackend` configured from ``REPRO_BROKER`` and friends."""
-    from repro.analysis.netqueue import BROKER_ENV, net_timeout_from_env
-
-    broker = os.environ.get(BROKER_ENV)
-    if not broker:
-        raise ValueError(
-            f"backend 'tcp' needs a broker address: set {BROKER_ENV}=HOST:PORT "
-            "(or pass --broker on the command line)"
-        )
-    spawn_raw = os.environ.get(QUEUE_WORKERS_ENV)
-    spawn = None
-    if spawn_raw:
-        try:
-            spawn = int(spawn_raw)
-        except ValueError:
-            raise ValueError(f"{QUEUE_WORKERS_ENV}={spawn_raw!r} is not a valid int") from None
-    batch_raw = os.environ.get(QUEUE_BATCH_ENV)
-    batch = 8
-    if batch_raw:
-        try:
-            batch = int(batch_raw)
-        except ValueError:
-            raise ValueError(f"{QUEUE_BATCH_ENV}={batch_raw!r} is not a valid int") from None
-    # parse_broker_spec inside TCPBackend validates the address; the
-    # timeout env is validated here too so a typo fails pre-submit.
-    net_timeout_from_env()
-    return TCPBackend(broker=broker, spawn=spawn, batch=batch)
-
-
 register_backend("pool", PoolBackend)
-register_backend("shared-fs", _shared_fs_from_env)
-register_backend("tcp", _tcp_from_env)
+register_backend("shared-fs", partial(_queue_from_env, "shared-fs"))
+register_backend("tcp", partial(_queue_from_env, "tcp"))
 
 
 def backend_names() -> List[str]:

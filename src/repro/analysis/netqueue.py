@@ -67,6 +67,7 @@ from repro.analysis.checkpoint import record_intact
 from repro.analysis.parallel import SimulationJob, job_from_dict, job_to_dict
 from repro.analysis.resilience import RetryPolicy, job_token
 from repro.analysis.workqueue import _BEAT_FRACTION, Claim, FileQueue
+from repro.common.diskio import atomic_write_json
 from repro.common.faults import fault_point
 
 BROKER_ENV = "REPRO_BROKER"
@@ -592,10 +593,8 @@ class Broker:
         except (OSError, ValueError, json.JSONDecodeError):
             starts = 0
         starts += 1
-        from repro.analysis.workqueue import _atomic_write_json
-
         try:
-            _atomic_write_json(path, {"starts": starts})
+            atomic_write_json(path, {"starts": starts})
         except OSError:
             pass
         return starts - 1

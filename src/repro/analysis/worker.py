@@ -1,11 +1,13 @@
 """The queue worker: claim, steal, amortize, execute, publish.
 
 :func:`drain_queue` is the body of ``repro-sim worker`` and of the
-parent process's own participation in a shared-FS sweep
-(:class:`repro.analysis.backend.SharedFSBackend`).  One call drains a
-:class:`~repro.analysis.workqueue.FileQueue` until it is empty: claim a
-batch of jobs, steal from dead peers when the unclaimed pool runs dry,
-run everything, publish sealed ``done/`` records, repeat.
+parent process's own participation in a queue sweep
+(:class:`repro.analysis.backend.QueueBackend`).  One call drains a
+:class:`~repro.analysis.workqueue.FileQueue` — or a
+:class:`~repro.analysis.netqueue.NetQueue` speaking the same protocol
+to a broker — until it is empty: claim a batch of jobs, steal from dead
+peers when the unclaimed pool runs dry, run everything, publish sealed
+``done/`` records, repeat.
 
 **Batch amortization** is the perf heart of this module.  Simulation
 jobs sharing a trace are far cheaper together than apart: synthesising

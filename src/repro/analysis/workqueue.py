@@ -16,6 +16,7 @@ Directory layout under the queue root::
 
     jobs/<key>.json               submitted, unclaimed job records
     leases/<key>.g<gen>.<owner>.json   claimed: the job file, renamed
+    leases/<key>.g<gen>.<owner>.completing   a lease whose owner is publishing
     done/<key>.json               outcome records (ok or failed)
     quarantine/<key>.json         sealed poison-job forensics records
     hb/<owner>.json               per-worker heartbeat counters
@@ -43,18 +44,25 @@ Lease protocol (the part that is easy to get wrong):
    declares that owner dead and renames the lease to
    ``leases/<key>.g<gen+1>.<thief>.json``.  Renaming is the
    arbitration: one thief wins, the rest get ``FileNotFoundError``.
-4. **Complete** — write ``done/<key>.json`` (atomic replace), then
-   unlink the lease.  A worker that died between the two leaves a
-   lease pointing at a finished job; claimers and thieves check
-   ``done/`` first and simply retire such leases.
+4. **Complete** — rename the lease to its ``.completing`` name, write
+   ``done/<key>.json`` (atomic replace), then unlink the completing
+   lease.  The first rename is the one arbitration point between the
+   owner and a quarantiner (see *Poison jobs*): whichever rename lands
+   first wins the key, so it ends done or quarantined, never both.  An
+   owner that loses its lease publishes nothing unless the key is
+   already done (then its write is a last-writer-wins replace of the
+   same result).  A completing lease counts as outstanding; one whose
+   owner stopped beating is retired if the key is done, and otherwise
+   stolen like any other lease, since its result never landed.
 
 Clock-skew immunity falls out of step 3: staleness is judged purely by
 *local elapsed time since the observed counter last changed*, so hosts
 with fast, slow, or backwards clocks — and filesystems with lying
 mtimes — cannot cause a false steal or an immortal lease.  A revived
-owner whose lease was stolen discovers it harmlessly: its ``done/``
-write is idempotent (same key, same deterministic result) and its
-lease unlink finds the file already renamed away.
+owner whose lease was stolen discovers it harmlessly: its completing
+rename finds the file already renamed away, and it overwrites the
+``done/`` record only if the thief already published the same
+deterministic result.
 
 **Poison jobs.**  Steps 1–4 assume worker deaths are *about the
 worker*.  A job that reliably kills its executor (a config that
@@ -103,6 +111,9 @@ POISON_THRESHOLD_ENV = "REPRO_POISON_THRESHOLD"
 
 #: Bytes of the last owner's log captured into the forensics record.
 _LOG_TAIL_BYTES = 4096
+
+#: Suffix of a lease whose owner has started publishing its result.
+_COMPLETING = ".completing"
 
 
 def default_poison_threshold() -> int:
@@ -166,13 +177,6 @@ class Claim:
     path: Path
     generation: int
     stolen: bool = False
-
-
-def _atomic_write_json(path: Path, payload: Dict) -> None:
-    # Thin alias kept for the existing call sites (and netqueue's broker
-    # state); the sealed-write implementation lives in repro.common.diskio
-    # so every persistence module shares one audited path (RL007).
-    atomic_write_json(path, payload)
 
 
 def _load_json(path: Path) -> Optional[Dict]:
@@ -253,14 +257,14 @@ class FileQueue:
                 "token": job_token(job),
                 "job": job_to_dict(job),
             })
-            _atomic_write_json(self.jobs_dir / f"{key}.json", record)
+            atomic_write_json(self.jobs_dir / f"{key}.json", record)
             known.add(key)
             added += 1
         return added
 
     def known_keys(self) -> Set[str]:
         keys = {p.stem for p in self.jobs_dir.glob("*.json")}
-        keys |= {p.name.split(".", 1)[0] for p in self.leases_dir.glob("*.json")}
+        keys |= {key for key, _, _, _ in self.leases() + self._completing()}
         keys |= {p.stem for p in self.done_dir.glob("*.json")}
         return keys
 
@@ -287,7 +291,7 @@ class FileQueue:
         self._beats += 1
         self._last_beat = now
         try:
-            _atomic_write_json(self.hb_dir / f"{worker}.json", {"worker": worker, "beats": self._beats})
+            atomic_write_json(self.hb_dir / f"{worker}.json", {"worker": worker, "beats": self._beats})
         except OSError:
             return False
         return True
@@ -315,18 +319,15 @@ class FileQueue:
     # ------------------------------------------------------------------
     def _open_claim(self, path: Path, key: str, generation: int, stolen: bool) -> Optional[Claim]:
         record = _load_json(path)
-        if record is None or not record_intact(record) or "job" not in record:
+        job = None
+        if record is not None and record_intact(record) and "job" in record:
+            try:
+                job = job_from_dict(record["job"])
+            except (KeyError, TypeError, ValueError):
+                pass
+        if job is None:
             # A corrupt job file cannot be run; retire it loudly in the
             # counters rather than crashing the drain loop.
-            self.quarantined += 1
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return None
-        try:
-            job = job_from_dict(record["job"])
-        except (KeyError, TypeError, ValueError):
             self.quarantined += 1
             try:
                 path.unlink(missing_ok=True)
@@ -362,8 +363,10 @@ class FileQueue:
                 claims.append(claim)
         return claims
 
-    def _parse_lease(self, path: Path) -> Optional[Tuple[str, int, str]]:
-        parts = path.name[: -len(".json")].split(".")
+    @staticmethod
+    def _parse_lease(path: Path) -> Optional[Tuple[str, int, str]]:
+        """(key, generation, owner) from a ``<key>.g<gen>.<owner>.<suffix>`` name."""
+        parts = path.stem.split(".")
         if len(parts) != 3 or not parts[1].startswith("g"):
             return None
         try:
@@ -372,24 +375,34 @@ class FileQueue:
             return None
         return parts[0], generation, parts[2]
 
-    def leases(self) -> List[Tuple[str, int, str, Path]]:
-        """Every live lease as (key, generation, owner, path)."""
+    def _scan(self, directory: Path, pattern: str) -> List[Tuple[str, int, str, Path]]:
         out = []
-        for path in sorted(self.leases_dir.glob("*.json")):
+        for path in sorted(directory.glob(pattern)):
             parsed = self._parse_lease(path)
             if parsed is not None:
                 out.append((*parsed, path))
         return out
+
+    def leases(self) -> List[Tuple[str, int, str, Path]]:
+        """Every live lease as (key, generation, owner, path)."""
+        return self._scan(self.leases_dir, "*.json")
+
+    def _completing(self) -> List[Tuple[str, int, str, Path]]:
+        """Every lease whose owner is publishing (or died publishing)."""
+        return self._scan(self.leases_dir, "*" + _COMPLETING)
 
     def steal(self, worker: str, limit: int = 1) -> List[Claim]:
         """Take over up to ``limit`` leases whose owners stopped beating.
 
         Observation-only on the first sighting of any owner: a lease is
         stealable only after this instance has watched the owner's beat
-        counter stay frozen for a full TTL on its own clock.
+        counter stay frozen for a full TTL on its own clock.  A
+        completing lease left by a dead owner is retired if its key is
+        done and stolen otherwise; it is never quarantined, because its
+        last execution finished.
         """
         claims: List[Claim] = []
-        for key, generation, owner, path in self.leases():
+        for key, generation, owner, path in self.leases() + self._completing():
             if len(claims) >= limit:
                 break
             if owner == worker:
@@ -402,7 +415,7 @@ class FileQueue:
                 continue
             if not self._owner_is_stale(owner):
                 continue
-            if generation + 1 > self.poison_threshold:
+            if generation + 1 > self.poison_threshold and path.suffix != _COMPLETING:
                 # Executing this lease would be death number gen+2 for
                 # the fleet; quarantine it instead of riding the steal
                 # loop forever.
@@ -449,13 +462,21 @@ class FileQueue:
         try:
             os.rename(path, captured)
         except OSError:
-            return False  # another thief/supervisor got there first
+            return False  # another thief/supervisor, or the completing owner, got there first
+        self._seal_poison_record(key, generation, owner, captured)
+        return True
+
+    def _seal_poison_record(self, key: str, generation: int, owner: str,
+                            captured: Path, note: str = "") -> None:
+        """Write the sealed forensics record for a captured lease, then
+        drop the capture.  ``note`` extends the reason (recovery)."""
         lease = _load_json(captured) or {}
         record = seal_record({
             "key": key,
             "reason": (
                 f"poison job: {generation + 1} execution(s) each ended with a dead "
-                f"worker (lease generation {generation}, threshold {self.poison_threshold})"
+                f"worker (lease generation {generation}, threshold "
+                f"{self.poison_threshold}{note})"
             ),
             "generation": generation,
             "executions": generation + 1,
@@ -464,13 +485,12 @@ class FileQueue:
             "token": lease.get("token", ""),
             "job": lease.get("job"),
         })
-        _atomic_write_json(self.quarantine_dir / f"{key}.json", record)
+        atomic_write_json(self.quarantine_dir / f"{key}.json", record)
         try:
             captured.unlink(missing_ok=True)
         except OSError:
             pass
         self.poisoned += 1
-        return True
 
     def poison_sweep(self) -> int:
         """Quarantine every stale lease past the poison threshold.
@@ -483,42 +503,17 @@ class FileQueue:
         swept = 0
         # Recovery: a captured lease without its forensics record means
         # a quarantiner died mid-quarantine; finish its paperwork.
-        for stranded in sorted(self.quarantine_dir.glob("*.lease")):
-            parts = stranded.name[: -len(".lease")].split(".")
-            if len(parts) != 3 or not parts[1].startswith("g"):
-                continue
-            if (self.quarantine_dir / f"{parts[0]}.json").exists():
+        for key, generation, owner, stranded in self._scan(self.quarantine_dir, "*.lease"):
+            if (self.quarantine_dir / f"{key}.json").exists():
                 try:
                     stranded.unlink(missing_ok=True)
                 except OSError:
                     pass
                 continue
-            try:
-                generation = int(parts[1][1:])
-            except ValueError:
-                continue
-            lease = _load_json(stranded) or {}
-            record = seal_record({
-                "key": parts[0],
-                "reason": (
-                    f"poison job: {generation + 1} execution(s) each ended with a "
-                    f"dead worker (lease generation {generation}, threshold "
-                    f"{self.poison_threshold}; record recovered after a "
-                    "quarantiner died mid-quarantine)"
-                ),
-                "generation": generation,
-                "executions": generation + 1,
-                "last_owner": parts[2],
-                "last_worker_log_tail": self._log_tail(parts[2]),
-                "token": lease.get("token", ""),
-                "job": lease.get("job"),
-            })
-            _atomic_write_json(self.quarantine_dir / f"{parts[0]}.json", record)
-            try:
-                stranded.unlink(missing_ok=True)
-            except OSError:
-                pass
-            self.poisoned += 1
+            self._seal_poison_record(
+                key, generation, owner, stranded,
+                note="; record recovered after a quarantiner died mid-quarantine",
+            )
             swept += 1
         for key, generation, owner, path in self.leases():
             if generation + 1 <= self.poison_threshold:
@@ -561,17 +556,37 @@ class FileQueue:
     def complete(self, claim: Claim, record: Dict) -> None:
         """Publish the outcome record for a claim and retire its lease.
 
-        The ``done/`` write lands before the lease unlink, so a crash
-        between the two strands only a lease pointing at finished work —
-        which every claimer and thief retires on sight.
+        Renaming the lease to its completing name first is the single
+        arbitration point against a quarantiner's capture rename: only
+        one of the two can move the lease, so the key never ends both
+        done and quarantined.  An owner whose lease is gone (stolen,
+        quarantined, or already completed) publishes only over an
+        existing done record, keeping last-writer-wins for duplicate
+        executions.  The ``done/`` write still lands before the unlink,
+        so a crash between the two strands only a completing lease
+        pointing at finished work, which :meth:`steal` retires.
         """
         record = dict(record)
         record["key"] = claim.key
         record["generation"] = claim.generation
         seal_record(record)
-        _atomic_write_json(self.done_dir / f"{claim.key}.json", record)
+        done = self.done_dir / f"{claim.key}.json"
+        completing = claim.path.with_suffix(_COMPLETING)
         try:
-            claim.path.unlink(missing_ok=True)
+            os.rename(claim.path, completing)
+        except OSError:
+            if self.is_done(claim.key):
+                atomic_write_json(done, record)
+            return
+        try:
+            atomic_write_json(done, record)
+        except OSError:
+            # Nothing was published: hand the lease back, so the job
+            # stays stealable and its poison accounting intact.
+            os.rename(completing, claim.path)
+            raise
+        try:
+            completing.unlink(missing_ok=True)
         except OSError:
             pass
 
@@ -613,10 +628,15 @@ class FileQueue:
     # Introspection
     # ------------------------------------------------------------------
     def outstanding(self) -> Tuple[int, int]:
-        """(unclaimed job files, live leases) — (0, 0) means fully drained."""
+        """(unclaimed job files, live leases) — (0, 0) means fully drained.
+
+        A completing lease counts as live until its done record landed
+        and it was unlinked, so no drain stops with a job mid-publish.
+        """
         return (
             sum(1 for _ in self.jobs_dir.glob("*.json")),
-            sum(1 for _ in self.leases_dir.glob("*.json")),
+            sum(1 for _ in self.leases_dir.glob("*.json"))
+            + sum(1 for _ in self.leases_dir.glob("*" + _COMPLETING)),
         )
 
     def counts(self) -> Dict[str, int]:
@@ -634,7 +654,7 @@ class FileQueue:
     def write_stats(self, worker: str, stats: Dict) -> None:
         """Publish a worker's drain statistics (read by ``bench --sweep``)."""
         try:
-            _atomic_write_json(self.stats_dir / f"{worker}.json", stats)
+            atomic_write_json(self.stats_dir / f"{worker}.json", stats)
         except OSError:
             pass
 

@@ -129,24 +129,19 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _sweep_backend(args: argparse.Namespace):
-    """Resolve the sweep's --backend/--queue-* flags into a backend spec."""
-    if args.backend == "shared-fs":
-        from repro.analysis.backend import SharedFSBackend
-        from repro.analysis.workqueue import validate_queue_dir
+    """Resolve the sweep's --backend/--queue-*/--broker flags into a backend spec."""
+    if args.backend not in ("shared-fs", "tcp"):
+        if (args.queue_dir or args.queue_workers is not None or args.supervised
+                or args.poison_threshold is not None or args.broker):
+            raise ValueError(
+                "--queue-dir/--queue-workers/--supervised/--poison-threshold "
+                "require --backend shared-fs (--broker requires --backend tcp)"
+            )
+        return args.backend  # "pool" resolves via the registry; None defers to env
+    from repro.analysis.backend import QueueBackend
 
-        if args.broker:
-            raise ValueError("--broker requires --backend tcp")
-        if args.queue_dir:
-            validate_queue_dir(args.queue_dir, what="--queue-dir")
-        return SharedFSBackend(
-            queue_dir=args.queue_dir,
-            spawn=args.queue_workers,
-            batch=args.queue_batch,
-            supervise=args.supervised,
-            poison_threshold=args.poison_threshold,
-        )
+    broker = None
     if args.backend == "tcp":
-        from repro.analysis.backend import TCPBackend
         from repro.analysis.netqueue import BROKER_ENV
 
         broker = args.broker or os.environ.get(BROKER_ENV)
@@ -155,25 +150,20 @@ def _sweep_backend(args: argparse.Namespace):
                 f"--backend tcp needs a broker address: pass --broker HOST:PORT "
                 f"or set {BROKER_ENV}"
             )
-        if args.queue_dir or args.supervised or args.poison_threshold is not None:
-            raise ValueError(
-                "--queue-dir/--supervised/--poison-threshold belong to the "
-                "broker process, not a tcp sweep (start `repro-sim broker` "
-                "with them instead)"
-            )
-        # parse_broker_spec inside TCPBackend validates HOST:PORT early.
-        return TCPBackend(
-            broker=broker,
-            spawn=args.queue_workers,
-            batch=args.queue_batch,
-        )
-    if (args.queue_dir or args.queue_workers is not None or args.supervised
-            or args.poison_threshold is not None or args.broker):
-        raise ValueError(
-            "--queue-dir/--queue-workers/--supervised/--poison-threshold "
-            "require --backend shared-fs (--broker requires --backend tcp)"
-        )
-    return args.backend  # "pool" resolves via the registry; None defers to env
+    elif args.broker:
+        raise ValueError("--broker requires --backend tcp")
+    elif args.queue_dir:
+        from repro.analysis.workqueue import validate_queue_dir
+
+        validate_queue_dir(args.queue_dir, what="--queue-dir")
+    return QueueBackend(
+        queue_dir=args.queue_dir,
+        spawn=args.queue_workers,
+        batch=args.queue_batch,
+        supervise=args.supervised,
+        poison_threshold=args.poison_threshold,
+        broker=broker,
+    )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -750,12 +740,13 @@ def _bench_sweep(args: argparse.Namespace, lint_health: dict | None = None) -> i
     from I/O overlap and amortization, not parallel simulation — the
     report must let a reader see that.
     """
+    import contextlib
     import json
     import os
     import tempfile
     import time
 
-    from repro.analysis.backend import SharedFSBackend
+    from repro.analysis.backend import QueueBackend
     from repro.analysis.parallel import SimulationJob, run_jobs
     from repro.analysis.result_cache import ResultCache
 
@@ -810,92 +801,66 @@ def _bench_sweep(args: argparse.Namespace, lint_health: dict | None = None) -> i
     cache_stats = None
     queue_quarantined = 0
     queue_poisoned = 0
-    for n_workers in worker_counts:
-        with tempfile.TemporaryDirectory() as scratch:
-            backend = SharedFSBackend(
-                queue_dir=scratch + "/queue",
+    transport_health = None
+    # The same grid through the shared-FS queue at each worker count,
+    # then through an in-process TCP broker, so the report shows what
+    # the network hop costs relative to the directory queue and records
+    # transport health (a clean bench must show zero reconnects/replays;
+    # a noisy host shows up here, not as a silent throughput dip).
+    for n_workers, over_tcp in [(n, False) for n in worker_counts] + [(2, True)]:
+        with tempfile.TemporaryDirectory() as scratch, contextlib.ExitStack() as stack:
+            address = None
+            if over_tcp:
+                from repro.analysis.netqueue import Broker
+                from repro.analysis.workqueue import FileQueue
+
+                broker = Broker(FileQueue(scratch + "/queue", lease_ttl=15.0),
+                                host="127.0.0.1", port=0)
+                broker.start()
+                broker.serve_in_thread()
+                stack.callback(broker.stop)
+                address = f"127.0.0.1:{broker.port}"
+            backend = QueueBackend(
+                queue_dir=None if over_tcp else scratch + "/queue",
+                broker=address,
                 spawn=n_workers - 1,
                 lease_ttl=15.0,
                 batch=max(2, len(jobs) // (2 * n_workers)),
             )
-            cache = None if args.no_cache else ResultCache(args.cache_dir or scratch + "/cache")
+            cache = None
+            if not (args.no_cache or over_tcp):
+                cache = ResultCache(args.cache_dir or scratch + "/cache")
             t0 = time.perf_counter()
             results = run_jobs(jobs, workers=1, cache=cache, backend=backend)
             seconds = time.perf_counter() - t0
             identical = identical and fingerprints(results) == expected
             stats_list = backend.last_worker_stats or [backend.last_parent_stats]
-            queue_quarantined += backend.last_counts.get("quarantined", 0)
-            queue_poisoned += backend.last_counts.get("poisoned", 0)
             if cache is not None:
                 cache_stats = cache.stats
-            label = f"shared-fs[{n_workers}w]"
-            drains.append(
-                {
-                    "label": label,
-                    "workers": n_workers,
-                    "seconds": round(seconds, 3),
-                    "jobs_per_sec": round(len(jobs) / seconds, 3),
-                    "speedup_vs_serial": round(t_serial / seconds, 2),
-                    "amortization_first_vs_rest": amortization(stats_list),
-                    "trace_reuses": sum(s.get("trace_reuses", 0) for s in stats_list),
-                    "stolen": sum(s.get("stolen", 0) for s in stats_list),
-                    "queue_counts": backend.last_counts,
-                    "worker_stats": stats_list,
-                }
-            )
+            label = f"{backend.name}[{n_workers}w]"
+            drain = {
+                "label": label,
+                "workers": n_workers,
+                "seconds": round(seconds, 3),
+                "jobs_per_sec": round(len(jobs) / seconds, 3),
+                "speedup_vs_serial": round(t_serial / seconds, 2),
+                "amortization_first_vs_rest": amortization(stats_list),
+                "trace_reuses": sum(s.get("trace_reuses", 0) for s in stats_list),
+                "stolen": sum(s.get("stolen", 0) for s in stats_list),
+            }
+            if over_tcp:
+                transport_health = drain["transport"] = dict(backend.last_transport)
+            else:
+                queue_quarantined += backend.last_counts.get("quarantined", 0)
+                queue_poisoned += backend.last_counts.get("poisoned", 0)
+                drain["queue_counts"] = backend.last_counts
+            drain["worker_stats"] = stats_list
+            drains.append(drain)
             print(
                 f"{label:13s} {len(jobs)} jobs in {seconds:.2f}s "
                 f"({t_serial / seconds:.2f}x vs serial, "
                 f"amortization {amortization(stats_list)})"
             )
-
-    # TCP drain: same grid through an in-process broker, so the report
-    # shows what the network hop costs relative to the shared-FS queue
-    # and records transport health (a clean bench must show zero
-    # reconnects/replays; a noisy host shows up here, not as a silent
-    # throughput dip).
-    transport_health = None
-    with tempfile.TemporaryDirectory() as scratch:
-        from repro.analysis.backend import TCPBackend
-        from repro.analysis.netqueue import Broker
-        from repro.analysis.workqueue import FileQueue
-
-        broker = Broker(FileQueue(scratch + "/queue", lease_ttl=15.0), host="127.0.0.1", port=0)
-        broker.start()
-        broker.serve_in_thread()
-        try:
-            backend = TCPBackend(
-                broker=f"127.0.0.1:{broker.port}",
-                spawn=1,
-                batch=max(2, len(jobs) // 4),
-            )
-            t0 = time.perf_counter()
-            results = run_jobs(jobs, workers=1, backend=backend)
-            seconds = time.perf_counter() - t0
-            identical = identical and fingerprints(results) == expected
-            stats_list = backend.last_worker_stats or [backend.last_parent_stats]
-            transport_health = dict(backend.last_transport)
-            drains.append(
-                {
-                    "label": "tcp[2w]",
-                    "workers": 2,
-                    "seconds": round(seconds, 3),
-                    "jobs_per_sec": round(len(jobs) / seconds, 3),
-                    "speedup_vs_serial": round(t_serial / seconds, 2),
-                    "amortization_first_vs_rest": amortization(stats_list),
-                    "trace_reuses": sum(s.get("trace_reuses", 0) for s in stats_list),
-                    "stolen": sum(s.get("stolen", 0) for s in stats_list),
-                    "transport": transport_health,
-                    "worker_stats": stats_list,
-                }
-            )
-            print(
-                f"{'tcp[2w]':13s} {len(jobs)} jobs in {seconds:.2f}s "
-                f"({t_serial / seconds:.2f}x vs serial, "
-                f"amortization {amortization(stats_list)})"
-            )
-        finally:
-            broker.stop()
 
     report = {
         "workloads": workloads,

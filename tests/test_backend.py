@@ -1,28 +1,34 @@
 """ExecutionBackend contract: selection, equivalence, resume, failure flow.
 
 The load-bearing assertion, repeated from several angles: **swapping
-backends never changes results**.  A batch through the shared-FS queue
-must be bit-identical to the same batch run serially in-process, with
-the same cache writes, the same journal lines, and the same failure
-records.
+backends never changes results**.  A batch through a queue, in a shared
+directory or behind a broker, must be bit-identical to the same batch
+run serially in-process, with the same cache writes, the same journal
+lines, and the same failure records.
 """
+
+import inspect
+import sys
+import tempfile
 
 import pytest
 
 from repro.analysis.backend import (
     ExecutionBackend,
     PoolBackend,
-    SharedFSBackend,
+    QueueBackend,
     backend_names,
     register_backend,
     resolve_backend,
 )
 from repro.analysis.checkpoint import RunJournal
+from repro.analysis.netqueue import Broker
 from repro.analysis.parallel import SimulationJob, job_from_dict, job_to_dict, run_jobs
 from repro.analysis.resilience import NO_RETRY, JobsFailedError, RetryPolicy
 from repro.analysis.result_cache import ResultCache
+from repro.analysis.workqueue import FileQueue
 from repro.common.config import FilterKind, SimulationConfig
-from repro.common.faults import inject_faults
+from repro.common.faults import FaultInjected, inject_faults
 
 N = 2_000
 
@@ -57,7 +63,7 @@ def _backend(tmp_path, **kwargs):
     kwargs.setdefault("spawn", 0)  # in-process drains keep the suite fast
     kwargs.setdefault("lease_ttl", 5.0)
     kwargs.setdefault("queue_dir", tmp_path / "queue")
-    return SharedFSBackend(**kwargs)
+    return QueueBackend(**kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -70,7 +76,7 @@ def test_resolve_defaults_to_none_without_env(monkeypatch):
 
 def test_resolve_by_name_and_instance(tmp_path):
     assert isinstance(resolve_backend("pool"), PoolBackend)
-    assert isinstance(resolve_backend("shared-fs"), SharedFSBackend)
+    assert isinstance(resolve_backend("shared-fs"), QueueBackend)
     instance = _backend(tmp_path)
     assert resolve_backend(instance) is instance
 
@@ -82,11 +88,27 @@ def test_resolve_env_configures_shared_fs(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_LEASE_TTL", "7.5")
     monkeypatch.setenv("REPRO_QUEUE_BATCH", "3")
     backend = resolve_backend(None)
-    assert isinstance(backend, SharedFSBackend)
+    assert isinstance(backend, QueueBackend)
     assert backend.queue_dir == tmp_path / "q"
     assert backend.spawn == 0
     assert backend.lease_ttl == 7.5
     assert backend.batch == 3
+
+
+def test_resolve_env_configures_tcp(monkeypatch):
+    monkeypatch.delenv("REPRO_BROKER", raising=False)
+    with pytest.raises(ValueError, match="REPRO_BROKER"):
+        resolve_backend("tcp")
+    monkeypatch.setenv("REPRO_BROKER", "127.0.0.1:7070")
+    monkeypatch.setenv("REPRO_QUEUE_WORKERS", "0")
+    monkeypatch.setenv("REPRO_QUEUE_BATCH", "3")
+    backend = resolve_backend("tcp")
+    assert isinstance(backend, QueueBackend) and backend.name == "tcp"
+    assert backend.broker == "127.0.0.1:7070"
+    assert backend.spawn == 0 and backend.batch == 3
+    monkeypatch.setenv("REPRO_QUEUE_BATCH", "lots")
+    with pytest.raises(ValueError, match="REPRO_QUEUE_BATCH"):
+        resolve_backend("tcp")
 
 
 def test_unknown_backend_name_fails_loudly(monkeypatch):
@@ -251,6 +273,84 @@ def test_nested_inside_pool_worker_degrades_to_serial(tmp_path, monkeypatch):
 
 def test_shared_fs_rejects_bad_knobs(tmp_path):
     with pytest.raises(ValueError):
-        SharedFSBackend(queue_dir=tmp_path, spawn=-1)
+        QueueBackend(queue_dir=tmp_path, spawn=-1)
     with pytest.raises(ValueError):
-        SharedFSBackend(queue_dir=tmp_path, batch=0)
+        QueueBackend(queue_dir=tmp_path, batch=0)
+
+
+# ----------------------------------------------------------------------
+# The same contract with the queue behind a broker
+# ----------------------------------------------------------------------
+#: Client retries fast enough for an in-process broker.
+NET_FAST = RetryPolicy(max_attempts=6, **FAST)
+
+
+def _start_broker(queue_dir, lease_ttl=5.0):
+    broker = Broker(FileQueue(queue_dir, lease_ttl=lease_ttl), host="127.0.0.1", port=0)
+    broker.start()
+    broker.serve_in_thread()
+    return broker
+
+
+class _Brokers:
+    """``_backend`` with every queue dir served by an in-process broker
+    (one per dir, so reusing a dir reaches the same queue)."""
+
+    def __init__(self):
+        self.running = {}
+
+    def backend(self, tmp_path, **kwargs):
+        kwargs.setdefault("spawn", 0)
+        lease_ttl = kwargs.pop("lease_ttl", 5.0)
+        queue_dir = kwargs.pop("queue_dir", tmp_path / "queue")
+        if queue_dir not in self.running:
+            self.running[queue_dir] = _start_broker(queue_dir, lease_ttl)
+        port = self.running[queue_dir].port
+        return QueueBackend(broker=f"127.0.0.1:{port}", retry=NET_FAST, **kwargs)
+
+    def stop(self):
+        for broker in self.running.values():
+            broker.stop()
+
+
+@pytest.mark.parametrize("contract", [
+    test_shared_fs_matches_serial_bit_for_bit,
+    test_shared_fs_feeds_cache_and_journal,
+    test_reusing_a_queue_dir_resumes_without_rerunning,
+    test_duplicate_jobs_in_one_batch_share_one_execution,
+    test_persistent_failure_is_reported_not_hung,
+    test_transient_fault_is_retried_to_success_through_the_queue,
+    test_failed_jobs_raise_jobs_failed_error_like_other_backends,
+    test_failure_attempt_history_survives_the_queue,
+    test_nested_inside_pool_worker_degrades_to_serial,
+], ids=lambda test: test.__name__)
+def test_contract_holds_over_a_broker(contract, request, monkeypatch):
+    """Each directory-queue contract test above, rerun with ``_backend``
+    draining through a broker instead."""
+    brokers = _Brokers()
+    monkeypatch.setattr(sys.modules[__name__], "_backend", brokers.backend)
+    try:
+        contract(*[request.getfixturevalue(name)
+                   for name in inspect.signature(contract).parameters])
+    finally:
+        brokers.stop()
+    assert brokers.running, "the contract never drained through a broker"
+
+
+def test_queue_drains_leave_no_scratch_behind(tmp_path, monkeypatch):
+    """A broker drain removes its spawned workers' log directory, and a
+    throwaway directory queue is removed even when the drain raises."""
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    broker = _start_broker(tmp_path / "broker-queue")
+    try:
+        backend = QueueBackend(broker=f"127.0.0.1:{broker.port}", spawn=1, retry=NET_FAST)
+        assert len(run_jobs(_jobs(2), workers=1, backend=backend)) == 2
+    finally:
+        broker.stop()
+    with inject_faults("raise@worker-death"):
+        with pytest.raises(FaultInjected):
+            run_jobs(_jobs(2), workers=1, backend=QueueBackend(spawn=0))
+    assert list(scratch.glob("repro-net-logs-*")) == []
+    assert list(scratch.glob("repro-queue-*")) == []

@@ -22,7 +22,7 @@ import threading
 import time
 from pathlib import Path
 
-from repro.analysis.backend import TCPBackend
+from repro.analysis.backend import QueueBackend
 from repro.analysis.checkpoint import RunJournal
 from repro.analysis.parallel import SimulationJob, run_jobs
 from repro.analysis.resilience import RetryPolicy
@@ -147,7 +147,7 @@ def test_tcp_sweep_survives_broker_sigkill_and_resumes(tmp_path):
     os.environ["REPRO_NET_RETRIES"] = "3"  # spawned workers give up fast
     try:
         with inject_faults(client_plan, seed=11):
-            backend = TCPBackend(
+            backend = QueueBackend(
                 broker=f"127.0.0.1:{broker.port}", spawn=2, batch=2,
                 poll=0.05, retry=NET_FAST,
             )
@@ -181,7 +181,7 @@ def test_tcp_sweep_survives_broker_sigkill_and_resumes(tmp_path):
         # bit-identical, and the journal records each job exactly once
         broker2 = _start_broker(queue_root)
         try:
-            resumed_backend = TCPBackend(
+            resumed_backend = QueueBackend(
                 broker=f"127.0.0.1:{broker2.port}", spawn=2, batch=2,
                 poll=0.05, retry=NET_FAST,
             )

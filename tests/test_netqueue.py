@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.analysis.backend import TCPBackend
+from repro.analysis.backend import QueueBackend
 from repro.analysis.netqueue import (
     Broker,
     BrokerError,
@@ -224,7 +224,7 @@ def _fingerprints(results):
 def test_drain_over_tcp_matches_serial(broker):
     jobs = _jobs(6)
     serial = run_jobs(jobs, workers=1)
-    backend = TCPBackend(broker=f"127.0.0.1:{broker.port}", spawn=0, batch=3, retry=FAST)
+    backend = QueueBackend(broker=f"127.0.0.1:{broker.port}", spawn=0, batch=3, retry=FAST)
     report = execute_batch(jobs, backend=backend)
     assert _fingerprints(report.results) == _fingerprints(serial)
     assert report.degradations == []

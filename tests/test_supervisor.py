@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.backend import SharedFSBackend
+from repro.analysis.backend import QueueBackend
 from repro.analysis.checkpoint import RunJournal
 from repro.analysis.parallel import SimulationJob, run_jobs
 from repro.analysis.resilience import RetryPolicy
@@ -158,7 +158,7 @@ def test_shared_fs_deadline_degrades_then_resume_completes(tmp_path):
     jobs = _jobs(range(6))
     serial = [_fingerprint(r) for r in run_jobs(jobs, workers=1, policy=FAST)]
     journal = RunJournal(tmp_path / "j.jsonl")
-    backend = SharedFSBackend(
+    backend = QueueBackend(
         queue_dir=tmp_path / "q", spawn=0, lease_ttl=5.0, batch=2, poll=0.05, deadline=0.0
     )
     report = run_jobs(
@@ -168,7 +168,7 @@ def test_shared_fs_deadline_degrades_then_resume_completes(tmp_path):
     assert sum(1 for o in report.outcomes if o.unclaimed) == 6
     assert any("unclaimed" in e for e in report.degradations)
     # resume against the same queue dir: completes, bit-identical to serial
-    resumed = SharedFSBackend(
+    resumed = QueueBackend(
         queue_dir=tmp_path / "q", spawn=0, lease_ttl=5.0, batch=2, poll=0.05
     )
     results = run_jobs(jobs, workers=1, journal=journal, policy=FAST, backend=resumed)
@@ -185,7 +185,7 @@ def test_supervised_sweep_survives_poison_death_and_pressure(tmp_path):
 
     journal = RunJournal(tmp_path / "journal.jsonl")
     queue_root = tmp_path / "queue"
-    backend = SharedFSBackend(
+    backend = QueueBackend(
         queue_dir=queue_root, spawn=3, lease_ttl=0.5, batch=2, poll=0.05,
         poison_threshold=2, supervise=True, max_restarts=8,
     )

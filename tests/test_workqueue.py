@@ -7,12 +7,16 @@ lease TTLs.  Chaos paths that need actual workers live in
 ``test_worker_chaos.py``.
 """
 
+import dataclasses
+import errno
 import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.analysis import workqueue
 from repro.analysis.parallel import SimulationJob
 from repro.analysis.workqueue import Claim, FileQueue, new_worker_id
 from repro.common.config import FilterKind, SimulationConfig
@@ -363,6 +367,111 @@ def test_resubmitting_a_quarantined_job_requeues_it(tmp_path):
     assert q.submit(jobs) == 1  # quarantined keys are not "known"
     (again,) = q.claim("w3", limit=1)
     assert again.key == claim.key and again.generation == 0
+
+
+# ----------------------------------------------------------------------
+# Completion versus quarantine: one arbitration point
+# ----------------------------------------------------------------------
+_OK = {"ok": True, "result": {}, "attempts": []}
+
+
+def _lease_past_the_threshold(tmp_path):
+    """An owner's queue holding one lease at generation 1 (threshold 1)."""
+    owner = FileQueue(tmp_path / "q", lease_ttl=0.2, poison_threshold=1)
+    owner.submit(_jobs(1))
+    (claim,) = owner.claim("w0", limit=1)
+    lease = owner.leases_dir / f"{claim.key}.g1.w0.json"
+    os.rename(claim.path, lease)  # as if stolen once already
+    return owner, dataclasses.replace(claim, path=lease, generation=1)
+
+
+@pytest.mark.parametrize("quarantine", [
+    lambda q: q.poison_sweep(),
+    lambda q: q.steal("w9", limit=1),
+], ids=["poison_sweep", "steal"])
+def test_completion_inside_the_quarantine_window_ends_done_xor_quarantined(
+    tmp_path, monkeypatch, quarantine
+):
+    """The owner completes between a quarantiner's ``is_done`` check and
+    its capture rename, with its lease unlink held back as in the real
+    interleaving — the window that used to leave a key both done and
+    quarantined."""
+    owner, claim = _lease_past_the_threshold(tmp_path)
+    quarantiner = FileQueue(tmp_path / "q", lease_ttl=0.2, poison_threshold=1)
+    monkeypatch.setattr(quarantiner, "_owner_is_stale", lambda name: True)
+    real_is_done, real_unlink = quarantiner.is_done, Path.unlink
+    held = []
+
+    def is_done_while_the_owner_completes(key):
+        seen = real_is_done(key)
+        with monkeypatch.context() as m:
+            m.setattr(Path, "unlink", lambda path, missing_ok=False: held.append(path))
+            owner.complete(claim, _OK)
+        return seen
+
+    monkeypatch.setattr(quarantiner, "is_done", is_done_while_the_owner_completes)
+    quarantine(quarantiner)
+    for path in held:
+        real_unlink(path, missing_ok=True)
+    done = owner.is_done(claim.key)
+    quarantined = owner.quarantine_record(claim.key) is not None
+    assert done != quarantined, "a key is both done and quarantined (or neither)"
+    assert owner.outstanding() == (0, 0)
+
+
+def test_an_owner_whose_lease_was_quarantined_publishes_nothing(tmp_path):
+    owner, claim = _lease_past_the_threshold(tmp_path)
+    sup = FileQueue(tmp_path / "q", lease_ttl=0.2, poison_threshold=1)
+    sup.poison_sweep()
+    time.sleep(0.25)
+    assert sup.poison_sweep() == 1
+    owner.complete(claim, _OK)  # the owner revives after the capture
+    assert not owner.is_done(claim.key)
+    assert owner.quarantine_record(claim.key) is not None
+    assert owner.outstanding() == (0, 0)
+
+
+def test_a_failed_done_write_hands_the_lease_back(queue, monkeypatch):
+    queue.submit(_jobs(1))
+    (claim,) = queue.claim("w1", limit=1)
+
+    def disk_full(path, payload):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(workqueue, "atomic_write_json", disk_full)
+    with pytest.raises(OSError):
+        queue.complete(claim, _OK)
+    assert claim.path.exists()  # still a plain lease: stealable, poison-counted
+    assert not queue.is_done(claim.key)
+    assert queue.outstanding() == (0, 1)
+
+
+def test_a_dead_owners_completing_lease_is_retired_or_stolen(tmp_path, monkeypatch):
+    """An owner that died mid-publish strands a completing lease: after
+    its done write it is retired on sight, before it a thief steals it
+    once the owner looks dead.  Either way the key is never lost."""
+    q = FileQueue(tmp_path / "q", lease_ttl=0.2, poison_threshold=1)
+    jobs = _jobs(2)
+    q.submit(jobs)
+    published, unpublished = q.claim("w0", limit=2)
+    with monkeypatch.context() as m:
+        m.setattr(Path, "unlink", lambda path, missing_ok=False: None)
+        q.complete(published, _OK)  # died after the done write
+    os.rename(unpublished.path, unpublished.path.with_suffix(".completing"))
+    assert q.outstanding() == (0, 2)  # no drain may stop mid-publish
+    assert q.known_keys() == {j.key() for j in jobs}
+    assert q.submit(jobs) == 0
+
+    thief = FileQueue(tmp_path / "q", lease_ttl=0.2, poison_threshold=1)
+    assert thief.steal("w1", limit=2) == []  # first sighting of w0
+    assert q.outstanding() == (0, 1)  # the published key's lease is retired
+    time.sleep(0.25)
+    (stolen,) = thief.steal("w1", limit=2)
+    assert stolen.key == unpublished.key and stolen.generation == 1 and stolen.stolen
+    thief.complete(stolen, _OK)
+    assert q.outstanding() == (0, 0)
+    assert q.is_done(published.key) and q.is_done(unpublished.key)
+    assert q.collect_quarantined() == {}
 
 
 # ----------------------------------------------------------------------
