@@ -29,7 +29,6 @@ resume retries every failure.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import uuid
@@ -37,7 +36,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.result_cache import (
+    DIGEST_KEY,
     default_cache_dir,
+    payload_digest,
     result_from_dict,
     result_to_dict,
 )
@@ -46,29 +47,17 @@ from repro.core.simulator import SimulationResult
 
 _RECORD_VERSION = 1
 
-#: Per-line integrity field.  Records written before this field existed
-#: have no digest and are accepted as legacy; a *wrong* digest is always
-#: quarantined.
-_DIGEST_KEY = "sha256"
-
-
-def _record_digest(record: Dict[str, Any]) -> str:
-    """Canonical SHA-256 of a journal record, digest field excluded."""
-    body = {k: v for k, v in record.items() if k != _DIGEST_KEY}
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
 
 def seal_record(record: Dict[str, Any]) -> Dict[str, Any]:
     """Stamp a record with the version tag and its own integrity digest.
 
     The journal's per-line format doubles as the shared-FS work queue's
     per-file format (job files, done records): one JSON object carrying
-    a ``sha256`` of its own canonical encoding.  Mutates and returns
-    ``record`` for call-site convenience.
+    a ``sha256`` of its own canonical encoding, the result cache's entry
+    digest.  Mutates and returns ``record`` for call-site convenience.
     """
     record["v"] = _RECORD_VERSION
-    record[_DIGEST_KEY] = _record_digest(record)
+    record[DIGEST_KEY] = payload_digest(record)
     return record
 
 
@@ -76,10 +65,10 @@ def record_intact(record: Dict[str, Any]) -> bool:
     """Whether a sealed record's digest matches its content.
 
     Records without a digest predate per-record integrity and are
-    accepted as legacy, mirroring :meth:`RunJournal.load`.
+    accepted as legacy; a *wrong* digest is always quarantined.
     """
-    stored = record.get(_DIGEST_KEY)
-    return stored is None or stored == _record_digest(record)
+    stored = record.get(DIGEST_KEY)
+    return stored is None or stored == payload_digest(record)
 
 
 def runs_dir() -> Path:
@@ -166,8 +155,7 @@ class RunJournal:
                         continue  # torn/corrupt line: skip, keep replaying
                     if not isinstance(record, dict) or "key" not in record or "ok" not in record:
                         continue
-                    stored = record.get(_DIGEST_KEY)
-                    if stored is not None and stored != _record_digest(record):
+                    if not record_intact(record):
                         self._quarantined_lines.add(lineno)
                         continue
                     records[record["key"]] = record

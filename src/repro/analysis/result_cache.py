@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.common.config import SimulationConfig
-from repro.common.diskio import PressureGuard, atomic_write_json, sweep_stale_tmp
+from repro.common.diskio import PressureGuard, atomic_write_json, parse_size, sweep_stale_tmp
 from repro.common.faults import fault_point
 from repro.common.stats import Stats
 from repro.core.classifier import PrefetchTally
@@ -172,29 +172,13 @@ _BUDGET_ENV = "REPRO_CACHE_BUDGET"
 def parse_budget(text: Optional[str]) -> Optional[int]:
     """Parse a size budget: bytes with an optional k/m/g suffix.
 
-    ``None``/empty means no budget.  A malformed or nonpositive value
-    raises — a user who sets ``REPRO_CACHE_BUDGET=10gb`` wants a bounded
-    cache, not a silently unbounded one.
+    ``None``/empty means no budget.  A malformed, non-finite or
+    nonpositive value raises — a user who sets ``REPRO_CACHE_BUDGET=10gb``
+    wants a bounded cache, not a silently unbounded one.
     """
-    if text is None:
+    if text is None or not str(text).strip():
         return None
-    raw = str(text).strip().lower()
-    if not raw:
-        return None
-    multiplier = 1
-    if raw[-1] in "kmg":
-        multiplier = {"k": 1024, "m": 1024**2, "g": 1024**3}[raw[-1]]
-        raw = raw[:-1]
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"cache budget must be bytes with an optional k/m/g suffix (got {text!r})"
-        ) from None
-    budget = int(value * multiplier)
-    if budget <= 0:
-        raise ValueError(f"cache budget must be positive (got {text!r})")
-    return budget
+    return parse_size(str(text), what="cache budget")
 
 
 def default_budget() -> Optional[int]:

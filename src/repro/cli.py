@@ -455,8 +455,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     Three gates, all of which must pass for exit 0: pipeline-vs-kernel
     parity within the documented tolerance, cc-vs-interp kernel parity
     bit-for-bit (the C leg ports the Python leg, so any drift at all is
-    a porting bug; skipped with the reason when no C compiler builds
-    the cc leg), and the golden corpus replay (unless skipped).
+    a porting bug; skipped with the reason when the cc leg cannot be
+    built here, failed when a compiler rejects its source), and the
+    golden corpus replay (unless skipped).
     """
     from pathlib import Path
 

@@ -118,7 +118,8 @@ MAX_RSS_ENV = "REPRO_MAX_RSS"
 
 
 def parse_size(text: str, what: str = "size") -> int:
-    """Parse a byte count with an optional ``k``/``m``/``g`` suffix."""
+    """Parse a byte count with an optional ``k``/``m``/``g`` suffix; a
+    malformed, non-finite or nonpositive count raises ``ValueError``."""
     raw = text.strip().lower()
     multiplier = 1
     for suffix, factor in (("k", 1024), ("m", 1024**2), ("g", 1024**3)):
@@ -128,7 +129,7 @@ def parse_size(text: str, what: str = "size") -> int:
             break
     try:
         value = int(float(raw) * multiplier)
-    except ValueError:
+    except (ValueError, OverflowError):  # int() of nan / inf
         raise ValueError(
             f"{what} must be a byte count with an optional k/m/g suffix, got {text!r}"
         ) from None

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
 _GOLDEN64 = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
@@ -61,32 +59,6 @@ def table_index(value: int, table_entries: int, scheme: str = "fold_xor") -> int
     except KeyError:
         raise ValueError(f"unknown hash scheme {scheme!r}; choose from {sorted(_HASHES)}") from None
     return fn(value, bits)
-
-
-def table_index_array(values: np.ndarray, table_entries: int, scheme: str = "fold_xor") -> np.ndarray:
-    """Vectorised :func:`table_index`: map a whole array of keys at once.
-
-    Element-for-element identical to the scalar function (the kernel engine
-    precomputes filter-table indices for a whole trace this way).
-    Returns an ``int64`` array of indices in ``[0, table_entries)``.
-    """
-    bits = table_entries.bit_length() - 1
-    v = np.ascontiguousarray(values, dtype=np.uint64)
-    if bits == 0:
-        return np.zeros(len(v), dtype=np.int64)
-    if scheme == "modulo":
-        return (v & np.uint64(table_entries - 1)).astype(np.int64)
-    if scheme == "multiplicative":
-        return ((v * np.uint64(_GOLDEN64)) >> np.uint64(64 - bits)).astype(np.int64)
-    if scheme != "fold_xor":
-        raise ValueError(f"unknown hash scheme {scheme!r}; choose from {sorted(_HASHES)}")
-    v = v.copy()
-    out = np.zeros(len(v), dtype=np.uint64)
-    shift = np.uint64(bits)
-    while v.any():
-        out ^= v
-        v >>= shift
-    return (out & np.uint64((1 << bits) - 1)).astype(np.int64)
 
 
 def available_schemes() -> tuple[str, ...]:

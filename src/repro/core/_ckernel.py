@@ -13,7 +13,8 @@ Everything here is best-effort: :func:`load` returns the bound entry
 point or ``None`` (no compiler, compile failure, unwritable cache dir,
 dlopen failure) and the engine falls back to the interpreted leg.
 Failures are remembered for the process so a missing compiler is probed
-exactly once.
+exactly once.  The gates tell the failures apart through
+:func:`rejected`: no compiler skips them, a rejected source fails them.
 
 The exported symbol has the exact argument order of
 :func:`repro.core.kernels.kernel_span`; :func:`load` returns a wrapper
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import inspect
 import os
 import shutil
 import subprocess
@@ -35,28 +37,14 @@ from repro.core import kernels as _k
 
 _CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Names whose values are mirrored into the C source as ``#define``s.
-_SHARED_CONSTANTS = (
-    "K_RH", "K_RM", "K_WH", "K_WM", "K_FU", "K_DUP1", "K_EV", "K_EVU",
-    "K_EVN", "K_PF1", "K_DF1", "K_L2RH", "K_L2RM", "K_L2DUP", "K_L2EV",
-    "K_L2DF", "K_B1D", "K_B1P", "K_B1W", "K_BMD", "K_BMP", "K_BMW",
-    "K_NSPM", "K_NSPT", "K_SDPI", "K_SDPS", "K_SDPL", "K_SDPC", "K_SWX",
-    "K_FA", "K_FR", "K_FBG", "K_FBB", "K_TLG", "K_TLB", "K_TTG", "K_TTB",
-    "T_GEN", "T_SQ", "T_FLT", "T_DRP", "T_ISS", "T_GOOD", "T_BAD",
-    "P_W1", "P_L1MASK", "P_W2", "P_L2MASK", "P_WB", "P_NSP", "P_SDP",
-    "P_DEGREE", "P_TAGF", "P_FMODE", "P_THRESH", "P_MAXV", "P_TBITS",
-    "P_SCHEME", "P_SDPHASH", "P_NMEM", "P_DIRMASK", "P_AWMASK", "P_STORE",
-    "P_SWPF",
-    "FMODE_NULL", "FMODE_TABLE",
-    "SCHEME_MODULO", "SCHEME_FOLD_XOR", "SCHEME_MULTIPLICATIVE",
-    "S_SDP_LAST", "MAP_EMPTY", "MAP_TOMB",
-)
-
-
 def _defines() -> str:
-    lines = [f"#define {name} {getattr(_k, name)}" for name in _SHARED_CONSTANTS]
-    lines.append(f"#define GOLDEN64 {_k.GOLDEN64}ULL")
-    return "\n".join(lines) + "\n"
+    """One ``#define`` per upper-case int constant of the kernels module,
+    in definition order (``ULL`` on the one that needs 64 unsigned bits)."""
+    return "".join(
+        f"#define {name} {value}{'ULL' if value >= 1 << 63 else ''}\n"
+        for name, value in vars(_k).items()
+        if name.isupper() and isinstance(value, int)
+    )
 
 
 _BODY = r"""
@@ -64,28 +52,21 @@ _BODY = r"""
 
 typedef struct {
     int64_t *l1_tag; uint8_t *l1_dirty; uint8_t *l1_pib; uint8_t *l1_rib;
-    uint8_t *l1_nsp; uint8_t *l1_src; int64_t *l1_tpc; int64_t *l1_fid;
-    int64_t *l1_stamp;
+    uint8_t *l1_nsp; uint8_t *l1_src; int64_t *l1_fid; int64_t *l1_stamp;
     int64_t *l2_tag; uint8_t *l2_dirty; int64_t *l2_stamp;
     int64_t *dir_key; int64_t *dir_shadow; uint8_t *dir_conf;
     int64_t *aw_key; int64_t *aw_val;
     int64_t *tvals; int64_t *K; int64_t *T;
-    int64_t W1, l1_mask, W2, l2_mask, fmode, thresh, maxv;
-    int64_t dir_mask, aw_mask, sdp_on, tagf;
+    int64_t W1, l1_mask, W2, l2_mask, fmode, thresh, maxv, tbits, key_pc;
+    int64_t dir_mask, aw_mask, sdp_on, nsp_on;
 } St;
 
-static int64_t table_hash(int64_t value, int64_t bits, int64_t scheme) {
+/* Unsigned, so a key with bit 63 set shifts down to 0 and the fold ends. */
+static int64_t table_hash(uint64_t key, int64_t bits) {
+    uint64_t folded = 0;
     if (bits <= 0) return 0;
-    if (scheme == SCHEME_MODULO) return value & ((1LL << bits) - 1);
-    if (scheme == SCHEME_FOLD_XOR) {
-        int64_t v = value, folded = 0;
-        while (v != 0) { folded ^= v; v >>= bits; }
-        return folded & ((1LL << bits) - 1);
-    }
-    {
-        uint64_t u = (uint64_t)value * GOLDEN64;
-        return (int64_t)(u >> (64 - bits));
-    }
+    while (key != 0) { folded ^= key; key >>= bits; }
+    return (int64_t)(folded & ((1ULL << bits) - 1));
 }
 
 static int64_t probe_start(int64_t key, int64_t mask) {
@@ -214,8 +195,7 @@ static void l2_writeback(St *st, int64_t vline, int64_t tick) {
 }
 
 static void l1_fill(St *st, int64_t fline, int64_t fpib, int64_t fsrc,
-                    int64_t ftpc, int64_t ffid, int64_t fnsp, int64_t fdirty,
-                    int64_t tick) {
+                    int64_t ffid, int64_t fnsp, int64_t fdirty, int64_t tick) {
     int64_t vdirty = 0, vtag = -1, vw;
     if (st->W1 == 1) {
         vw = fline & st->l1_mask;
@@ -240,14 +220,7 @@ static void l1_fill(St *st, int64_t fline, int64_t fpib, int64_t fsrc,
         int64_t b = (fline & st->l1_mask) * st->W1;
         int64_t inv = -1, w;
         for (w = b; w < b + st->W1; w++) {
-            int64_t t = st->l1_tag[w];
-            if (t == fline) {
-                st->l1_stamp[w] = tick;
-                if (fdirty) st->l1_dirty[w] = 1;
-                st->K[K_DUP1] += 1;
-                return;
-            }
-            if (inv < 0 && t == MAP_EMPTY) inv = w;
+            if (st->l1_tag[w] == MAP_EMPTY) { inv = w; break; }
         }
         if (inv >= 0) {
             vw = inv;
@@ -281,7 +254,6 @@ static void l1_fill(St *st, int64_t fline, int64_t fpib, int64_t fsrc,
     st->l1_rib[vw] = 0;
     st->l1_nsp[vw] = (uint8_t)fnsp;
     st->l1_src[vw] = (uint8_t)fsrc;
-    st->l1_tpc[vw] = ftpc;
     st->l1_fid[vw] = ffid;
     st->l1_stamp[vw] = tick;
     if (fpib) st->K[K_PF1] += 1; else st->K[K_DF1] += 1;
@@ -289,8 +261,8 @@ static void l1_fill(St *st, int64_t fline, int64_t fpib, int64_t fsrc,
 }
 
 static void route(St *st, int64_t rline, int64_t rpc, int64_t rsrc,
-                  int64_t rfid, int64_t tick) {
-    int64_t row = rsrc * 7;
+                  int64_t tick) {
+    int64_t row = rsrc * 7, fid = 0;
     st->T[row + T_GEN] += 1;
     if (st->W1 == 1) {
         if (st->l1_tag[rline & st->l1_mask] == rline) {
@@ -308,7 +280,8 @@ static void route(St *st, int64_t rline, int64_t rpc, int64_t rsrc,
         }
     }
     if (st->fmode == FMODE_TABLE) {
-        if (st->tvals[rfid] >= st->thresh) {
+        fid = table_hash((uint64_t)(st->key_pc ? rpc : rline), st->tbits);
+        if (st->tvals[fid] >= st->thresh) {
             st->K[K_TLG] += 1;
             st->K[K_FA] += 1;
         } else {
@@ -323,15 +296,13 @@ static void route(St *st, int64_t rline, int64_t rpc, int64_t rsrc,
     st->T[row + T_ISS] += 1;
     l2_fetch(st, rline, 1, tick);
     st->K[K_B1P] += 1;
-    l1_fill(st, rline, 1, rsrc, rpc, rfid, st->tagf, 0, tick);
+    l1_fill(st, rline, 1, rsrc, fid, st->nsp_on, 0, tick);
 }
 
 int64_t kernel_span(
     const int64_t *mcls, const int64_t *mpc, const int64_t *mline,
-    const int64_t *selffid, const int64_t *nspfid,
     int64_t *l1_tag, uint8_t *l1_dirty, uint8_t *l1_pib, uint8_t *l1_rib,
-    uint8_t *l1_nsp, uint8_t *l1_src, int64_t *l1_tpc, int64_t *l1_fid,
-    int64_t *l1_stamp,
+    uint8_t *l1_nsp, uint8_t *l1_src, int64_t *l1_fid, int64_t *l1_stamp,
     int64_t *l2_tag, uint8_t *l2_dirty, int64_t *l2_stamp,
     int64_t *dir_key, int64_t *dir_shadow, uint8_t *dir_conf,
     int64_t *aw_key, int64_t *aw_val,
@@ -340,18 +311,13 @@ int64_t kernel_span(
     St st;
     int64_t STORE = P[P_STORE];
     int64_t SW_PF = P[P_SWPF];
-    int64_t nsp_on = P[P_NSP];
     int64_t wb = P[P_WB];
     int64_t degree = P[P_DEGREE];
-    int64_t n_mem = P[P_NMEM];
-    int64_t sdp_hash = P[P_SDPHASH];
-    int64_t tbits = P[P_TBITS];
-    int64_t scheme = P[P_SCHEME];
     int64_t i, d;
 
     st.l1_tag = l1_tag; st.l1_dirty = l1_dirty; st.l1_pib = l1_pib;
     st.l1_rib = l1_rib; st.l1_nsp = l1_nsp; st.l1_src = l1_src;
-    st.l1_tpc = l1_tpc; st.l1_fid = l1_fid; st.l1_stamp = l1_stamp;
+    st.l1_fid = l1_fid; st.l1_stamp = l1_stamp;
     st.l2_tag = l2_tag; st.l2_dirty = l2_dirty; st.l2_stamp = l2_stamp;
     st.dir_key = dir_key; st.dir_shadow = dir_shadow; st.dir_conf = dir_conf;
     st.aw_key = aw_key; st.aw_val = aw_val;
@@ -359,8 +325,9 @@ int64_t kernel_span(
     st.W1 = P[P_W1]; st.l1_mask = P[P_L1MASK];
     st.W2 = P[P_W2]; st.l2_mask = P[P_L2MASK];
     st.fmode = P[P_FMODE]; st.thresh = P[P_THRESH]; st.maxv = P[P_MAXV];
+    st.tbits = P[P_TBITS]; st.key_pc = P[P_KEYPC];
     st.dir_mask = P[P_DIRMASK]; st.aw_mask = P[P_AWMASK];
-    st.sdp_on = P[P_SDP]; st.tagf = P[P_TAGF];
+    st.sdp_on = P[P_SDP]; st.nsp_on = P[P_NSP];
 
     for (i = start; i < stop; i++) {
         int64_t cls = mcls[i];
@@ -368,7 +335,7 @@ int64_t kernel_span(
         int64_t is_write, hw;
         if (cls == SW_PF) {
             K[K_SWX] += 1;
-            route(&st, line, mpc[i], 3, selffid[i], i);
+            route(&st, line, mpc[i], 3, i);
             continue;
         }
         is_write = cls == STORE;
@@ -385,7 +352,7 @@ int64_t kernel_span(
         }
         if (hw >= 0) {
             int64_t tag_hit = 0;
-            if (nsp_on && l1_nsp[hw]) {
+            if (st.nsp_on && l1_nsp[hw]) {
                 l1_nsp[hw] = 0;
                 tag_hit = 1;
             }
@@ -417,7 +384,7 @@ int64_t kernel_span(
                 int64_t pc = mpc[i];
                 K[K_NSPT] += 1;
                 for (d = 1; d <= degree; d++) {
-                    route(&st, line + d, pc, 1, nspfid[(d - 1) * n_mem + i], i);
+                    route(&st, line + d, pc, 1, i);
                 }
             }
         } else {
@@ -426,12 +393,12 @@ int64_t kernel_span(
             l2_fetch(&st, line, 0, i);
             K[K_B1D] += 1;
             fdirty = (is_write && wb) ? 1 : 0;
-            l1_fill(&st, line, 0, 0, 0, 0, 0, fdirty, i);
+            l1_fill(&st, line, 0, 0, 0, 0, fdirty, i);
             pc = mpc[i];
-            if (nsp_on) {
+            if (st.nsp_on) {
                 K[K_NSPM] += 1;
                 for (d = 1; d <= degree; d++) {
-                    route(&st, line + d, pc, 1, nspfid[(d - 1) * n_mem + i], i);
+                    route(&st, line + d, pc, 1, i);
                 }
             }
             if (st.sdp_on) {
@@ -440,18 +407,13 @@ int64_t kernel_span(
                 if (ds >= 0 && dir_shadow[ds] != line) {
                     if (dir_conf[ds]) {
                         int64_t shadow = dir_shadow[ds];
-                        int64_t aw, fid;
+                        int64_t aw;
                         dir_conf[ds] = 0;
                         aw = map_insert(aw_key, st.aw_mask, shadow);
                         if (aw < 0) return 2;
                         aw_val[aw] = line;
                         K[K_SDPI] += 1;
-                        if (sdp_hash) {
-                            fid = table_hash(shadow, tbits, scheme);
-                        } else {
-                            fid = selffid[i];
-                        }
-                        route(&st, shadow, pc, 2, fid, i);
+                        route(&st, shadow, pc, 2, i);
                     } else {
                         K[K_SDPS] += 1;
                     }
@@ -498,6 +460,11 @@ def cache_dir() -> Path:
     return base / "ckernel"
 
 
+#: How :data:`LOAD_ERROR` starts when a compiler ran and rejected the
+#: generated source.
+COMPILE_FAILED = "C kernel compile failed"
+
+
 def _build(source: str) -> Path:
     """Compile ``source`` into the cache; atomic, concurrency-safe."""
     digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:16]
@@ -516,12 +483,13 @@ def _build(source: str) -> Path:
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     if proc.returncode != 0:
         tmp_so.unlink(missing_ok=True)
-        raise RuntimeError(f"C kernel compile failed: {proc.stderr.strip()[:500]}")
+        raise RuntimeError(f"{COMPILE_FAILED}: {proc.stderr.strip()[:500]}")
     os.replace(tmp_so, so_path)
     return so_path
 
 
-_N_ARRAYS = 27
+#: The array arguments of ``kernel_span``: all but ``start`` and ``stop``.
+_N_ARRAYS = len(inspect.signature(_k.kernel_span).parameters) - 2
 _FN: Optional[Callable] = None
 _TRIED = False
 LOAD_ERROR = ""
@@ -553,3 +521,9 @@ def load() -> Optional[Callable]:
         LOAD_ERROR = str(exc)
         _FN = None
     return _FN
+
+
+def rejected() -> bool:
+    """Whether a compiler ran and rejected the generated source: a broken
+    port, which fails the cc gates where a missing compiler skips them."""
+    return load() is None and LOAD_ERROR.startswith(COMPILE_FAILED)

@@ -13,9 +13,10 @@ How the speed is obtained
 
 * **Batch decomposition.**  Non-memory instructions never enter the hot
   loop at all: a numpy mask selects loads/stores/software prefetches,
-  and line addresses and filter-table indices are computed for the
-  whole trace in a handful of vectorised operations
-  (:func:`repro.common.hashing.table_index_array`).
+  and their line addresses are computed for the whole trace in a
+  handful of vectorised operations.  The history-table index is hashed
+  in the loop, where the table is consulted: after the duplicate
+  squash, and only when a PA/PC filter is on.
 * **Flat state, compiled loop.**  The hot loop lives in
   :mod:`repro.core.kernels` as module-level functions over flat
   preallocated numpy arrays (layout below), so a compiler can take it
@@ -89,8 +90,8 @@ only, never by counters.
 
 State layout (allocated per run, all C-contiguous):
 
-* L1: ``tag``/``tpc``/``fid``/``stamp`` int64 + ``dirty``/``pib``/
-  ``rib``/``nsp``/``src`` uint8, one slot per way, set-major
+* L1: ``tag``/``fid``/``stamp`` int64 + ``dirty``/``pib``/``rib``/
+  ``nsp``/``src`` uint8, one slot per way, set-major
   (:func:`repro.mem.geometry.allocate_flat_cache`);
 * L2: ``tag``/``stamp`` int64 + ``dirty`` uint8, same layout;
 * history table: int64 counters, starting at the config's initial value;
@@ -98,7 +99,7 @@ State layout (allocated per run, all C-contiguous):
   ``next_pow2(2 * (memory_ops + 16))`` — inserts are bounded by L1
   demand misses, so the load factor stays under one half and probes
   always terminate;
-* counters: ``K`` (37 int64 event slots, named by :data:`K_NAMES`) and
+* counters: ``K`` (36 int64 event slots, named by :data:`K_NAMES`) and
   ``T`` (5x7 per-source tally rows, flattened), copied at the warm-up
   boundary; the result reports the whole run's counts in its stats tree
   and the counts after the boundary in its scalars and tallies.
@@ -114,7 +115,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.common.config import FilterKind, SimulationConfig
-from repro.common.hashing import table_index_array
 from repro.common.stats import Stats
 from repro.core import _ckernel
 from repro.core import kernels as krn
@@ -140,16 +140,12 @@ MODE_ENV = "REPRO_KERNEL_MODE"
 #: stands in for the memory-level parallelism the OoO window extracts.
 _MLP_DIVISOR = 4
 
-#: The history table's hash: :func:`repro.core.simulator.build_filter`
-#: builds every PA/PC filter with this scheme.
-_HASH_SCHEME = "fold_xor"
-
 #: The stats key of each ``K`` slot, in slot order: the names the
 #: pipeline's hardware models report the same events under.
 K_NAMES = (
     "mem.l1.demand_read_hit", "mem.l1.demand_read_miss", "mem.l1.demand_write_hit",
-    "mem.l1.demand_write_miss", "mem.l1.prefetched_line_first_use", "mem.l1.duplicate_fill",
-    "mem.l1.evictions", "mem.l1.evicted_prefetched_used", "mem.l1.evicted_prefetched_unused",
+    "mem.l1.demand_write_miss", "mem.l1.prefetched_line_first_use", "mem.l1.evictions",
+    "mem.l1.evicted_prefetched_used", "mem.l1.evicted_prefetched_unused",
     "mem.l1.prefetch_fill", "mem.l1.demand_fill",
     "mem.l2.demand_read_hit", "mem.l2.demand_read_miss", "mem.l2.duplicate_fill",
     "mem.l2.evictions", "mem.l2.demand_fill",
@@ -250,7 +246,7 @@ class KernelState:
 
     __slots__ = (
         "l1_tag", "l1_dirty", "l1_pib", "l1_rib", "l1_nsp", "l1_src",
-        "l1_tpc", "l1_fid", "l1_stamp",
+        "l1_fid", "l1_stamp",
         "l2_tag", "l2_dirty", "l2_stamp",
         "dir_key", "dir_shadow", "dir_conf", "aw_key", "aw_val",
         "tvals", "K", "T", "S", "P",
@@ -258,7 +254,7 @@ class KernelState:
 
     def __init__(self, l1cfg, l2cfg, n_mem: int, tvals: np.ndarray) -> None:
         l1 = allocate_flat_cache(
-            l1cfg, flags=("dirty", "pib", "rib", "nsp", "src"), extra=("tpc", "fid")
+            l1cfg, flags=("dirty", "pib", "rib", "nsp", "src"), extra=("fid",)
         )
         self.l1_tag = l1["tag"]
         self.l1_dirty = l1["dirty"]
@@ -266,7 +262,6 @@ class KernelState:
         self.l1_rib = l1["rib"]
         self.l1_nsp = l1["nsp"]
         self.l1_src = l1["src"]
-        self.l1_tpc = l1["tpc"]
         self.l1_fid = l1["fid"]
         self.l1_stamp = l1["stamp"]
         l2 = allocate_flat_cache(l2cfg, flags=("dirty",))
@@ -285,13 +280,13 @@ class KernelState:
         self.S = np.full(krn.NS, -1, dtype=np.int64)
         self.P = np.zeros(krn.NP_PARAMS, dtype=np.int64)
 
-    def span_args(self, mcls, mpc, mline, selffid, nspfid) -> tuple:
+    def span_args(self, mcls, mpc, mline) -> tuple:
         """The full positional argument tuple of ``kernel_span`` minus
         ``(start, stop)`` — one definition shared by every call site."""
         return (
-            mcls, mpc, mline, selffid, nspfid,
+            mcls, mpc, mline,
             self.l1_tag, self.l1_dirty, self.l1_pib, self.l1_rib,
-            self.l1_nsp, self.l1_src, self.l1_tpc, self.l1_fid, self.l1_stamp,
+            self.l1_nsp, self.l1_src, self.l1_fid, self.l1_stamp,
             self.l2_tag, self.l2_dirty, self.l2_stamp,
             self.dir_key, self.dir_shadow, self.dir_conf,
             self.aw_key, self.aw_val,
@@ -438,12 +433,7 @@ class KernelEngine:
 
         l1cfg = cfg.hierarchy.l1
         l2cfg = cfg.hierarchy.l2
-        offset_bits = l1cfg.offset_bits
         pf = cfg.prefetch
-        nsp_on = pf.nsp
-        sdp_on = pf.sdp
-        sw_on = pf.software
-        degree = pf.degree
 
         # ---- batch precompute (whole-trace numpy passes) ------------------
         iclass = trace.iclass[:n]
@@ -451,42 +441,19 @@ class KernelEngine:
         STORE = int(InstrClass.STORE)
         SW_PF = int(InstrClass.SW_PREFETCH)
         mask = (iclass == LOAD) | (iclass == STORE)
-        if sw_on:
+        if pf.software:
             mask |= iclass == SW_PF
         midx = np.nonzero(mask)[0]
         n_mem = len(midx)
-        pcs = trace.pc[:n][mask]
-        lines_arr = trace.addr[:n][mask] >> np.uint64(offset_bits)
         mcls = np.ascontiguousarray(iclass[mask], dtype=np.int64)
-        mpc = pcs.astype(np.int64)
-        mline = lines_arr.astype(np.int64)
+        mpc = trace.pc[:n][mask].astype(np.int64)
+        mline = (trace.addr[:n][mask] >> np.uint64(l1cfg.offset_bits)).astype(np.int64)
 
         fcfg = cfg.filter
-        is_pa = fcfg.kind is FilterKind.PA
-        is_pc = fcfg.kind is FilterKind.PC
-        is_table = is_pa or is_pc
+        is_table = fcfg.kind in (FilterKind.PA, FilterKind.PC)
         E = fcfg.table_entries
         maxv = (1 << fcfg.counter_bits) - 1 if is_table else 0
         tvals = np.full(E if is_table else 1, fcfg.initial_value if is_table else 0, np.int64)
-
-        # Per-memory-op filter-index columns (PA keys on the prefetched
-        # line, PC on the trigger PC); the hot loop only hashes for SDP
-        # shadow lines under the PA scheme, where the key is run-dependent.
-        selffid = np.zeros(n_mem, dtype=np.int64)
-        nspfid = np.zeros(degree * n_mem, dtype=np.int64)
-        if is_pa:
-            if nsp_on:
-                for d in range(1, degree + 1):
-                    nspfid[(d - 1) * n_mem : d * n_mem] = table_index_array(
-                        lines_arr + np.uint64(d), E, _HASH_SCHEME
-                    )
-            if sw_on:
-                selffid = np.ascontiguousarray(table_index_array(lines_arr, E, _HASH_SCHEME))
-        elif is_pc:
-            pcf = table_index_array(pcs, E, _HASH_SCHEME)
-            selffid = np.ascontiguousarray(pcf)
-            for d in range(degree):
-                nspfid[d * n_mem : (d + 1) * n_mem] = pcf
 
         # ---- flat state + scalar parameter block -------------------------
         st = KernelState(l1cfg, l2cfg, n_mem, tvals)
@@ -496,23 +463,22 @@ class KernelEngine:
         P[krn.P_W2] = l2cfg.ways
         P[krn.P_L2MASK] = l2cfg.num_sets - 1
         P[krn.P_WB] = 1 if l1cfg.writeback else 0
-        P[krn.P_NSP] = 1 if nsp_on else 0
-        P[krn.P_SDP] = 1 if sdp_on else 0
-        P[krn.P_DEGREE] = degree
-        P[krn.P_TAGF] = 1 if nsp_on else 0  # tagged sequential prefetching
+        P[krn.P_NSP] = 1 if pf.nsp else 0
+        P[krn.P_SDP] = 1 if pf.sdp else 0
+        P[krn.P_DEGREE] = pf.degree
         P[krn.P_FMODE] = krn.FMODE_TABLE if is_table else krn.FMODE_NULL
         P[krn.P_THRESH] = fcfg.threshold if is_table else 0
         P[krn.P_MAXV] = maxv
+        # Fold-XOR over the line (PA) or trigger PC (PC): the hash
+        # repro.core.simulator.build_filter gives every PA/PC filter.
         P[krn.P_TBITS] = E.bit_length() - 1 if is_table else 0
-        P[krn.P_SCHEME] = krn.SCHEME_FOLD_XOR if is_table else 0
-        P[krn.P_SDPHASH] = 1 if is_pa else 0
-        P[krn.P_NMEM] = n_mem
+        P[krn.P_KEYPC] = 1 if fcfg.kind is FilterKind.PC else 0
         P[krn.P_DIRMASK] = len(st.dir_key) - 1
         P[krn.P_AWMASK] = len(st.aw_key) - 1
         P[krn.P_STORE] = STORE
         P[krn.P_SWPF] = SW_PF
 
-        args = st.span_args(mcls, mpc, mline, selffid, nspfid)
+        args = st.span_args(mcls, mpc, mline)
 
         def call(start: int, stop: int) -> None:
             # errstate: the interp leg's uint64 golden-ratio multiplies

@@ -22,9 +22,10 @@ Rules for editing this file (they keep the C port a mechanical
 translation):
 
 * only integer scalars and 1-D numpy arrays cross function boundaries;
-* unsigned 64-bit arithmetic (the multiplicative hash) is done through
+* unsigned 64-bit arithmetic (the golden-ratio probe) is done through
   explicit ``np.uint64`` casts on *every* operand, matching C's
-  ``uint64_t`` wraparound;
+  ``uint64_t`` wraparound; the history-table fold masks its key to 64
+  bits instead;
 * no ``dict``/``set``/``list`` — the SDP shadow directory is an
   open-addressed table over int64 arrays (``-1`` empty, ``-2``
   tombstone) with deterministic linear probing;
@@ -41,35 +42,32 @@ import numpy as np
 # ----------------------------------------------------------------------
 #: Slots of the deferred-counter array ``K``.
 (
-    K_RH, K_RM, K_WH, K_WM, K_FU, K_DUP1, K_EV, K_EVU, K_EVN, K_PF1, K_DF1,
+    K_RH, K_RM, K_WH, K_WM, K_FU, K_EV, K_EVU, K_EVN, K_PF1, K_DF1,
     K_L2RH, K_L2RM, K_L2DUP, K_L2EV, K_L2DF,
     K_B1D, K_B1P, K_B1W, K_BMD, K_BMP, K_BMW,
     K_NSPM, K_NSPT, K_SDPI, K_SDPS, K_SDPL, K_SDPC, K_SWX,
     K_FA, K_FR, K_FBG, K_FBB, K_TLG, K_TLB, K_TTG, K_TTB,
-) = range(37)
-NK = 37
+) = range(36)
+NK = 36
 
 #: PrefetchTally field order inside each 7-slot row of ``T`` (5 rows,
 #: one per FillSource, flattened row-major: ``T[src * 7 + field]``).
 T_GEN, T_SQ, T_FLT, T_DRP, T_ISS, T_GOOD, T_BAD = range(7)
 NT = 5 * 7
 
-#: Scalar-parameter slots of the ``P`` array (int64).
+#: Scalar-parameter slots of the ``P`` array (int64).  ``P_KEYPC`` says
+#: what keys the history table: 0 the prefetched line (PA), 1 the
+#: trigger PC (PC).
 (
-    P_W1, P_L1MASK, P_W2, P_L2MASK, P_WB, P_NSP, P_SDP, P_DEGREE, P_TAGF,
-    P_FMODE, P_THRESH, P_MAXV, P_TBITS, P_SCHEME, P_SDPHASH, P_NMEM,
+    P_W1, P_L1MASK, P_W2, P_L2MASK, P_WB, P_NSP, P_SDP, P_DEGREE,
+    P_FMODE, P_THRESH, P_MAXV, P_TBITS, P_KEYPC,
     P_DIRMASK, P_AWMASK, P_STORE, P_SWPF,
-) = range(20)
-NP_PARAMS = 20
+) = range(17)
+NP_PARAMS = 17
 
 #: Filter fast-path modes (``P[P_FMODE]``).
 FMODE_NULL = 0
 FMODE_TABLE = 1
-
-#: Hash-scheme ids (``P[P_SCHEME]``) — must match repro.common.hashing.
-SCHEME_MODULO = 0
-SCHEME_FOLD_XOR = 1
-SCHEME_MULTIPLICATIVE = 2
 
 #: Scratch slots of the ``S`` array (mutable scalars that survive spans).
 S_SDP_LAST = 0
@@ -84,23 +82,20 @@ GOLDEN64 = 0x9E3779B97F4A7C15
 
 
 # ----------------------------------------------------------------------
-# Hashing (bit-identical to repro.common.hashing.table_index)
+# Hashing (bit-identical to repro.common.hashing.table_index, fold-XOR)
 # ----------------------------------------------------------------------
-def table_hash(value, bits, scheme):
-    """Scalar history-table index; line/PC values are always >= 0."""
+def table_hash(key, bits):
+    """History-table index of ``key``: its unsigned 64-bit value XOR-folded
+    down to ``bits`` bits.  A PC with bit 63 set arrives as a negative
+    int64; the mask reads it as C's ``uint64_t`` does, so the fold ends."""
     if bits <= 0:
         return 0
-    if scheme == SCHEME_MODULO:
-        return value & ((1 << bits) - 1)
-    if scheme == SCHEME_FOLD_XOR:
-        v = value
-        folded = 0
-        while v != 0:
-            folded ^= v
-            v >>= bits
-        return folded & ((1 << bits) - 1)
-    u = np.uint64(value) * np.uint64(GOLDEN64)
-    return int(u >> np.uint64(64 - bits))
+    v = key & 0xFFFFFFFFFFFFFFFF
+    folded = 0
+    while v != 0:
+        folded ^= v
+        v >>= bits
+    return folded & ((1 << bits) - 1)
 
 
 def probe_start(key, mask):
@@ -274,18 +269,19 @@ def l2_writeback(l2_tag, l2_dirty, l2_stamp, dir_key, K, P, vline, tick):
 # before the new line is written, the dirty writeback after)
 # ----------------------------------------------------------------------
 def l1_fill(
-    l1_tag, l1_dirty, l1_pib, l1_rib, l1_nsp, l1_src, l1_tpc, l1_fid, l1_stamp,
+    l1_tag, l1_dirty, l1_pib, l1_rib, l1_nsp, l1_src, l1_fid, l1_stamp,
     l2_tag, l2_dirty, l2_stamp, dir_key, tvals, K, T, P,
-    fline, fpib, fsrc, ftpc, ffid, fnsp, fdirty, tick,
+    fline, fpib, fsrc, ffid, fnsp, fdirty, tick,
 ):
+    """Fill ``fline``, which the caller has just proved absent from the L1
+    (nothing touches the L1 between that probe and this fill), so no way
+    can already hold it; ``KernelState.validate`` guards that."""
     W1 = int(P[P_W1])
     fmode = int(P[P_FMODE])
     maxv = int(P[P_MAXV])
     vdirty = 0
     vtag = -1
     if W1 == 1:
-        # Direct-mapped fast path: callers only fill lines they just
-        # proved absent, so the duplicate-fill branch is elided.
         vw = fline & int(P[P_L1MASK])
         vtag = l1_tag[vw]
         if vtag != MAP_EMPTY:
@@ -305,15 +301,9 @@ def l1_fill(
         b = (fline & int(P[P_L1MASK])) * W1
         inv = -1
         for w in range(b, b + W1):
-            t = l1_tag[w]
-            if t == fline:
-                l1_stamp[w] = tick
-                if fdirty != 0:
-                    l1_dirty[w] = 1
-                K[K_DUP1] += 1
-                return
-            if inv < 0 and t == MAP_EMPTY:
+            if l1_tag[w] == MAP_EMPTY:
                 inv = w
+                break
         if inv >= 0:
             vw = inv
         else:
@@ -343,7 +333,6 @@ def l1_fill(
     l1_rib[vw] = 0
     l1_nsp[vw] = fnsp
     l1_src[vw] = fsrc
-    l1_tpc[vw] = ftpc
     l1_fid[vw] = ffid
     l1_stamp[vw] = tick
     if fpib != 0:
@@ -358,9 +347,9 @@ def l1_fill(
 # Prefetch routing: generated -> duplicate squash -> filter -> issue
 # ----------------------------------------------------------------------
 def route(
-    l1_tag, l1_dirty, l1_pib, l1_rib, l1_nsp, l1_src, l1_tpc, l1_fid, l1_stamp,
+    l1_tag, l1_dirty, l1_pib, l1_rib, l1_nsp, l1_src, l1_fid, l1_stamp,
     l2_tag, l2_dirty, l2_stamp, dir_key, tvals, K, T, P,
-    rline, rpc, rsrc, rfid, tick,
+    rline, rpc, rsrc, tick,
 ):
     row = rsrc * 7
     T[row + T_GEN] += 1
@@ -375,8 +364,12 @@ def route(
             if l1_tag[w] == rline:
                 T[row + T_SQ] += 1
                 return
+    fid = 0
     if P[P_FMODE] == FMODE_TABLE:
-        if tvals[rfid] >= P[P_THRESH]:
+        # The table's only lookup, so its key is hashed here: the
+        # prefetched line under PA, the trigger PC under PC.
+        fid = table_hash(rpc if P[P_KEYPC] != 0 else rline, int(P[P_TBITS]))
+        if tvals[fid] >= P[P_THRESH]:
             K[K_TLG] += 1
             K[K_FA] += 1
         else:
@@ -390,9 +383,9 @@ def route(
     l2_fetch(l2_tag, l2_dirty, l2_stamp, dir_key, K, P, rline, 1, tick)
     K[K_B1P] += 1
     l1_fill(
-        l1_tag, l1_dirty, l1_pib, l1_rib, l1_nsp, l1_src, l1_tpc, l1_fid,
-        l1_stamp, l2_tag, l2_dirty, l2_stamp, dir_key, tvals, K, T, P,
-        rline, 1, rsrc, rpc, rfid, int(P[P_TAGF]), 0, tick,
+        l1_tag, l1_dirty, l1_pib, l1_rib, l1_nsp, l1_src, l1_fid, l1_stamp,
+        l2_tag, l2_dirty, l2_stamp, dir_key, tvals, K, T, P,
+        rline, 1, rsrc, fid, int(P[P_NSP]), 0, tick,
     )
 
 
@@ -400,8 +393,8 @@ def route(
 # The hot loop over one span of memory operations
 # ----------------------------------------------------------------------
 def kernel_span(
-    mcls, mpc, mline, selffid, nspfid,
-    l1_tag, l1_dirty, l1_pib, l1_rib, l1_nsp, l1_src, l1_tpc, l1_fid, l1_stamp,
+    mcls, mpc, mline,
+    l1_tag, l1_dirty, l1_pib, l1_rib, l1_nsp, l1_src, l1_fid, l1_stamp,
     l2_tag, l2_dirty, l2_stamp,
     dir_key, dir_shadow, dir_conf, aw_key, aw_val,
     tvals, K, T, S, P, start, stop,
@@ -421,12 +414,8 @@ def kernel_span(
     sdp_on = int(P[P_SDP]) != 0
     wb = int(P[P_WB]) != 0
     degree = int(P[P_DEGREE])
-    n_mem = int(P[P_NMEM])
     dir_mask = int(P[P_DIRMASK])
     aw_mask = int(P[P_AWMASK])
-    sdp_hash = int(P[P_SDPHASH]) != 0
-    tbits = int(P[P_TBITS])
-    scheme = int(P[P_SCHEME])
 
     for i in range(start, stop):
         cls = int(mcls[i])
@@ -434,9 +423,9 @@ def kernel_span(
         if cls == SW_PF:
             K[K_SWX] += 1
             route(
-                l1_tag, l1_dirty, l1_pib, l1_rib, l1_nsp, l1_src, l1_tpc,
-                l1_fid, l1_stamp, l2_tag, l2_dirty, l2_stamp, dir_key,
-                tvals, K, T, P, line, int(mpc[i]), 3, int(selffid[i]), i,
+                l1_tag, l1_dirty, l1_pib, l1_rib, l1_nsp, l1_src, l1_fid,
+                l1_stamp, l2_tag, l2_dirty, l2_stamp, dir_key,
+                tvals, K, T, P, line, int(mpc[i]), 3, i,
             )
             continue
         is_write = cls == STORE
@@ -481,9 +470,8 @@ def kernel_span(
                 for d in range(1, degree + 1):
                     route(
                         l1_tag, l1_dirty, l1_pib, l1_rib, l1_nsp, l1_src,
-                        l1_tpc, l1_fid, l1_stamp, l2_tag, l2_dirty, l2_stamp,
-                        dir_key, tvals, K, T, P,
-                        line + d, pc, 1, int(nspfid[(d - 1) * n_mem + i]), i,
+                        l1_fid, l1_stamp, l2_tag, l2_dirty, l2_stamp,
+                        dir_key, tvals, K, T, P, line + d, pc, 1, i,
                     )
         else:
             if is_write:
@@ -494,9 +482,9 @@ def kernel_span(
             K[K_B1D] += 1
             fdirty = 1 if (is_write and wb) else 0
             l1_fill(
-                l1_tag, l1_dirty, l1_pib, l1_rib, l1_nsp, l1_src, l1_tpc,
-                l1_fid, l1_stamp, l2_tag, l2_dirty, l2_stamp, dir_key,
-                tvals, K, T, P, line, 0, 0, 0, 0, 0, fdirty, i,
+                l1_tag, l1_dirty, l1_pib, l1_rib, l1_nsp, l1_src, l1_fid,
+                l1_stamp, l2_tag, l2_dirty, l2_stamp, dir_key,
+                tvals, K, T, P, line, 0, 0, 0, 0, fdirty, i,
             )
             pc = int(mpc[i])
             if nsp_on:
@@ -504,9 +492,8 @@ def kernel_span(
                 for d in range(1, degree + 1):
                     route(
                         l1_tag, l1_dirty, l1_pib, l1_rib, l1_nsp, l1_src,
-                        l1_tpc, l1_fid, l1_stamp, l2_tag, l2_dirty, l2_stamp,
-                        dir_key, tvals, K, T, P,
-                        line + d, pc, 1, int(nspfid[(d - 1) * n_mem + i]), i,
+                        l1_fid, l1_stamp, l2_tag, l2_dirty, l2_stamp,
+                        dir_key, tvals, K, T, P, line + d, pc, 1, i,
                     )
             if sdp_on:
                 ds = map_lookup(dir_key, dir_mask, line)
@@ -519,15 +506,10 @@ def kernel_span(
                             return 2
                         aw_val[aw] = line
                         K[K_SDPI] += 1
-                        if sdp_hash:
-                            fid = table_hash(shadow, tbits, scheme)
-                        else:
-                            fid = int(selffid[i])
                         route(
                             l1_tag, l1_dirty, l1_pib, l1_rib, l1_nsp, l1_src,
-                            l1_tpc, l1_fid, l1_stamp, l2_tag, l2_dirty,
-                            l2_stamp, dir_key, tvals, K, T, P,
-                            shadow, pc, 2, fid, i,
+                            l1_fid, l1_stamp, l2_tag, l2_dirty, l2_stamp,
+                            dir_key, tvals, K, T, P, shadow, pc, 2, i,
                         )
                     else:
                         K[K_SDPS] += 1

@@ -31,7 +31,7 @@ def allocate_flat_cache(
     * ``tag``   — int64, the full line address, ``-1`` = invalid way;
     * ``stamp`` — int64 LRU timestamp (memory-op index, not cycles);
     * one uint8 array per name in ``flags`` (e.g. dirty/PIB/RIB bits);
-    * one int64 array per name in ``extra`` (e.g. trigger PC, filter
+    * one int64 array per name in ``extra`` (e.g. the history-table
       index), for per-line metadata wider than a flag.
     """
     n = config.num_sets * config.ways

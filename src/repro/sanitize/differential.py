@@ -188,7 +188,9 @@ class ExactParityReport:
     model, so the comparison is exact over the full golden counter vector
     (scalars, cycles and every prefetch tally) on the *paper-default*
     machine — relaxation would only mask a porting bug.  ``skipped``
-    carries the reason when the ``cc`` leg cannot be built here.
+    carries the reason when the ``cc`` leg cannot be built here; a
+    compiler that rejects its source is a mismatch instead, carrying the
+    compiler's message.
     """
 
     workload: str
@@ -222,6 +224,8 @@ def run_kernel_parity(
 ) -> ExactParityReport:
     """Run the cc and interp legs on the same config and demand bit
     identity, whatever ``REPRO_KERNEL_MODE`` says."""
+    if _ckernel.rejected():
+        return ExactParityReport(workload, kind.value, n_insts, seed, (_ckernel.LOAD_ERROR,))
     if _ckernel.load() is None:
         reason = f"cc leg unavailable: {_ckernel.LOAD_ERROR or 'not built'}"
         return ExactParityReport(workload, kind.value, n_insts, seed, (), reason)

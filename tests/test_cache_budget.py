@@ -60,9 +60,9 @@ class TestParseBudget:
         assert parse_budget("") is None
         assert parse_budget("   ") is None
 
-    @pytest.mark.parametrize("bad", ["10gb", "lots", "k", "-5m", "0"])
+    @pytest.mark.parametrize("bad", ["10gb", "lots", "k", "-5m", "0", "inf", "1e400", "nan"])
     def test_malformed_or_nonpositive_raises(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cache budget"):
             parse_budget(bad)
 
     def test_default_budget_reads_env(self, monkeypatch):

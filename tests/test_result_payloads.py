@@ -17,7 +17,8 @@ cover
   1,500.
 
 Every kernel case pins its leg, because the leg id is part of the
-payload.  The ``cc`` cases skip where no C compiler builds that leg.
+payload.  The ``cc`` cases skip where that leg cannot be built, and
+fail where a compiler rejects its source.
 The fixture sits in ``tests/golden/results/``, not ``tests/golden/``,
 because the golden corpus reads every ``*.json`` directly in
 ``tests/golden``.  After an intentional model change (with a
@@ -131,6 +132,8 @@ def test_fixture_covers_every_case():
 @pytest.mark.parametrize("key", sorted(CASES))
 def test_result_payload_is_bit_identical(key):
     needs_cc, run = CASES[key]
+    if needs_cc and _ckernel.rejected():
+        pytest.fail(_ckernel.LOAD_ERROR)
     if needs_cc and _ckernel.load() is None:
         pytest.skip(f"no C compiler builds the cc leg: {_ckernel.LOAD_ERROR}")
     assert result_digest(run()) == LOCKED[key], f"{key}: result payload moved"
