@@ -7,7 +7,6 @@ raises prefetch traffic and bad-prefetch counts, which is precisely what
 gives the pollution filter its opportunity.
 """
 
-import figdata
 import pytest
 from repro.analysis.metrics import arithmetic_mean
 from repro.analysis.report import Table
@@ -17,22 +16,22 @@ WORKLOADS = ("em3d", "wave5", "mcf")
 DEGREES = (1, 2, 4)
 
 
-def _sweep():
+def _sweep(suite):
     out = {}
     for name in WORKLOADS:
         out[name] = {}
         for degree in DEGREES:
-            cfg = figdata.base_config().with_prefetch(degree=degree)
+            cfg = suite.base_config().with_prefetch(degree=degree)
             out[name][degree] = {
-                FilterKind.NONE: figdata.run(name, cfg),
-                FilterKind.PA: figdata.run(name, cfg.with_filter(kind=FilterKind.PA)),
+                FilterKind.NONE: suite.run(name, cfg),
+                FilterKind.PA: suite.run(name, cfg.with_filter(kind=FilterKind.PA)),
             }
     return out
 
 
 @pytest.mark.ablation
-def test_ablation_prefetch_degree(benchmark):
-    results = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_ablation_prefetch_degree(benchmark, suite):
+    results = benchmark.pedantic(_sweep, args=(suite,), rounds=1, iterations=1)
 
     table = Table(
         "Ablation — prefetch degree vs traffic / bad prefetches / filter gain",

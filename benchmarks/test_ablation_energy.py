@@ -6,7 +6,6 @@ event-energy model: on the pollution-heavy benchmarks, filtering must cut
 memory-side (bus + DRAM) energy by more than the history table adds.
 """
 
-import figdata
 import pytest
 from repro.analysis.energy import EnergyModel
 from repro.analysis.metrics import arithmetic_mean, percent_change
@@ -17,8 +16,8 @@ WORKLOADS = ("em3d", "perimeter", "mcf", "gcc")
 
 
 @pytest.mark.ablation
-def test_ablation_energy(benchmark):
-    results = benchmark.pedantic(figdata.filter_comparison, args=(8,), rounds=1, iterations=1)
+def test_ablation_energy(benchmark, suite):
+    results = benchmark.pedantic(suite.comparison, args=(8,), rounds=1, iterations=1)
     model = EnergyModel()
 
     table = Table(

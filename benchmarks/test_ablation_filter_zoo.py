@@ -7,7 +7,6 @@ the oracle bounds everything from above; every realisable filter lands
 between no-filtering and the oracle on bad-prefetch elimination.
 """
 
-import figdata
 import pytest
 from repro.analysis.report import Table
 from repro.analysis.sweep import run_oracle, run_static
@@ -19,14 +18,14 @@ from repro.workloads import cached_trace
 WORKLOAD = "em3d"
 
 
-def _zoo():
-    cfg = figdata.base_config()
-    trace = cached_trace(WORKLOAD, figdata.N_INSTS, figdata.SEED, True)
+def _zoo(suite):
+    cfg = suite.base_config()
+    trace = cached_trace(WORKLOAD, suite.n_insts, suite.seed, True)
     results = {
-        "none": figdata.run(WORKLOAD, cfg),
-        "pa": figdata.run(WORKLOAD, cfg.with_filter(kind=FilterKind.PA)),
-        "pc": figdata.run(WORKLOAD, cfg.with_filter(kind=FilterKind.PC)),
-        "adaptive": figdata.run(WORKLOAD, cfg.with_filter(kind=FilterKind.ADAPTIVE)),
+        "none": suite.run(WORKLOAD, cfg),
+        "pa": suite.run(WORKLOAD, cfg.with_filter(kind=FilterKind.PA)),
+        "pc": suite.run(WORKLOAD, cfg.with_filter(kind=FilterKind.PC)),
+        "adaptive": suite.run(WORKLOAD, cfg.with_filter(kind=FilterKind.ADAPTIVE)),
         "hybrid-or": Simulator(cfg, filter_=HybridFilter(policy="or")).run(trace),
         "hybrid-and": Simulator(cfg, filter_=HybridFilter(policy="and")).run(trace),
         "static": run_static(trace, cfg),
@@ -36,8 +35,8 @@ def _zoo():
 
 
 @pytest.mark.ablation
-def test_ablation_filter_zoo(benchmark):
-    results = benchmark.pedantic(_zoo, rounds=1, iterations=1)
+def test_ablation_filter_zoo(benchmark, suite):
+    results = benchmark.pedantic(_zoo, args=(suite,), rounds=1, iterations=1)
 
     table = Table(
         f"Ablation — every filter on {WORKLOAD}",

@@ -7,7 +7,6 @@ the filter lets a design "encompass several prefetching techniques
 altogether".
 """
 
-import figdata
 import pytest
 from repro.analysis.report import Table
 from repro.common.config import FilterKind
@@ -18,33 +17,33 @@ from repro.workloads import cached_trace
 WORKLOADS = ("mcf", "wave5")
 
 
-def _simulate_markov(name, cfg):
+def _simulate_markov(suite, name, cfg):
     """Run with the Markov prefetcher wired in place of the stride unit."""
-    trace = cached_trace(name, figdata.N_INSTS, figdata.SEED, True)
+    trace = cached_trace(name, suite.n_insts, suite.seed, True)
     sim = Simulator(cfg.with_prefetch(nsp=False, sdp=False, software=False, stride=True))
     # Swap the stride unit for the Markov predictor (same extension slot).
     sim.engine.set_extension_prefetcher(MarkovPrefetcher(entries=4096, ways=2))
     return sim.run(trace)
 
 
-def _sweep():
+def _sweep(suite):
     out = {}
     for name in WORKLOADS:
-        base = figdata.base_config()
+        base = suite.base_config()
         nsp_only = base.with_prefetch(sdp=False, software=False)
         stride_only = base.with_prefetch(nsp=False, sdp=False, software=False, stride=True)
         out[name] = {
-            "nsp": figdata.run(name, nsp_only),
-            "nsp+PA": figdata.run(name, nsp_only.with_filter(kind=FilterKind.PA)),
-            "stride": figdata.run(name, stride_only),
-            "markov": _simulate_markov(name, base),
+            "nsp": suite.run(name, nsp_only),
+            "nsp+PA": suite.run(name, nsp_only.with_filter(kind=FilterKind.PA)),
+            "stride": suite.run(name, stride_only),
+            "markov": _simulate_markov(suite, name, base),
         }
     return out
 
 
 @pytest.mark.ablation
-def test_ablation_prefetcher_families(benchmark):
-    results = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_ablation_prefetcher_families(benchmark, suite):
+    results = benchmark.pedantic(_sweep, args=(suite,), rounds=1, iterations=1)
 
     table = Table(
         "Ablation — prefetcher families (accuracy and filter gain)",

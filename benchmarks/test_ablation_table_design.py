@@ -9,7 +9,6 @@ DESIGN.md calls out two implementation choices the paper leaves open:
 This bench quantifies both on a pointer benchmark.
 """
 
-import figdata
 import pytest
 from repro.analysis.report import Table
 from repro.core.simulator import Simulator
@@ -19,9 +18,9 @@ from repro.workloads import cached_trace
 WORKLOAD = "mcf"
 
 
-def _sweep():
-    cfg = figdata.base_config()
-    trace = cached_trace(WORKLOAD, figdata.N_INSTS, figdata.SEED, True)
+def _sweep(suite):
+    cfg = suite.base_config()
+    trace = cached_trace(WORKLOAD, suite.n_insts, suite.seed, True)
     results = {}
     for scheme in ("modulo", "fold_xor", "multiplicative"):
         f = PAFilter(entries=4096, hash_scheme=scheme)
@@ -33,8 +32,8 @@ def _sweep():
 
 
 @pytest.mark.ablation
-def test_ablation_table_design(benchmark):
-    results = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_ablation_table_design(benchmark, suite):
+    results = benchmark.pedantic(_sweep, args=(suite,), rounds=1, iterations=1)
 
     table = Table(
         f"Ablation — history-table design on {WORKLOAD}",
@@ -46,7 +45,7 @@ def test_ablation_table_design(benchmark):
         table.add_row(label, [r.ipc, float(t.good), float(t.bad), float(t.filtered)])
     print("\n" + table.render())
 
-    baseline = figdata.run(WORKLOAD, figdata.base_config())
+    baseline = suite.run(WORKLOAD, suite.base_config())
     # Every variant is a working filter: bad prefetches fall vs no filter.
     for label, r in results.items():
         assert r.prefetch.bad < baseline.prefetch.bad, label

@@ -4,33 +4,17 @@ Normalised to the 4096-entry default.  Paper: generally more good
 prefetches survive with longer tables; gap/gzip/mcf are size-insensitive.
 """
 
-import figdata
 from repro.analysis.metrics import arithmetic_mean
-from repro.analysis.report import Table
-
-SIZES = (1024, 2048, 4096, 8192, 16384)
 
 
-def test_fig10_table_size_good_prefetches(benchmark):
-    results = benchmark.pedantic(figdata.history_size_sweep, rounds=1, iterations=1)
+def test_fig10_table_size_good_prefetches(benchmark, suite):
+    result = benchmark.pedantic(suite.figure10, rounds=1, iterations=1)
+    print("\n" + result.render())
 
-    table = Table(
-        "Figure 10 — good prefetches vs history size (normalised to 4K entries)",
-        ["benchmark"] + [f"{s // 1024}K" for s in SIZES],
-    )
-    small_mean, large_mean = [], []
-    for name in figdata.BENCHES:
-        ref = max(1, results[name][4096].prefetch.good)
-        row = [results[name][s].prefetch.good / ref for s in SIZES]
-        table.add_row(name, row)
-        small_mean.append(row[0])
-        large_mean.append(row[-1])
-    print("\n" + table.render())
-    print("paper: longer history preserves more good prefetches; outliers are size-insensitive")
-
+    # Each row is a benchmark's good count at 1K..16K entries over its 4K count.
+    rows = result.table.rows
     # Larger tables never lose good prefetches wholesale vs the smallest.
-    assert arithmetic_mean(large_mean) >= arithmetic_mean(small_mean) * 0.9
+    assert arithmetic_mean(row[-1] for row in rows) >= arithmetic_mean(row[1] for row in rows) * 0.9
     # Every size keeps a usable fraction of the default's good prefetches.
-    for name in figdata.BENCHES:
-        ref = max(1, results[name][4096].prefetch.good)
-        assert results[name][16384].prefetch.good / ref > 0.3, name
+    for row in rows:
+        assert row[-1] > 0.3, row[0]

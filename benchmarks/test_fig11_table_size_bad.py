@@ -4,29 +4,18 @@ Paper: mostly flat-to-rising with size (aliasing in short tables filters
 *more*, including by accident); absolute numbers stay small.
 """
 
-import figdata
-from repro.analysis.report import Table
-
-SIZES = (1024, 2048, 4096, 8192, 16384)
+from repro.common.config import FilterKind
 
 
-def test_fig11_table_size_bad_prefetches(benchmark):
-    results = benchmark.pedantic(figdata.history_size_sweep, rounds=1, iterations=1)
+def test_fig11_table_size_bad_prefetches(benchmark, suite):
+    result = benchmark.pedantic(suite.figure11, rounds=1, iterations=1)
+    print("\n" + result.render())
 
-    table = Table(
-        "Figure 11 — bad prefetches vs history size (normalised to 4K entries)",
-        ["benchmark"] + [f"{s // 1024}K" for s in SIZES],
-    )
-    for name in figdata.BENCHES:
-        ref = max(1, results[name][4096].prefetch.bad)
-        table.add_row(name, [results[name][s].prefetch.bad / ref for s in SIZES])
-    print("\n" + table.render())
-
-    # Filtered bad counts stay far below the unfiltered baseline at every size.
-    unfiltered = figdata.filter_comparison(8)
-    from repro.common.config import FilterKind
-
-    for name in figdata.BENCHES:
+    # Filtered bad counts stay far below the unfiltered baseline at every
+    # size.  The figure prints counts normalised to 4K entries, so the
+    # absolute counts are read off the suite's runs.
+    unfiltered = suite.comparison(8)
+    for name, by_size in suite.history_sweep().items():
         baseline_bad = unfiltered[name][FilterKind.NONE].prefetch.bad
-        for s in SIZES:
-            assert results[name][s].prefetch.bad <= baseline_bad, (name, s)
+        for size, run in by_size.items():
+            assert run.prefetch.bad <= baseline_bad, (name, size)

@@ -4,33 +4,14 @@ Paper: IPC rises slightly with table size and saturates at 4096 entries;
 growth beyond that is within ~1%.
 """
 
-import figdata
-from repro.analysis.metrics import arithmetic_mean
-from repro.analysis.report import Table
 
-SIZES = (1024, 2048, 4096, 8192, 16384)
-
-
-def test_fig12_table_size_ipc(benchmark):
-    results = benchmark.pedantic(figdata.history_size_sweep, rounds=1, iterations=1)
-
-    table = Table(
-        "Figure 12 — IPC vs history size (PA filter)",
-        ["benchmark"] + [f"{s // 1024}K" for s in SIZES],
-    )
-    per_size_mean = {s: [] for s in SIZES}
-    for name in figdata.BENCHES:
-        row = [results[name][s].ipc for s in SIZES]
-        table.add_row(name, row)
-        for s, v in zip(SIZES, row):
-            per_size_mean[s].append(v)
-    print("\n" + table.render())
-    means = {s: arithmetic_mean(v) for s, v in per_size_mean.items()}
-    print("mean IPC per size:", {f"{s//1024}K": round(m, 3) for s, m in means.items()})
-    print("paper: saturation at 4K entries; beyond that <1% change")
+def test_fig12_table_size_ipc(benchmark, suite):
+    result = benchmark.pedantic(suite.figure12, rounds=1, iterations=1)
+    print("\n" + result.render())
+    mean4k, mean8k, mean16k = (result.summary[f"mean IPC {k}K"] for k in (4, 8, 16))
 
     # Saturation: doubling past the default moves mean IPC by little.
-    assert abs(means[8192] - means[4096]) / means[4096] < 0.05
-    assert abs(means[16384] - means[4096]) / means[4096] < 0.05
+    assert abs(mean8k - mean4k) / mean4k < 0.05
+    assert abs(mean16k - mean4k) / mean4k < 0.05
     # The default must not trail the largest table meaningfully.
-    assert means[4096] > means[16384] * 0.95
+    assert mean4k > mean16k * 0.95

@@ -6,33 +6,15 @@ bad", so the ratio falls as ports are added — ~6% from 3 to 4 ports and
 only ~2% more from 4 to 5.
 """
 
-import figdata
 from repro.analysis.metrics import arithmetic_mean
-from repro.analysis.report import Table
-
-PORTS = (3, 4, 5)
 
 
-def test_fig13_ports_bad_good_ratio(benchmark):
-    results = benchmark.pedantic(figdata.port_sweep, rounds=1, iterations=1)
+def test_fig13_ports_bad_good_ratio(benchmark, suite):
+    result = benchmark.pedantic(suite.figure13, rounds=1, iterations=1)
+    print("\n" + result.render())
 
-    table = Table(
-        "Figure 13 — bad/good prefetch ratio vs L1 ports (PA filter)",
-        ["benchmark", "3 ports", "4 ports", "5 ports"],
-    )
-    ratios = {p: [] for p in PORTS}
-    for name in figdata.BENCHES:
-        row = []
-        for p in PORTS:
-            r = results[name][p].prefetch.bad_good_ratio
-            row.append(r)
-            if r != float("inf"):
-                ratios[p].append(r)
-        table.add_row(name, row)
-    print("\n" + table.render())
-    means = {p: arithmetic_mean(v) for p, v in ratios.items()}
-    print("mean ratios:", {p: round(m, 3) for p, m in means.items()})
-    print("paper: -6% from 3->4 ports, -2% from 4->5 (diminishing returns)")
-
+    # Mean ratio per port count; arithmetic_mean skips the infinite ratios.
+    _names, *columns = zip(*result.table.rows)
+    mean3, mean4, mean5 = (arithmetic_mean(column) for column in columns)
     # 4-port and 5-port ratios stay close (diminishing returns).
-    assert abs(means[5] - means[4]) <= abs(means[4] - means[3]) + 0.15 * max(1.0, means[3])
+    assert abs(mean5 - mean4) <= abs(mean4 - mean3) + 0.15 * max(1.0, mean3)

@@ -5,35 +5,16 @@ paper measures only +4% mean IPC from 3 to 4 ports and <1% from 4 to 5 —
 the take-away being that more ports are not worth the area beyond 4.
 """
 
-import figdata
-from repro.analysis.metrics import arithmetic_mean
-from repro.analysis.report import Table
 
-PORTS = (3, 4, 5)
-
-
-def test_fig14_ports_ipc(benchmark):
-    results = benchmark.pedantic(figdata.port_sweep, rounds=1, iterations=1)
-
-    table = Table(
-        "Figure 14 — IPC vs L1 ports (PA filter)",
-        ["benchmark", "3 ports", "4 ports", "5 ports"],
-    )
-    per_port = {p: [] for p in PORTS}
-    for name in figdata.BENCHES:
-        row = [results[name][p].ipc for p in PORTS]
-        table.add_row(name, row)
-        for p, v in zip(PORTS, row):
-            per_port[p].append(v)
-    print("\n" + table.render())
-    means = {p: arithmetic_mean(v) for p, v in per_port.items()}
-    print("mean IPC:", {p: round(m, 3) for p, m in means.items()})
-    print("paper: +4% from 3->4 ports, <1% from 4->5")
+def test_fig14_ports_ipc(benchmark, suite):
+    result = benchmark.pedantic(suite.figure14, rounds=1, iterations=1)
+    print("\n" + result.render())
+    mean3, mean4, mean5 = (result.summary[f"mean IPC {p}p"] for p in (3, 4, 5))
 
     # Diminishing (and latency-taxed) returns: the 4->5 step is no larger
     # than the 3->4 step.
-    step34 = means[4] - means[3]
-    step45 = means[5] - means[4]
-    assert step45 <= step34 + 0.05 * means[3]
+    step34 = mean4 - mean3
+    step45 = mean5 - mean4
+    assert step45 <= step34 + 0.05 * mean3
     # Every configuration still runs sanely.
-    assert all(m > 0 for m in means.values())
+    assert all(m > 0 for m in (mean3, mean4, mean5))

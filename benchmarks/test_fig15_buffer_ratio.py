@@ -6,38 +6,17 @@ buffer degrades the effectiveness of pollution filters" — the buffer's
 16 entries evict prefetches before they can prove useful.
 """
 
-import figdata
-from repro.analysis.metrics import arithmetic_mean
-from repro.analysis.report import Table
 from repro.common.config import FilterKind
 
 
-def test_fig15_buffer_bad_good_ratio(benchmark):
-    results = benchmark.pedantic(figdata.buffer_comparison, rounds=1, iterations=1)
-
-    table = Table(
-        "Figure 15 — bad/good ratio with/without prefetch buffer",
-        ["benchmark", "PA", "PA+buf", "PC", "PC+buf"],
-    )
-    plain, buffered = [], []
-    for name in figdata.BENCHES:
-        row = [
-            results[name][(FilterKind.PA, False)].prefetch.bad_good_ratio,
-            results[name][(FilterKind.PA, True)].prefetch.bad_good_ratio,
-            results[name][(FilterKind.PC, False)].prefetch.bad_good_ratio,
-            results[name][(FilterKind.PC, True)].prefetch.bad_good_ratio,
-        ]
-        table.add_row(name, row)
-        if row[0] != float("inf") and row[1] != float("inf"):
-            plain.append(row[0])
-            buffered.append(row[1])
-    print("\n" + table.render())
-    print(
-        f"mean PA ratio: no buffer {arithmetic_mean(plain):.2f}, "
-        f"buffer {arithmetic_mean(buffered):.2f} (paper: buffer degrades filters)"
-    )
+def test_fig15_buffer_bad_good_ratio(benchmark, suite):
+    result = benchmark.pedantic(suite.figure15, rounds=1, iterations=1)
+    print("\n" + result.render())
 
     # The buffer meaningfully changes classification outcomes everywhere.
+    # The figure prints ratios, so the classified counts are read off the
+    # suite's runs.
     assert all(
-        results[n][(FilterKind.PA, True)].prefetch.classified > 0 for n in figdata.BENCHES
+        runs[(FilterKind.PA, True)].prefetch.classified > 0
+        for runs in suite.buffer_runs().values()
     )

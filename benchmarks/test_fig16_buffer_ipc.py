@@ -5,32 +5,10 @@ average -9% (PA) and -10% (PC) versus the filters alone, because the tiny
 buffer evicts prefetches before use and cannot reduce prefetch traffic.
 """
 
-import figdata
-from repro.analysis.metrics import arithmetic_mean, percent_change
-from repro.analysis.report import Table
-from repro.common.config import FilterKind
 
-
-def test_fig16_buffer_ipc(benchmark):
-    results = benchmark.pedantic(figdata.buffer_comparison, rounds=1, iterations=1)
-
-    table = Table(
-        "Figure 16 — IPC with/without prefetch buffer",
-        ["benchmark", "PA", "PA+buf", "PC", "PC+buf"],
-    )
-    deltas_pa = []
-    for name in figdata.BENCHES:
-        pa = results[name][(FilterKind.PA, False)].ipc
-        pab = results[name][(FilterKind.PA, True)].ipc
-        pc = results[name][(FilterKind.PC, False)].ipc
-        pcb = results[name][(FilterKind.PC, True)].ipc
-        table.add_row(name, [pa, pab, pc, pcb])
-        deltas_pa.append(percent_change(pa, pab))
-    print("\n" + table.render())
-    print(
-        f"mean IPC change from adding the buffer (PA): {arithmetic_mean(deltas_pa):+.1f}% "
-        "(paper: -9% PA / -10% PC)"
-    )
+def test_fig16_buffer_ipc(benchmark, suite):
+    result = benchmark.pedantic(suite.figure16, rounds=1, iterations=1)
+    print("\n" + result.render())
 
     # The buffer must not be a win: it never beats the plain filter by much.
-    assert arithmetic_mean(deltas_pa) < 5.0
+    assert result.summary["mean IPC change from buffer (PA) %"] < 5.0

@@ -5,32 +5,14 @@ on average 48% of prefetches are never referenced before eviction, with 4
 of 10 benchmarks above 50%.
 """
 
-import figdata
-from repro.analysis.metrics import arithmetic_mean
-from repro.analysis.report import Table
-from repro.common.config import FilterKind
 
+def test_fig1_prefetch_effectiveness(benchmark, suite):
+    result = benchmark.pedantic(suite.figure1, rounds=1, iterations=1)
+    print("\n" + result.render())
 
-def test_fig1_prefetch_effectiveness(benchmark):
-    results = benchmark.pedantic(figdata.filter_comparison, args=(8,), rounds=1, iterations=1)
-
-    table = Table(
-        "Figure 1 — effectiveness of prefetches (no filtering, normalised)",
-        ["benchmark", "good frac", "bad frac"],
-    )
-    bad_fracs = []
-    for name in figdata.BENCHES:
-        t = results[name][FilterKind.NONE].prefetch
-        total = max(1, t.good + t.bad)
-        table.add_row(name, [t.good / total, t.bad / total])
-        bad_fracs.append(t.bad / total)
-    print("\n" + table.render())
-    print("paper: mean bad fraction 0.48; >0.5 in 4 of 10 benchmarks")
-
-    mean_bad = arithmetic_mean(bad_fracs)
-    assert 0.30 < mean_bad < 0.90
-    assert sum(1 for b in bad_fracs if b > 0.5) >= 4
+    bad_frac = {name: bad for name, _good, bad in result.table.rows}
+    assert 0.30 < result.summary["mean bad fraction"] < 0.90
+    assert sum(1 for b in bad_frac.values() if b > 0.5) >= 4
     # pointer-heavy benchmarks must pollute more than the streaming ones
-    frac = {n: b for n, b in zip(figdata.BENCHES, bad_fracs)}
-    assert frac["mcf"] > frac["ijpeg"]
-    assert frac["gcc"] > frac["fpppp"]
+    assert bad_frac["mcf"] > bad_frac["ijpeg"]
+    assert bad_frac["gcc"] > bad_frac["fpppp"]

@@ -6,53 +6,30 @@ also losing ~51% (PA) / ~48% (PC) of good ones; prefetch bandwidth drops
 ~75%.
 """
 
-import figdata
 from repro.analysis.metrics import arithmetic_mean, reduction_percent
-from repro.analysis.report import Table
 from repro.common.config import FilterKind
 
 
-def test_fig4_prefetch_counts_8kb(benchmark):
-    results = benchmark.pedantic(figdata.filter_comparison, args=(8,), rounds=1, iterations=1)
-
-    table = Table(
-        "Figure 4 — prefetch counts, 8KB L1 (normalised to no-filter good)",
-        ["benchmark", "bad:none", "bad:PA", "bad:PC", "good:none", "good:PA", "good:PC"],
-    )
-    bad_red_pa, bad_red_pc, good_red_pa, good_red_pc, bw_red_pa = [], [], [], [], []
-    for name in figdata.BENCHES:
-        none = results[name][FilterKind.NONE].prefetch
-        pa = results[name][FilterKind.PA].prefetch
-        pc = results[name][FilterKind.PC].prefetch
-        ref = max(1, none.good)
-        table.add_row(
-            name,
-            [none.bad / ref, pa.bad / ref, pc.bad / ref, 1.0, pa.good / ref, pc.good / ref],
+def test_fig4_prefetch_counts_8kb(benchmark, suite):
+    result = benchmark.pedantic(suite.figure4, rounds=1, iterations=1)
+    print("\n" + result.render())
+    # The figure does not print prefetch bandwidth, so it is read off the
+    # suite's runs.
+    bw_red_pa = arithmetic_mean(
+        reduction_percent(
+            runs[FilterKind.NONE].prefetch_line_traffic, runs[FilterKind.PA].prefetch_line_traffic
         )
-        bad_red_pa.append(reduction_percent(none.bad, pa.bad))
-        bad_red_pc.append(reduction_percent(none.bad, pc.bad))
-        good_red_pa.append(reduction_percent(none.good, pa.good))
-        good_red_pc.append(reduction_percent(none.good, pc.good))
-        bw_red_pa.append(
-            reduction_percent(
-                results[name][FilterKind.NONE].prefetch_line_traffic,
-                results[name][FilterKind.PA].prefetch_line_traffic,
-            )
-        )
-    print("\n" + table.render())
-    print(
-        f"measured mean reductions: bad PA {arithmetic_mean(bad_red_pa):.0f}% "
-        f"/ PC {arithmetic_mean(bad_red_pc):.0f}%, good PA {arithmetic_mean(good_red_pa):.0f}% "
-        f"/ PC {arithmetic_mean(good_red_pc):.0f}%, PA prefetch bandwidth {arithmetic_mean(bw_red_pa):.0f}%"
+        for runs in suite.comparison(8).values()
     )
-    print("paper: bad 97%/98%, good 51%/48%, bandwidth 75%/74%")
+    print(f"measured PA prefetch bandwidth reduction: {bw_red_pa:.0f}% (paper: 75%)")
 
+    summary = result.summary
     # Filters must remove the majority of bad prefetches...
-    assert arithmetic_mean(bad_red_pa) > 50
-    assert arithmetic_mean(bad_red_pc) > 50
+    assert summary["bad reduction PA %"] > 50
+    assert summary["bad reduction PC %"] > 50
     # ...at a real cost in good prefetches (the paper's central trade-off)...
-    assert arithmetic_mean(good_red_pa) > 10
+    assert summary["good reduction PA %"] > 10
     # ...and bad prefetches must fall much harder than good ones.
-    assert arithmetic_mean(bad_red_pa) > arithmetic_mean(good_red_pa)
+    assert summary["bad reduction PA %"] > summary["good reduction PA %"]
     # Substantial prefetch-bandwidth reduction.
-    assert arithmetic_mean(bw_red_pa) > 30
+    assert bw_red_pa > 30

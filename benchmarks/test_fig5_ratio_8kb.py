@@ -3,43 +3,13 @@
 Paper: the ratio falls by ~70% with PA filtering and ~91% with PC.
 """
 
-import figdata
-from repro.analysis.metrics import arithmetic_mean, reduction_percent
-from repro.analysis.report import Table
-from repro.common.config import FilterKind
 
+def test_fig5_bad_good_ratio_8kb(benchmark, suite):
+    result = benchmark.pedantic(suite.figure5, rounds=1, iterations=1)
+    print("\n" + result.render())
 
-def test_fig5_bad_good_ratio_8kb(benchmark):
-    results = benchmark.pedantic(figdata.filter_comparison, args=(8,), rounds=1, iterations=1)
-
-    table = Table(
-        "Figure 5 — bad/good prefetch ratio, 8KB L1",
-        ["benchmark", "none", "PA", "PC"],
-    )
-    reductions_pa, reductions_pc = [], []
-    for name in figdata.BENCHES:
-        rn = results[name][FilterKind.NONE].prefetch.bad_good_ratio
-        rpa = results[name][FilterKind.PA].prefetch.bad_good_ratio
-        rpc = results[name][FilterKind.PC].prefetch.bad_good_ratio
-        table.add_row(name, [rn, rpa, rpc])
-        if rn not in (0.0, float("inf")):
-            if rpa != float("inf"):
-                reductions_pa.append(reduction_percent(rn, rpa))
-            if rpc != float("inf"):
-                reductions_pc.append(reduction_percent(rn, rpc))
-    print("\n" + table.render())
-    print(
-        f"measured mean ratio reduction: PA {arithmetic_mean(reductions_pa):.0f}% "
-        f"PC {arithmetic_mean(reductions_pc):.0f}% (paper: 70% / 91%)"
-    )
-
-    assert arithmetic_mean(reductions_pa) > 30
-    assert arithmetic_mean(reductions_pc) > 30
+    assert result.summary["ratio reduction PA %"] > 30
+    assert result.summary["ratio reduction PC %"] > 30
     # ratio must fall for a clear majority of benchmarks
-    falls = sum(
-        1
-        for name in figdata.BENCHES
-        if results[name][FilterKind.PA].prefetch.bad_good_ratio
-        <= results[name][FilterKind.NONE].prefetch.bad_good_ratio + 1e-9
-    )
+    falls = sum(1 for _name, none, pa, _pc in result.table.rows if pa <= none + 1e-9)
     assert falls >= 7

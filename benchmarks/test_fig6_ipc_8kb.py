@@ -7,37 +7,18 @@ trace profits from prefetching far more than the original (see
 EXPERIMENTS.md).
 """
 
-import figdata
-from repro.analysis.metrics import arithmetic_mean, percent_change
-from repro.analysis.report import Table
-from repro.common.config import FilterKind
+from repro.analysis.metrics import percent_change
 
 
-def test_fig6_ipc_8kb(benchmark):
-    results = benchmark.pedantic(figdata.filter_comparison, args=(8,), rounds=1, iterations=1)
-
-    table = Table("Figure 6 — IPC, 8KB L1", ["benchmark", "none", "PA", "PC"])
-    speedups_pa, speedups_pc = [], []
-    for name in figdata.BENCHES:
-        n = results[name][FilterKind.NONE].ipc
-        pa = results[name][FilterKind.PA].ipc
-        pc = results[name][FilterKind.PC].ipc
-        table.add_row(name, [n, pa, pc])
-        speedups_pa.append(percent_change(n, pa))
-        speedups_pc.append(percent_change(n, pc))
-    print("\n" + table.render())
-    print(
-        f"measured mean speedup: PA {arithmetic_mean(speedups_pa):+.1f}% "
-        f"PC {arithmetic_mean(speedups_pc):+.1f}% (paper: +8.2% / +9.1%)"
-    )
+def test_fig6_ipc_8kb(benchmark, suite):
+    result = benchmark.pedantic(suite.figure6, rounds=1, iterations=1)
+    print("\n" + result.render())
 
     # The PA filter improves mean IPC over no filtering.
-    assert arithmetic_mean(speedups_pa) > 0
+    assert result.summary["mean speedup PA %"] > 0
     # Filtering must never be a broad regression: most benchmarks at or above baseline.
-    at_or_above = sum(1 for s in speedups_pa if s > -1.0)
+    speedup_pa = {name: percent_change(none, pa) for name, none, pa, _pc in result.table.rows}
+    at_or_above = sum(1 for s in speedup_pa.values() if s > -1.0)
     assert at_or_above >= 7
     # The pollution-dominated benchmark gains dramatically.
-    em3d_gain = percent_change(
-        results["em3d"][FilterKind.NONE].ipc, results["em3d"][FilterKind.PA].ipc
-    )
-    assert em3d_gain > 15
+    assert speedup_pa["em3d"] > 15

@@ -5,48 +5,20 @@ preserved than at 8 KB (only 35% / 27% removed) because the larger cache
 suffers fewer conflict/capacity evictions.
 """
 
-import figdata
-from repro.analysis.metrics import arithmetic_mean, reduction_percent
-from repro.analysis.report import Table
-from repro.common.config import FilterKind
 
-
-def test_fig7_prefetch_counts_32kb(benchmark):
-    results = benchmark.pedantic(figdata.filter_comparison, args=(32,), rounds=1, iterations=1)
-
-    table = Table(
-        "Figure 7 — prefetch counts, 32KB L1 (normalised to no-filter good)",
-        ["benchmark", "bad:none", "bad:PA", "bad:PC", "good:PA", "good:PC"],
-    )
-    bad_red, good_red = [], []
-    for name in figdata.BENCHES:
-        none = results[name][FilterKind.NONE].prefetch
-        pa = results[name][FilterKind.PA].prefetch
-        pc = results[name][FilterKind.PC].prefetch
-        ref = max(1, none.good)
-        table.add_row(name, [none.bad / ref, pa.bad / ref, pc.bad / ref, pa.good / ref, pc.good / ref])
-        bad_red.append(reduction_percent(none.bad, pa.bad))
-        good_red.append(reduction_percent(none.good, pa.good))
-    print("\n" + table.render())
-    print(
-        f"measured mean: bad -{arithmetic_mean(bad_red):.0f}%, good -{arithmetic_mean(good_red):.0f}% "
-        "(paper: bad -91%, good -35%)"
-    )
+def test_fig7_prefetch_counts_32kb(benchmark, suite):
+    result = benchmark.pedantic(suite.figure7, rounds=1, iterations=1)
+    print("\n" + result.render())
+    bad_red = result.summary["bad reduction PA %"]
+    good_red = result.summary["good reduction PA %"]
 
     # Direction: the filter removes a substantial share of bad prefetches and
     # harms good ones less.  (At this trace scale the 32KB cache evicts far
     # less, so the filter sees less feedback and magnitudes sit below the
     # paper's 91% — see EXPERIMENTS.md.)
-    assert arithmetic_mean(bad_red) > 30
-    assert arithmetic_mean(bad_red) > arithmetic_mean(good_red)
+    assert bad_red > 30
+    assert bad_red > good_red
 
     # Cross-cache-size claim: the 32KB machine preserves good prefetches at
     # least as well as the 8KB one (fewer pollution evictions).
-    results8 = figdata.filter_comparison(8)
-    good_red8 = arithmetic_mean(
-        reduction_percent(
-            results8[n][FilterKind.NONE].prefetch.good, results8[n][FilterKind.PA].prefetch.good
-        )
-        for n in figdata.BENCHES
-    )
-    assert arithmetic_mean(good_red) <= good_red8 + 10
+    assert good_red <= suite.figure4().summary["good reduction PA %"] + 10

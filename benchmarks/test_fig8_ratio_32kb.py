@@ -3,27 +3,11 @@
 Paper: ratio reduced ~75% (PA) and ~93% (PC), slightly better than 8 KB.
 """
 
-import figdata
-from repro.analysis.metrics import arithmetic_mean, reduction_percent
-from repro.analysis.report import Table
-from repro.common.config import FilterKind
 
-
-def test_fig8_bad_good_ratio_32kb(benchmark):
-    results = benchmark.pedantic(figdata.filter_comparison, args=(32,), rounds=1, iterations=1)
-
-    table = Table("Figure 8 — bad/good prefetch ratio, 32KB L1", ["benchmark", "none", "PA", "PC"])
-    reductions = []
-    for name in figdata.BENCHES:
-        rn = results[name][FilterKind.NONE].prefetch.bad_good_ratio
-        rpa = results[name][FilterKind.PA].prefetch.bad_good_ratio
-        rpc = results[name][FilterKind.PC].prefetch.bad_good_ratio
-        table.add_row(name, [rn, rpa, rpc])
-        if rn not in (0.0, float("inf")) and rpa != float("inf"):
-            reductions.append(reduction_percent(rn, rpa))
-    print("\n" + table.render())
-    print(f"measured mean ratio reduction (PA): {arithmetic_mean(reductions):.0f}% (paper 75%)")
+def test_fig8_bad_good_ratio_32kb(benchmark, suite):
+    result = benchmark.pedantic(suite.figure8, rounds=1, iterations=1)
+    print("\n" + result.render())
 
     # Softer magnitude than the paper's 75% for the same reason as Figure 7
     # (less eviction feedback at 32KB on short traces); direction must hold.
-    assert arithmetic_mean(reductions) > 15
+    assert result.summary["ratio reduction PA %"] > 15

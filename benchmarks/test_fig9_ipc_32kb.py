@@ -4,28 +4,15 @@ Paper: "no filtering always delivers the worst IPC number"; means +7.0%
 (PA) and +8.1% (PC).
 """
 
-import figdata
-from repro.analysis.metrics import arithmetic_mean, percent_change
-from repro.analysis.report import Table
-from repro.common.config import FilterKind
+from repro.analysis.metrics import percent_change
 
 
-def test_fig9_ipc_32kb(benchmark):
-    results = benchmark.pedantic(figdata.filter_comparison, args=(32,), rounds=1, iterations=1)
+def test_fig9_ipc_32kb(benchmark, suite):
+    result = benchmark.pedantic(suite.figure9, rounds=1, iterations=1)
+    print("\n" + result.render())
 
-    table = Table("Figure 9 — IPC, 32KB L1", ["benchmark", "none", "PA", "PC"])
-    speedups_pa = []
-    for name in figdata.BENCHES:
-        n = results[name][FilterKind.NONE].ipc
-        pa = results[name][FilterKind.PA].ipc
-        pc = results[name][FilterKind.PC].ipc
-        table.add_row(name, [n, pa, pc])
-        speedups_pa.append(percent_change(n, pa))
-    print("\n" + table.render())
-    print(
-        f"measured mean speedup PA {arithmetic_mean(speedups_pa):+.1f}% (paper +7.0% PA / +8.1% PC)"
+    assert result.summary["mean speedup PA %"] > -1.0
+    at_or_above = sum(
+        1 for _name, none, pa, _pc in result.table.rows if percent_change(none, pa) > -1.0
     )
-
-    assert arithmetic_mean(speedups_pa) > -1.0
-    at_or_above = sum(1 for s in speedups_pa if s > -1.0)
     assert at_or_above >= 7

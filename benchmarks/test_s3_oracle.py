@@ -6,39 +6,16 @@ per (line, PC) key) must cut bad prefetches deeply while keeping most good
 ones — strictly better on the trade-off than any realisable filter.
 """
 
-import figdata
-from repro.analysis.metrics import arithmetic_mean, reduction_percent
-from repro.analysis.report import Table
-from repro.common.config import FilterKind
+from repro.analysis.metrics import arithmetic_mean
 
 
-def test_s3_oracle_elimination(benchmark):
-    oracle = benchmark.pedantic(figdata.oracle_results, rounds=1, iterations=1)
-    baseline = figdata.filter_comparison(8)
+def test_s3_oracle_elimination(benchmark, suite):
+    result = benchmark.pedantic(suite.section3_oracle, rounds=1, iterations=1)
+    print("\n" + result.render())
+    good_kept = arithmetic_mean(row[-1] for row in result.table.rows)
 
-    table = Table(
-        "Section 3 — oracle elimination of bad prefetches",
-        ["benchmark", "IPC none", "IPC oracle", "bad red %", "good kept %"],
-    )
-    bad_reds, good_keeps = [], []
-    for name in figdata.BENCHES:
-        none = baseline[name][FilterKind.NONE]
-        orc = oracle[name]
-        bad_red = reduction_percent(none.prefetch.bad, orc.prefetch.bad)
-        good_keep = 100 - reduction_percent(none.prefetch.good, orc.prefetch.good)
-        table.add_row(name, [none.ipc, orc.ipc, bad_red, good_keep])
-        bad_reds.append(bad_red)
-        good_keeps.append(good_keep)
-    print("\n" + table.render())
-
-    assert arithmetic_mean(bad_reds) > 60
-    assert arithmetic_mean(good_keeps) > 40
+    assert result.summary["mean bad reduction %"] > 60
+    assert good_kept > 40
     # The oracle keeps a better good/bad trade-off than the PA filter.
-    pa_good_kept = arithmetic_mean(
-        100
-        - reduction_percent(
-            baseline[n][FilterKind.NONE].prefetch.good, baseline[n][FilterKind.PA].prefetch.good
-        )
-        for n in figdata.BENCHES
-    )
-    assert arithmetic_mean(good_keeps) > pa_good_kept - 10
+    pa_good_kept = 100 - suite.figure4().summary["good reduction PA %"]
+    assert good_kept > pa_good_kept - 10

@@ -7,35 +7,12 @@ area (the 16KB cache gains ~20% but costs 8KB + latency; the table costs
 fraction of the bigger cache's gain at 1/8th the storage.
 """
 
-import figdata
-from repro.analysis.metrics import arithmetic_mean, percent_change
-from repro.analysis.report import Table
-from repro.common.config import FilterKind
 
-
-def test_s521_history_table_vs_bigger_cache(benchmark):
-    bigger = benchmark.pedantic(figdata.sixteen_kb_results, rounds=1, iterations=1)
-    base = figdata.filter_comparison(8)
-
-    table = Table(
-        "Section 5.2.1 — 8KB+filter vs 16KB no-filter",
-        ["benchmark", "8KB none", "8KB+PA (1KB tbl)", "16KB none"],
-    )
-    filter_gain, cache_gain = [], []
-    for name in figdata.BENCHES:
-        none = base[name][FilterKind.NONE].ipc
-        pa = base[name][FilterKind.PA].ipc
-        big = bigger[name].ipc
-        table.add_row(name, [none, pa, big])
-        filter_gain.append(percent_change(none, pa))
-        cache_gain.append(percent_change(none, big))
-    print("\n" + table.render())
-    print(
-        f"mean gains: +1KB filter {arithmetic_mean(filter_gain):+.1f}%, "
-        f"+8KB cache {arithmetic_mean(cache_gain):+.1f}% (paper: ~20% for 16KB)"
-    )
+def test_s521_history_table_vs_bigger_cache(benchmark, suite):
+    result = benchmark.pedantic(suite.section521_cache_vs_table, rounds=1, iterations=1)
+    print("\n" + result.render())
 
     # Doubling the cache helps (sanity on the substrate)...
-    assert arithmetic_mean(cache_gain) > 0
+    assert result.summary["mean gain +8KB cache %"] > 0
     # ...and the filter's gain is nonnegative at 1/8th the storage cost.
-    assert arithmetic_mean(filter_gain) > -1.0
+    assert result.summary["mean gain +1KB table %"] > -1.0

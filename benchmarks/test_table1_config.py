@@ -7,15 +7,9 @@ exactly the paper's (this is the anchor every other experiment builds on).
 from repro.common.config import SimulationConfig
 
 
-def _build_and_describe() -> str:
-    cfg = SimulationConfig.paper_default()
-    return cfg.describe()
-
-
-def test_table1_system_configuration(benchmark):
-    text = benchmark.pedantic(_build_and_describe, rounds=3, iterations=1)
-    print("\n=== Table 1: System Configuration ===")
-    print(text)
+def test_table1_system_configuration(benchmark, suite):
+    result = benchmark.pedantic(suite.table1, rounds=3, iterations=1)
+    print("\n" + result.render())
 
     cfg = SimulationConfig.paper_default()
     p, h, f = cfg.processor, cfg.hierarchy, cfg.filter

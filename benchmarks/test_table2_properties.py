@@ -5,37 +5,20 @@ workloads split into the paper's two L2 groups (near-zero vs >15%), and L1
 miss rates stay within a few points of the paper's column.
 """
 
-import figdata
-from repro.analysis.report import Table
-from repro.workloads import get_workload
 
+def test_table2_benchmark_properties(benchmark, suite):
+    result = benchmark.pedantic(suite.table2, rounds=1, iterations=1)
+    print("\n" + result.render())
 
-def test_table2_benchmark_properties(benchmark):
-    results = benchmark.pedantic(figdata.no_prefetch_results, rounds=1, iterations=1)
-
-    table = Table(
-        "Table 2 — benchmark properties (prefetch off)",
-        ["benchmark", "L1 miss", "L1 paper", "L2 miss", "L2 paper"],
-        mean_row=False,
-    )
-    for name in figdata.BENCHES:
-        info = get_workload(name).info
-        r = results[name]
-        table.add_row(name, [r.l1_miss_rate, info.paper_l1_miss, r.l2_miss_rate, info.paper_l2_miss])
-    print("\n" + table.render())
-
-    high_l2_paper = {n for n in figdata.BENCHES if get_workload(n).info.paper_l2_miss > 0.15}
-    for name in figdata.BENCHES:
-        r = results[name]
-        info = get_workload(name).info
+    for name, l1, l1_paper, l2, l2_paper in result.table.rows:
         # L1 within a loose absolute band of the paper's column.
-        assert abs(r.l1_miss_rate - info.paper_l1_miss) < 0.12, name
+        assert abs(l1 - l1_paper) < 0.12, name
         # L2 grouping: capacity-bound benchmarks show substantial L2 misses,
         # L2-resident ones stay low.
-        if name in high_l2_paper:
-            assert r.l2_miss_rate > 0.08, name
+        if l2_paper > 0.15:
+            assert l2 > 0.08, name
         else:
-            assert r.l2_miss_rate < 0.15, name
+            assert l2 < 0.15, name
     # em3d is the L1-miss outlier in both columns.
-    measured_worst = max(figdata.BENCHES, key=lambda n: results[n].l1_miss_rate)
-    assert measured_worst == "em3d"
+    measured_worst = max(result.table.rows, key=lambda row: row[1])
+    assert measured_worst[0] == "em3d"

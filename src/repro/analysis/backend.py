@@ -57,6 +57,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.workqueue import FileQueue
+from repro.common.diskio import env_num
 
 BACKEND_ENV = "REPRO_BACKEND"
 QUEUE_DIR_ENV = "REPRO_QUEUE_DIR"
@@ -565,22 +566,12 @@ def register_backend(name: str, factory: Callable[[], ExecutionBackend]) -> None
     _REGISTRY[name] = factory
 
 
-def _env_num(env: str, cast, default):
-    raw = os.environ.get(env)
-    if not raw:
-        return default
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ValueError(f"{env}={raw!r} is not a valid {cast.__name__}") from None
-
-
 def _queue_from_env(transport: str) -> QueueBackend:
     """A :class:`QueueBackend` configured from ``REPRO_QUEUE_*`` vars;
     ``tcp`` also needs ``REPRO_BROKER``, ``shared-fs`` honours
     ``REPRO_QUEUE_DIR`` and ``REPRO_LEASE_TTL``."""
-    spawn = _env_num(QUEUE_WORKERS_ENV, int, None)
-    batch = _env_num(QUEUE_BATCH_ENV, int, 8)
+    spawn = env_num(QUEUE_WORKERS_ENV, int, None)
+    batch = env_num(QUEUE_BATCH_ENV, int, 8)
     if transport == "tcp":
         from repro.analysis.netqueue import BROKER_ENV, net_timeout_from_env
 
@@ -601,7 +592,7 @@ def _queue_from_env(transport: str) -> QueueBackend:
     return QueueBackend(
         queue_dir=queue_dir,
         spawn=spawn,
-        lease_ttl=_env_num(LEASE_TTL_ENV, float, 30.0),
+        lease_ttl=env_num(LEASE_TTL_ENV, float, 30.0),
         batch=batch,
     )
 

@@ -37,11 +37,11 @@ from typing import Any, Dict, List, Optional
 
 from repro.analysis.result_cache import (
     DIGEST_KEY,
-    default_cache_dir,
     payload_digest,
     result_from_dict,
     result_to_dict,
 )
+from repro.common.diskio import default_cache_dir
 from repro.common.faults import fault_point
 from repro.core.simulator import SimulationResult
 

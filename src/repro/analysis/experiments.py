@@ -3,9 +3,9 @@
 One entry per table/figure in the paper (plus the in-text experiments),
 each runnable on demand and returning a structured
 :class:`ExperimentResult` with the measured rows, a text figure, the
-paper's reference numbers, and a reproduction verdict.  The registry is
-what ``benchmarks/`` asserts against and what regenerates
-``EXPERIMENTS.md``::
+paper's reference numbers, and a reproduction verdict.  The benches in
+``benchmarks/`` read one shared suite and assert on what it reports, and
+the same registry regenerates ``EXPERIMENTS.md``::
 
     python -m repro.analysis.experiments --insts 120000 --out EXPERIMENTS.md
 
@@ -336,7 +336,7 @@ class ExperimentSuite:
     def figure9(self) -> ExperimentResult:
         return self._ipc_figure(32, "F9", "IPC +7.0% (PA) / +8.1% (PC); no-filter always worst")
 
-    def _history_sweep(self) -> Dict[str, Dict[int, SimulationResult]]:
+    def history_sweep(self) -> Dict[str, Dict[int, SimulationResult]]:
         cfg = self.base_config().with_filter(kind=FilterKind.PA)
         self._ensure(
             [
@@ -351,7 +351,7 @@ class ExperimentSuite:
         }
 
     def figure10(self) -> ExperimentResult:
-        sweep = self._history_sweep()
+        sweep = self.history_sweep()
         table = Table(
             "Figure 10 — good prefetches vs history size (normalised to 4K)",
             ["benchmark"] + [f"{s // 1024}K" for s in HISTORY_SIZES],
@@ -374,7 +374,7 @@ class ExperimentSuite:
         )
 
     def figure11(self) -> ExperimentResult:
-        sweep = self._history_sweep()
+        sweep = self.history_sweep()
         table = Table(
             "Figure 11 — bad prefetches vs history size (normalised to 4K)",
             ["benchmark"] + [f"{s // 1024}K" for s in HISTORY_SIZES],
@@ -390,7 +390,7 @@ class ExperimentSuite:
         )
 
     def figure12(self) -> ExperimentResult:
-        sweep = self._history_sweep()
+        sweep = self.history_sweep()
         table = Table(
             "Figure 12 — IPC vs history size (PA filter)",
             ["benchmark"] + [f"{s // 1024}K" for s in HISTORY_SIZES],
@@ -413,7 +413,7 @@ class ExperimentSuite:
             notes="trends: " + " ".join(f"{n}:{t}" for n, t in trend.items()),
         )
 
-    def _port_sweep(self) -> Dict[str, Dict[int, SimulationResult]]:
+    def port_sweep(self) -> Dict[str, Dict[int, SimulationResult]]:
         self._ensure(
             [
                 self._job(name, SimulationConfig.paper_ports(p, FilterKind.PA).with_warmup(self.warmup))
@@ -430,7 +430,7 @@ class ExperimentSuite:
         }
 
     def figure13(self) -> ExperimentResult:
-        sweep = self._port_sweep()
+        sweep = self.port_sweep()
         table = Table(
             "Figure 13 — bad/good ratio vs L1 ports (PA filter)",
             ["benchmark", "3 ports", "4 ports", "5 ports"],
@@ -445,7 +445,7 @@ class ExperimentSuite:
         )
 
     def figure14(self) -> ExperimentResult:
-        sweep = self._port_sweep()
+        sweep = self.port_sweep()
         table = Table(
             "Figure 14 — IPC vs L1 ports (PA filter)", ["benchmark", "3 ports", "4 ports", "5 ports"]
         )
@@ -464,7 +464,7 @@ class ExperimentSuite:
             summary={f"mean IPC {p}p": m for p, m in means.items()},
         )
 
-    def _buffer_runs(self) -> Dict[str, Dict[Tuple[FilterKind, bool], SimulationResult]]:
+    def buffer_runs(self) -> Dict[str, Dict[Tuple[FilterKind, bool], SimulationResult]]:
         cfg = self.base_config()
         self._ensure(
             [
@@ -484,7 +484,7 @@ class ExperimentSuite:
         return out
 
     def figure15(self) -> ExperimentResult:
-        runs = self._buffer_runs()
+        runs = self.buffer_runs()
         table = Table(
             "Figure 15 — bad/good ratio with dedicated prefetch buffer",
             ["benchmark", "PA", "PA+buf", "PC", "PC+buf"],
@@ -507,7 +507,7 @@ class ExperimentSuite:
         )
 
     def figure16(self) -> ExperimentResult:
-        runs = self._buffer_runs()
+        runs = self.buffer_runs()
         table = Table(
             "Figure 16 — IPC with dedicated prefetch buffer",
             ["benchmark", "PA", "PA+buf", "PC", "PC+buf"],

@@ -3,8 +3,8 @@
 The paper reports most results as *normalised* quantities (Figure 4
 normalises everything to the no-filter good-prefetch count; Figures 10/11
 normalise to the 4096-entry table) and as *reduction percentages* ("97% of
-bad prefetches are eliminated").  These helpers pin those definitions down
-once so every bench computes them identically.
+bad prefetches are eliminated").  These helpers pin those definitions down;
+the experiment suite computes each figure's metrics with them, once.
 """
 
 from __future__ import annotations

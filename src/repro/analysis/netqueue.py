@@ -67,7 +67,7 @@ from repro.analysis.checkpoint import record_intact
 from repro.analysis.parallel import SimulationJob, job_from_dict, job_to_dict
 from repro.analysis.resilience import RetryPolicy, job_token
 from repro.analysis.workqueue import _BEAT_FRACTION, Claim, FileQueue
-from repro.common.diskio import atomic_write_json
+from repro.common.diskio import atomic_write_json, env_num
 from repro.common.faults import fault_point
 
 BROKER_ENV = "REPRO_BROKER"
@@ -165,13 +165,9 @@ def parse_broker_spec(
 
 def net_retry_from_env() -> RetryPolicy:
     """The client retry policy, with ``REPRO_NET_RETRIES`` honoured."""
-    raw = os.environ.get(NET_RETRIES_ENV)
-    if not raw:
+    attempts = env_num(NET_RETRIES_ENV, int, None)
+    if attempts is None:
         return NET_RETRY
-    try:
-        attempts = int(raw)
-    except ValueError:
-        raise ValueError(f"{NET_RETRIES_ENV}={raw!r} is not a valid int") from None
     return RetryPolicy(
         max_attempts=max(1, attempts),
         backoff_base=NET_RETRY.backoff_base,
@@ -182,13 +178,7 @@ def net_retry_from_env() -> RetryPolicy:
 
 
 def net_timeout_from_env() -> float:
-    raw = os.environ.get(NET_TIMEOUT_ENV)
-    if not raw:
-        return DEFAULT_CALL_TIMEOUT
-    try:
-        timeout = float(raw)
-    except ValueError:
-        raise ValueError(f"{NET_TIMEOUT_ENV}={raw!r} is not a valid float") from None
+    timeout = env_num(NET_TIMEOUT_ENV, float, DEFAULT_CALL_TIMEOUT)
     if timeout <= 0:
         raise ValueError(f"{NET_TIMEOUT_ENV} must be positive (got {timeout})")
     return timeout

@@ -21,7 +21,6 @@ reporting code.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import hashlib
 import json
 import os
@@ -29,7 +28,13 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.common.config import SimulationConfig
-from repro.common.diskio import PressureGuard, atomic_write_json, parse_size, sweep_stale_tmp
+from repro.common.diskio import (
+    PressureGuard,
+    atomic_write_json,
+    default_cache_dir,
+    parse_size,
+    sweep_stale_tmp,
+)
 from repro.common.faults import fault_point
 from repro.common.stats import Stats
 from repro.core.classifier import PrefetchTally
@@ -40,29 +45,17 @@ from repro.mem.cache import FillSource
 #: with the new tag misses against results stored under the old one.
 MODEL_VERSION = "1"
 
-_CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-
-def _canonical(obj: Any) -> Any:
-    """Reduce config values to JSON-stable primitives (enums by value)."""
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    if isinstance(obj, dict):
-        return {str(k): _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    return obj
-
 
 def config_fingerprint(config: SimulationConfig) -> Dict[str, Any]:
-    """The config as a canonical, JSON-serialisable nested dict.
+    """The config's :meth:`~repro.common.config.SimulationConfig.to_dict`
+    encoding, minus ``sanitize``.
 
     ``sanitize`` is excluded: the invariant sanitizer is read-only, so a
     sanitized run produces bit-identical counters to an unsanitized one
     and both must resolve to the same cache key.
     """
-    data = _canonical(dataclasses.asdict(config))
-    data.pop("sanitize", None)
+    data = config.to_dict()
+    del data["sanitize"]
     return data
 
 
@@ -156,13 +149,6 @@ def payload_digest(data: Dict[str, Any]) -> str:
 # ----------------------------------------------------------------------
 # The on-disk store
 # ----------------------------------------------------------------------
-def default_cache_dir() -> Path:
-    env = os.environ.get(_CACHE_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro"
-
-
 #: Size budget for the cache directory, e.g. ``64k`` / ``200m`` / ``2g``
 #: (or a plain byte count).  Unset means unbounded — the pre-budget
 #: behaviour.

@@ -94,7 +94,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.analysis.checkpoint import record_intact, seal_record
 from repro.analysis.parallel import SimulationJob, job_from_dict, job_to_dict
 from repro.analysis.resilience import job_token
-from repro.common.diskio import atomic_write_json
+from repro.common.diskio import atomic_write_json, env_num
 
 #: Fraction of the lease TTL between heartbeat writes.  Four beats per
 #: TTL keeps a live owner comfortably ahead of any thief's staleness
@@ -117,10 +117,7 @@ _COMPLETING = ".completing"
 
 
 def default_poison_threshold() -> int:
-    try:
-        value = int(os.environ.get(POISON_THRESHOLD_ENV, ""))
-    except ValueError:
-        return DEFAULT_POISON_THRESHOLD
+    value = env_num(POISON_THRESHOLD_ENV, int, DEFAULT_POISON_THRESHOLD)
     return value if value > 0 else DEFAULT_POISON_THRESHOLD
 
 

@@ -358,10 +358,11 @@ class SimulationConfig:
     def to_dict(self) -> dict:
         """The config as JSON-serialisable plain data (enums by value).
 
-        Unlike :func:`repro.analysis.result_cache.config_fingerprint`
-        this keeps every field (including ``sanitize``) — it is a full
-        round trip for shipping configs through queue files, not a cache
-        key.  :meth:`from_dict` inverts it exactly.
+        It keeps every field, ``sanitize`` included: a full round trip
+        for shipping configs through queue files, which :meth:`from_dict`
+        inverts exactly.  The result cache keys runs on this encoding
+        minus ``sanitize`` (:func:`repro.analysis.result_cache
+        .config_fingerprint`).
         """
         import dataclasses as _dc
 

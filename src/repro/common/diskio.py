@@ -26,6 +26,10 @@ fails halfway, not after.  :class:`PressureGuard` packages the free-disk
 and RSS checks (with ``enospc``/``mem-pressure`` fault hooks at the
 ``pressure`` site for chaos testing) so queue workers and the
 content-addressed stores all judge pressure the same way.
+
+As a leaf module it also holds the stores' common root
+(:func:`default_cache_dir`) and the numeric environment readers
+(:func:`env_num`, :func:`parse_size`), which reject a malformed value.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ from typing import Any, Dict, Optional
 #: Temp files older than this are presumed orphaned by a killed writer.
 STALE_TMP_SECONDS = 3600.0
 
+_CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
 #: Uniquifies tmp paths *within* a process; ``itertools.count`` is
 #: effectively atomic under CPython, which is all two threads need.
 _TMP_COUNTER = itertools.count()
@@ -52,8 +58,21 @@ def tmp_path_for(path: Path) -> Path:
     return path.with_suffix(f".tmp.{os.getpid()}.{next(_TMP_COUNTER)}")
 
 
-def sweep_stale_tmp(directory: Path, max_age: float = STALE_TMP_SECONDS) -> int:
-    """Remove orphaned ``*.tmp.*`` files older than ``max_age`` seconds.
+def default_cache_dir() -> Path:
+    """Root of the on-disk caches: ``REPRO_CACHE_DIR``, else
+    ``~/.cache/repro``.  The result cache lives here; traces, compiled
+    kernels and run journals in ``traces/``, ``ckernel/`` and ``runs/``."""
+    env = os.environ.get(_CACHE_DIR_ENV)
+    if env:
+        return Path(env)
+    return Path.home() / ".cache" / "repro"
+
+
+def sweep_stale_tmp(
+    directory: Path, max_age: float = STALE_TMP_SECONDS, pattern: str = "*.tmp.*"
+) -> int:
+    """Remove files matching ``pattern`` (by default orphaned temp
+    files) older than ``max_age`` seconds.
 
     Best-effort on every step — a racing sweeper, a vanishing file, or a
     missing directory all count as "nothing to do".
@@ -61,7 +80,7 @@ def sweep_stale_tmp(directory: Path, max_age: float = STALE_TMP_SECONDS) -> int:
     removed = 0
     try:
         cutoff = time.time() - max_age
-        for tmp in directory.glob("*.tmp.*"):
+        for tmp in directory.glob(pattern):
             try:
                 if tmp.stat().st_mtime < cutoff:
                     tmp.unlink()
@@ -138,20 +157,27 @@ def parse_size(text: str, what: str = "size") -> int:
     return value
 
 
-def _env_size(name: str, default: Optional[int]) -> Optional[int]:
-    text = os.environ.get(name)
-    if not text:
+def env_num(name: str, cast, default):
+    """Environment variable ``name`` converted by ``cast`` (``int`` or
+    ``float``), or ``default`` when it is unset or empty; a malformed
+    value raises ``ValueError`` naming the variable."""
+    raw = os.environ.get(name)
+    if not raw:
         return default
     try:
-        return parse_size(text, what=name)
+        return cast(raw)
     except ValueError:
-        return default
+        raise ValueError(f"{name}={raw!r} is not a valid {cast.__name__}") from None
+
+
+def _env_size(name: str, default: Optional[int]) -> Optional[int]:
+    text = os.environ.get(name)
+    return parse_size(text, what=name) if text else default
 
 
 def default_min_free_bytes() -> int:
     """The effective free-disk floor (env override or the default)."""
-    value = _env_size(MIN_FREE_ENV, DEFAULT_MIN_FREE_BYTES)
-    return DEFAULT_MIN_FREE_BYTES if value is None else value
+    return _env_size(MIN_FREE_ENV, DEFAULT_MIN_FREE_BYTES)
 
 
 def default_max_rss_bytes() -> Optional[int]:

@@ -33,9 +33,8 @@ import subprocess
 from pathlib import Path
 from typing import Callable, Optional
 
+from repro.common.diskio import default_cache_dir, sweep_stale_tmp
 from repro.core import kernels as _k
-
-_CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 def _defines() -> str:
     """One ``#define`` per upper-case int constant of the kernels module,
@@ -455,9 +454,7 @@ def _find_compiler() -> Optional[str]:
 
 
 def cache_dir() -> Path:
-    env = os.environ.get(_CACHE_DIR_ENV)
-    base = Path(env) if env else Path.home() / ".cache" / "repro"
-    return base / "ckernel"
+    return default_cache_dir() / "ckernel"
 
 
 #: How :data:`LOAD_ERROR` starts when a compiler ran and rejected the
@@ -466,25 +463,34 @@ COMPILE_FAILED = "C kernel compile failed"
 
 
 def _build(source: str) -> Path:
-    """Compile ``source`` into the cache; atomic, concurrency-safe."""
+    """Compile ``source`` into the cache; atomic, concurrency-safe.
+
+    The source goes in on stdin, so only shared objects land in the
+    cache.  A hit bumps the object's mtime; a fresh build removes every
+    ``kernel-*`` file untouched for an hour, so only kernels that no
+    checkout has loaded lately age out.
+    """
     digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:16]
     directory = cache_dir()
     directory.mkdir(parents=True, exist_ok=True)
     so_path = directory / f"kernel-{digest}.so"
     if so_path.exists():
+        try:
+            os.utime(so_path)  # LRU bump, as ResultCache.get does on a hit
+        except OSError:
+            pass
         return so_path
-    c_path = directory / f"kernel-{digest}.c"
-    tmp_so = directory / f"kernel-{digest}.{os.getpid()}.tmp.so"
-    c_path.write_text(source)
     compiler = _find_compiler()
     if compiler is None:
         raise RuntimeError("no C compiler found (tried $CC, cc, gcc, clang)")
-    cmd = [compiler, "-O2", "-fPIC", "-shared", "-o", str(tmp_so), str(c_path)]
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    tmp_so = directory / f"kernel-{digest}.{os.getpid()}.tmp.so"
+    cmd = [compiler, "-O2", "-fPIC", "-shared", "-o", str(tmp_so), "-x", "c", "-"]
+    proc = subprocess.run(cmd, input=source, capture_output=True, text=True, timeout=120)
     if proc.returncode != 0:
         tmp_so.unlink(missing_ok=True)
         raise RuntimeError(f"{COMPILE_FAILED}: {proc.stderr.strip()[:500]}")
     os.replace(tmp_so, so_path)
+    sweep_stale_tmp(directory, pattern="kernel-*")
     return so_path
 
 

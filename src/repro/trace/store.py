@@ -26,7 +26,12 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.common.diskio import PressureGuard, atomic_write_bytes, sweep_stale_tmp
+from repro.common.diskio import (
+    PressureGuard,
+    atomic_write_bytes,
+    default_cache_dir,
+    sweep_stale_tmp,
+)
 from repro.common.faults import fault_point
 from repro.trace.stream import Trace
 
@@ -35,13 +40,9 @@ from repro.trace.stream import Trace
 #: traces stored under the old one.
 TRACE_VERSION = "1"
 
-_CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
 
 def default_store_dir() -> Path:
-    env = os.environ.get(_CACHE_DIR_ENV)
-    base = Path(env) if env else Path.home() / ".cache" / "repro"
-    return base / "traces"
+    return default_cache_dir() / "traces"
 
 
 def trace_key(

@@ -10,8 +10,10 @@ and the recorded provenance id may differ.  The engine's tolerance-banded
 contract against the pipeline lives in ``tests/test_relaxed_parity.py``.
 """
 
+import os
 import pickle
 import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -289,6 +291,34 @@ class TestExecutionLegs:
         with pytest.warns(RuntimeWarning, match="unavailable"):
             mode = select_mode()
         assert mode == MODE_INTERP
+
+    def test_binary_cache_ages_out_old_kernels_and_keeps_no_source(
+        self, monkeypatch, fresh_loader
+    ):
+        if _ckernel._find_compiler() is None:
+            pytest.skip("no C compiler here to build the cc leg")
+        directory = _ckernel.cache_dir()
+        directory.mkdir(parents=True)
+        two_hours_ago = time.time() - 7200
+        old_pair = [directory / f"kernel-{'0' * 16}.so", directory / f"kernel-{'0' * 16}.c"]
+        for path in old_pair:
+            path.write_text("an older source's build")
+            os.utime(path, (two_hours_ago, two_hours_ago))
+        foreign = directory / f"kernel-{'1' * 16}.so"
+        foreign.write_text("another checkout's kernel, loaded recently")
+
+        assert _ckernel.load() is not None, _ckernel.LOAD_ERROR
+        left = sorted(directory.iterdir())
+        assert not any(path.exists() for path in old_pair)
+        assert foreign in left and len(left) == 2
+        assert not list(directory.glob("*.c"))
+
+        # A hit bumps the kernel's mtime, so one still in use never ages out.
+        (built,) = [path for path in left if path != foreign]
+        os.utime(built, (two_hours_ago, two_hours_ago))
+        monkeypatch.setattr(_ckernel, "_TRIED", False)
+        assert _ckernel.load() is not None, _ckernel.LOAD_ERROR
+        assert built.stat().st_mtime > two_hours_ago + 3600
 
 
 class TestEngineSelection:

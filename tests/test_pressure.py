@@ -24,11 +24,15 @@ from repro.analysis.parallel import SimulationJob, execute_job
 from repro.analysis.resilience import RetryPolicy
 from repro.analysis.result_cache import ResultCache
 from repro.analysis.worker import drain_queue
-from repro.analysis.workqueue import FileQueue
+from repro.analysis.workqueue import POISON_THRESHOLD_ENV, FileQueue, default_poison_threshold
 from repro.common.config import FilterKind, SimulationConfig
 from repro.common.diskio import (
+    MAX_RSS_ENV,
+    MIN_FREE_ENV,
     PressureGuard,
     current_rss_bytes,
+    default_max_rss_bytes,
+    default_min_free_bytes,
     free_disk_bytes,
     parse_size,
 )
@@ -59,6 +63,37 @@ class TestParseSize:
     def test_malformed_or_nonpositive_raises(self, bad):
         with pytest.raises(ValueError):
             parse_size(bad)
+
+
+# ----------------------------------------------------------------------
+# Environment knobs: a malformed value is an error, not the default
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "env, value, read",
+    [
+        (MAX_RSS_ENV, "2gb", default_max_rss_bytes),
+        (MIN_FREE_ENV, "64mb", default_min_free_bytes),
+        (POISON_THRESHOLD_ENV, "five", default_poison_threshold),
+    ],
+    ids=["max-rss", "min-free", "poison-threshold"],
+)
+def test_malformed_env_knob_raises_naming_it(monkeypatch, env, value, read):
+    monkeypatch.setenv(env, value)
+    with pytest.raises(ValueError, match=env):
+        read()
+
+
+def test_worker_cli_rejects_a_malformed_rss_ceiling(tmp_path):
+    env = dict(os.environ)
+    src_root = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+    env[MAX_RSS_ENV] = "2gb"
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "worker", "--queue-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "configuration error" in proc.stderr and MAX_RSS_ENV in proc.stderr
 
 
 # ----------------------------------------------------------------------

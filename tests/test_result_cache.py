@@ -44,6 +44,15 @@ class TestRunKey:
         assert run_key("em3d", cfg, N, 0) != run_key("em3d", cfg, N, 0, version="v-next")
         assert run_key("em3d", cfg, N, 0) == run_key("em3d", cfg, N, 0, version=MODEL_VERSION)
 
+    def test_address_is_pinned(self):
+        # A cache address names results already on disk: a change to the
+        # key's encoding orphans every stored entry, so it must be made on
+        # purpose, through MODEL_VERSION.
+        cfg = SimulationConfig.paper_default(FilterKind.PA)
+        assert run_key("em3d", cfg, 100000, 0, True, "kernel") == (
+            "120fc231f3281621c719ca52df8064fe3af80ee6f0a07a7eec9c2630cde31ef4"
+        )
+
     def test_fingerprint_is_json_serialisable(self):
         fp = config_fingerprint(SimulationConfig.paper_32kb(FilterKind.PC))
         text = json.dumps(fp, sort_keys=True)
