@@ -4,11 +4,14 @@
   means) shared by every figure,
 * :mod:`repro.analysis.sweep` — run matrices over workloads / filters /
   configurations, including the two-pass oracle and static-filter protocols,
-* :mod:`repro.analysis.report` — paper-style text tables.
+* :mod:`repro.analysis.report` — paper-style text tables,
+* :mod:`repro.analysis.experiments` — the paper's experiment registry.
+  It is not imported here: ``python -m repro.analysis.experiments``
+  regenerates EXPERIMENTS.md, and runpy warns when the package has
+  already imported the module it is asked to run.
 """
 
 from repro.analysis.energy import EnergyBreakdown, EnergyModel, energy_comparison
-from repro.analysis.experiments import ExperimentResult, ExperimentSuite, markdown_report
 from repro.analysis.export import result_to_dict, results_to_csv, results_to_json
 from repro.analysis.figures import grouped_bars, series_lines, sparkline
 from repro.analysis.metrics import (
@@ -32,12 +35,9 @@ from repro.analysis.sweep import (
 __all__ = [
     "EnergyBreakdown",
     "EnergyModel",
-    "ExperimentResult",
-    "ExperimentSuite",
     "FilterSetup",
     "Table",
     "grouped_bars",
-    "markdown_report",
     "result_to_dict",
     "results_to_csv",
     "results_to_json",

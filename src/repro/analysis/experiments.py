@@ -7,7 +7,7 @@ paper's reference numbers, and a reproduction verdict.  The benches in
 ``benchmarks/`` read one shared suite and assert on what it reports, and
 the same registry regenerates ``EXPERIMENTS.md``::
 
-    python -m repro.analysis.experiments --insts 120000 --out EXPERIMENTS.md
+    python -m repro.analysis.experiments --insts 150000 --out EXPERIMENTS.md
 
 Results are memoised within a suite so experiments sharing simulations
 (Figures 4-6 are three views of one comparison) run them once.

@@ -304,12 +304,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         queue = FileQueue(
             args.queue_dir, lease_ttl=args.lease_ttl, poison_threshold=args.poison_threshold
         )
-    # A queue worker is a leaf: anything it runs must stay serial (no
-    # nested pools), and `exit` faults may hard-kill it like any pool
-    # worker.  Marked only now — after validation — so a rejected
-    # invocation does not leave the process-wide marker behind when
-    # `main()` is called in-process.
-    _mark_pool_worker()
     policy = RetryPolicy(max_attempts=max(1, args.retries + 1), timeout=args.timeout)
     store = TraceStore(args.trace_store) if args.trace_store else None
     # The guard's fault key carries the worker name, so a chaos plan can
@@ -319,6 +313,12 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         guard.min_free_bytes = parse_size(args.min_free, "--min-free")
     if args.max_rss is not None:
         guard.max_rss_bytes = parse_size(args.max_rss, "--max-rss")
+    # A queue worker is a leaf: anything it runs must stay serial (no
+    # nested pools), and `exit` faults may hard-kill it like any pool
+    # worker.  Marked only now — after the last step that can reject
+    # the invocation — so a rejected one does not leave the
+    # process-wide marker behind when `main()` is called in-process.
+    _mark_pool_worker()
     deadline = time.monotonic() + args.deadline if args.deadline is not None else None
     stats = drain_queue(
         queue,

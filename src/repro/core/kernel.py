@@ -17,6 +17,13 @@ How the speed is obtained
   handful of vectorised operations.  The history-table index is hashed
   in the loop, where the table is consulted: after the duplicate
   squash, and only when a PA/PC filter is on.
+* **One precompute per trace.**  Executors run a batch grouped by
+  trace and hand every job of a group the same :class:`Trace` object,
+  so the column pass above is memoised per process for the most recent
+  (trace, instructions run, line offset bits, software prefetch on/off)
+  and the scratch state of the last run on it is kept as a spare (see
+  the state layout below).  On an 11-config table sweep, ten runs in
+  eleven skip both the column pass and the allocation.
 * **Flat state, compiled loop.**  The hot loop lives in
   :mod:`repro.core.kernels` as module-level functions over flat
   preallocated numpy arrays (layout below), so a compiler can take it
@@ -88,7 +95,7 @@ payload (``pipeline.kernel_mode_id`` in ``stats``) so cached results
 from different legs are distinguishable — by provenance and timing
 only, never by counters.
 
-State layout (allocated per run, all C-contiguous):
+State layout (all C-contiguous):
 
 * L1: ``tag``/``fid``/``stamp`` int64 + ``dirty``/``pib``/``rib``/
   ``nsp``/``src`` uint8, one slot per way, set-major
@@ -98,17 +105,35 @@ State layout (allocated per run, all C-contiguous):
 * SDP shadow directory + await set: open-addressed int64 maps sized to
   ``next_pow2(2 * (memory_ops + 16))`` — inserts are bounded by L1
   demand misses, so the load factor stays under one half and probes
-  always terminate;
+  always terminate — carved from one block;
 * counters: ``K`` (36 int64 event slots, named by :data:`K_NAMES`) and
   ``T`` (5x7 per-source tally rows, flattened), copied at the warm-up
   boundary; the result reports the whole run's counts in its stats tree
   and the counts after the boundary in its scalars and tallies.
+
+The process keeps one memo entry, for the most recent trace: its
+read-only memory-op columns and one spare :class:`KernelState`.  It
+holds the trace by weak reference, so the entry dies with the trace;
+a new key drops the old entry before the new columns are built.  A run
+*checks out* the spare (when its L1 geometry, L2 geometry and map
+capacity fit), resets it in place and hands it back only once it has
+returned its result, so two runs in flight never share buffers and a
+run that raises (sanitizer trip, timeout, span error status) never
+passes dirty state on.  The reset restores every array's initial value
+except the SDP value arrays (``dir_shadow``, ``dir_conf``, ``aw_val``),
+which a new state leaves unset too: ``map_insert`` writes a slot's
+value before any lookup can return that slot, and zeroing them would
+write 2 MB per run on a 100k-instruction trace.  ``P`` is rewritten
+whole by every run and ``tvals`` is built per run from the filter
+config.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import warnings
+import weakref
 from dataclasses import fields
 from typing import Dict, Optional
 
@@ -233,6 +258,13 @@ def _map_capacity(n_mem: int) -> int:
     return cap
 
 
+def _state_shape(l1cfg, l2cfg, n_mem: int) -> tuple:
+    """What a reused :class:`KernelState` must match: both cache
+    geometries and the exact map capacity, on which the SDP maps' probe
+    sequence depends."""
+    return (l1cfg.num_sets, l1cfg.ways, l2cfg.num_sets, l2cfg.ways, _map_capacity(n_mem))
+
+
 class KernelState:
     """All flat arrays of one kernel run, plus their invariant audit.
 
@@ -249,10 +281,11 @@ class KernelState:
         "l1_fid", "l1_stamp",
         "l2_tag", "l2_dirty", "l2_stamp",
         "dir_key", "dir_shadow", "dir_conf", "aw_key", "aw_val",
-        "tvals", "K", "T", "S", "P",
+        "tvals", "K", "T", "S", "P", "shape",
     )
 
-    def __init__(self, l1cfg, l2cfg, n_mem: int, tvals: np.ndarray) -> None:
+    def __init__(self, l1cfg, l2cfg, n_mem: int) -> None:
+        self.shape = _state_shape(l1cfg, l2cfg, n_mem)
         l1 = allocate_flat_cache(
             l1cfg, flags=("dirty", "pib", "rib", "nsp", "src"), extra=("fid",)
         )
@@ -268,17 +301,38 @@ class KernelState:
         self.l2_tag = l2["tag"]
         self.l2_dirty = l2["dirty"]
         self.l2_stamp = l2["stamp"]
+        # The SDP maps share one block, because a spare state outlives a
+        # whole trace group's other allocations: five arrays freed at the
+        # group's end fragment the heap, one block frees as one reusable
+        # hole.  Only the keys need initial values (the module docstring
+        # says why).
         cap = _map_capacity(n_mem)
-        self.dir_key = np.full(cap, krn.MAP_EMPTY, dtype=np.int64)
-        self.dir_shadow = np.zeros(cap, dtype=np.int64)
-        self.dir_conf = np.zeros(cap, dtype=np.uint8)
-        self.aw_key = np.full(cap, krn.MAP_EMPTY, dtype=np.int64)
-        self.aw_val = np.zeros(cap, dtype=np.int64)
-        self.tvals = tvals
+        block = np.empty(4 * cap + cap // 8, dtype=np.int64)
+        self.dir_key, self.dir_shadow, self.aw_key, self.aw_val = (
+            block[i * cap : (i + 1) * cap] for i in range(4)
+        )
+        self.dir_conf = block[4 * cap :].view(np.uint8)
+        self.dir_key.fill(krn.MAP_EMPTY)
+        self.aw_key.fill(krn.MAP_EMPTY)
+        self.tvals = np.zeros(0, dtype=np.int64)  # the run's own, set per run
         self.K = np.zeros(krn.NK, dtype=np.int64)
         self.T = np.zeros(krn.NT, dtype=np.int64)
         self.S = np.full(krn.NS, -1, dtype=np.int64)
         self.P = np.zeros(krn.NP_PARAMS, dtype=np.int64)
+
+    def reset(self) -> None:
+        """Back to the values ``__init__`` gives, in place — except the
+        SDP value arrays and ``P`` (the module docstring says why)."""
+        self.l1_tag.fill(-1)
+        self.l2_tag.fill(-1)
+        self.dir_key.fill(krn.MAP_EMPTY)
+        self.aw_key.fill(krn.MAP_EMPTY)
+        self.S.fill(-1)
+        for arr in (
+            self.l1_dirty, self.l1_pib, self.l1_rib, self.l1_nsp, self.l1_src,
+            self.l1_fid, self.l1_stamp, self.l2_dirty, self.l2_stamp, self.K, self.T,
+        ):
+            arr.fill(0)
 
     def span_args(self, mcls, mpc, mline) -> tuple:
         """The full positional argument tuple of ``kernel_span`` minus
@@ -378,6 +432,71 @@ class KernelState:
             )
 
 
+def _memory_ops(trace: Trace, n: int, offset_bits: int, software: bool) -> tuple:
+    """The column pass: ``(midx, mcls, mpc, mline)`` of the loads, stores
+    and (when ``software``) software prefetches among the first ``n``
+    records, read-only."""
+    iclass = trace.iclass[:n]
+    mask = (iclass == int(InstrClass.LOAD)) | (iclass == int(InstrClass.STORE))
+    if software:
+        mask |= iclass == int(InstrClass.SW_PREFETCH)
+    columns = (
+        np.nonzero(mask)[0],
+        np.ascontiguousarray(iclass[mask], dtype=np.int64),
+        trace.pc[:n][mask].astype(np.int64),
+        (trace.addr[:n][mask] >> np.uint64(offset_bits)).astype(np.int64),
+    )
+    for column in columns:
+        column.setflags(write=False)
+    return columns
+
+
+class _TraceMemo:
+    """The process's one memo entry: the column pass of one key and the
+    spare state the last successful run on it handed back."""
+
+    __slots__ = ("ref", "key", "columns", "spare")
+
+    def __init__(self, trace: Trace, key: tuple) -> None:
+        self.ref = weakref.ref(trace, _forget)
+        self.key = key
+        self.columns = _memory_ops(trace, *key)
+        self.spare: Optional[KernelState] = None
+
+    def checkout(self, l1cfg, l2cfg, n_mem: int) -> KernelState:
+        """The spare, reset, if its shape fits; else a new state.  The
+        caller owns it until it sets ``spare`` back."""
+        with _memo_lock:
+            st, self.spare = self.spare, None
+        if st is not None and st.shape == _state_shape(l1cfg, l2cfg, n_mem):
+            st.reset()
+            return st
+        st = None  # free a misfit before allocating its replacement
+        return KernelState(l1cfg, l2cfg, n_mem)
+
+
+_memo: Optional[_TraceMemo] = None
+_memo_lock = threading.Lock()
+
+
+def _forget(ref: weakref.ref) -> None:
+    """A memoised trace died: drop its entry, never a newer one."""
+    global _memo
+    if _memo is not None and _memo.ref is ref:
+        _memo = None
+
+
+def _memo_for(trace: Trace, n: int, offset_bits: int, software: bool) -> _TraceMemo:
+    global _memo
+    key = (n, offset_bits, software)
+    memo = _memo
+    if memo is not None and memo.ref() is trace and memo.key == key:
+        return memo
+    _memo = memo = None  # free the old columns and spare before building new ones
+    _memo = _TraceMemo(trace, key)
+    return _memo
+
+
 class KernelEngine:
     """Classification-accurate compiled engine (no cycle-level timing).
 
@@ -435,19 +554,10 @@ class KernelEngine:
         l2cfg = cfg.hierarchy.l2
         pf = cfg.prefetch
 
-        # ---- batch precompute (whole-trace numpy passes) ------------------
-        iclass = trace.iclass[:n]
-        LOAD = int(InstrClass.LOAD)
-        STORE = int(InstrClass.STORE)
-        SW_PF = int(InstrClass.SW_PREFETCH)
-        mask = (iclass == LOAD) | (iclass == STORE)
-        if pf.software:
-            mask |= iclass == SW_PF
-        midx = np.nonzero(mask)[0]
+        # ---- batch precompute (whole-trace numpy passes, memoised) -------
+        memo = _memo_for(trace, n, l1cfg.offset_bits, pf.software)
+        midx, mcls, mpc, mline = memo.columns
         n_mem = len(midx)
-        mcls = np.ascontiguousarray(iclass[mask], dtype=np.int64)
-        mpc = trace.pc[:n][mask].astype(np.int64)
-        mline = (trace.addr[:n][mask] >> np.uint64(l1cfg.offset_bits)).astype(np.int64)
 
         fcfg = cfg.filter
         is_table = fcfg.kind in (FilterKind.PA, FilterKind.PC)
@@ -456,7 +566,8 @@ class KernelEngine:
         tvals = np.full(E if is_table else 1, fcfg.initial_value if is_table else 0, np.int64)
 
         # ---- flat state + scalar parameter block -------------------------
-        st = KernelState(l1cfg, l2cfg, n_mem, tvals)
+        st = memo.checkout(l1cfg, l2cfg, n_mem)
+        st.tvals = tvals
         P = st.P
         P[krn.P_W1] = l1cfg.ways
         P[krn.P_L1MASK] = l1cfg.num_sets - 1
@@ -475,8 +586,8 @@ class KernelEngine:
         P[krn.P_KEYPC] = 1 if fcfg.kind is FilterKind.PC else 0
         P[krn.P_DIRMASK] = len(st.dir_key) - 1
         P[krn.P_AWMASK] = len(st.aw_key) - 1
-        P[krn.P_STORE] = STORE
-        P[krn.P_SWPF] = SW_PF
+        P[krn.P_STORE] = int(InstrClass.STORE)
+        P[krn.P_SWPF] = int(InstrClass.SW_PREFETCH)
 
         args = st.span_args(mcls, mpc, mline)
 
@@ -577,7 +688,9 @@ class KernelEngine:
 
         if warmup:
             cycles = max(1, cycles - estimate(K0, warmup))
-        return build_result(
+        result = build_result(
             trace.name, fcfg.kind.value, n - warmup, cycles,
             dict(zip(K_NAMES, (K - K0).tolist())), _tallies(T - T0), stats,
         )
+        memo.spare = st  # hand the state back only once the run has succeeded
+        return result

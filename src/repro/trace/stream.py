@@ -100,7 +100,7 @@ class TraceSummary:
 class Trace:
     """Immutable columnar instruction trace."""
 
-    __slots__ = ("iclass", "pc", "addr", "taken", "name")
+    __slots__ = ("iclass", "pc", "addr", "taken", "name", "__weakref__")
 
     def __init__(
         self,

@@ -1,5 +1,10 @@
 """Tests for the experiment registry (small-scale runs of each experiment)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.experiments import ExperimentResult, ExperimentSuite, markdown_report
@@ -75,3 +80,16 @@ class TestMarkdownReport:
         out = tmp_path / "exp.md"
         assert main(["--insts", "5000", "--ids", "t1", "--out", str(out)]) == 0
         assert out.read_text().startswith("# EXPERIMENTS")
+
+    def test_module_entry_runs_without_a_runpy_warning(self):
+        """The documented regenerate command: ``repro.analysis`` must not
+        import the module before ``-m`` runs it (runpy warns if it does)."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.analysis.experiments",
+             "--ids", "t1", "--insts", "2000", "--no-cache"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -10,9 +10,13 @@ and the recorded provenance id may differ.  The engine's tolerance-banded
 contract against the pipeline lives in ``tests/test_relaxed_parity.py``.
 """
 
+import gc
 import os
 import pickle
+import random
 import signal
+import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -23,6 +27,7 @@ import repro.core.kernel as kernel_mod
 from repro.analysis.checkpoint import RunJournal
 from repro.analysis.parallel import SimulationJob, run_jobs
 from repro.analysis.resilience import RetryPolicy, execute_batch
+from repro.analysis.result_cache import payload_digest, result_to_dict
 from repro.analysis.sweep import run_workload
 from repro.cli import main as cli_main
 from repro.common.config import CacheConfig, FilterKind, SimulationConfig
@@ -46,6 +51,7 @@ from repro.filters.null_filter import NullFilter
 from repro.filters.pa_filter import PAFilter
 from repro.filters.pc_filter import PCFilter
 from repro.mem.hierarchy import MemoryHierarchy
+from repro.sanitize import SanitizerViolation
 from repro.sanitize.differential import (
     golden_counters,
     relaxed_config,
@@ -53,7 +59,7 @@ from repro.sanitize.differential import (
     run_kernel_parity,
 )
 from repro.trace.stream import Trace
-from repro.workloads import cached_trace, workload_names
+from repro.workloads import build_trace, cached_trace, workload_names
 
 N = 25_000
 FILTERS = (FilterKind.NONE, FilterKind.PA, FilterKind.PC)
@@ -571,3 +577,95 @@ def test_flat_cache_allocation_layout():
     assert arrays["stamp"].dtype == np.int64 and not arrays["stamp"].any()
     assert arrays["dirty"].dtype == np.uint8 and arrays["pib"].dtype == np.uint8
     assert arrays["fid"].dtype == np.int64
+
+
+class TestTraceMemo:
+    """A trace group pays for its column pass and scratch state once."""
+
+    @staticmethod
+    def _digest(result):
+        return payload_digest(result_to_dict(result))
+
+    def test_the_arrays_the_reset_skips_never_reach_a_result(self):
+        """Poison every array ``KernelState.reset`` leaves alone: the next
+        run on that state still gives a fresh-state run's bytes."""
+        trace = build_trace("gzip", 12_000, 0)  # a new object: the memo misses
+        cfg = SimulationConfig.paper_default(FilterKind.PA)
+        fresh = KernelEngine(cfg).run(trace)
+        fired = fresh.stats.flat()
+        assert all(fired.get(f"pipeline.sdp.{key}") for key in ("shadow_learned", "confirmed"))
+        spare = kernel_mod._memo.spare
+        rng = np.random.default_rng(21)
+        for arr in (spare.dir_shadow, spare.dir_conf, spare.aw_val, spare.P):
+            arr.view(np.uint8)[:] = rng.integers(0, 256, arr.nbytes, dtype=np.uint8)
+        reused = KernelEngine(cfg).run(trace)
+        assert kernel_mod._memo.spare is spare
+        assert self._digest(reused) == self._digest(fresh)
+
+    def test_one_column_pass_per_trace_group(self, monkeypatch):
+        passes = []
+        column_pass = kernel_mod._memory_ops
+
+        def counted(trace, *key):
+            passes.append(key)
+            return column_pass(trace, *key)
+
+        monkeypatch.setattr(kernel_mod, "_memory_ops", counted)
+        trace = build_trace("em3d", 8_000, 0)
+        base = SimulationConfig.paper_default(FilterKind.NONE)
+        grid = [base] + [
+            SimulationConfig.paper_default(kind).with_filter(table_entries=entries)
+            for kind in (FilterKind.PA, FilterKind.PC)
+            for entries in (1024, 2048, 4096, 8192, 16384)
+        ]
+        for cfg in grid:
+            KernelEngine(cfg).run(trace)
+        assert len(passes) == 1
+        KernelEngine(base.with_prefetch(software=False)).run(trace)
+        KernelEngine(replace(base, max_instructions=5_000)).run(trace)
+        assert len(passes) == 3
+        del trace
+        gc.collect()
+        assert kernel_mod._memo is None  # no columns, no spare state
+
+    def test_a_run_that_raises_hands_no_state_back(self, monkeypatch):
+        trace = build_trace("em3d", 8_000, 0)
+        cfg = SimulationConfig.paper_default(FilterKind.PA)
+        KernelEngine(cfg).run(trace)
+        assert kernel_mod._memo.spare is not None
+        monkeypatch.setenv("REPRO_SANITIZE_INTERVAL", "512")
+        with inject_faults("invariant-trip@sanitizer"), pytest.raises(SanitizerViolation):
+            KernelEngine(cfg.with_sanitize()).run(trace)
+        assert kernel_mod._memo.spare is None
+
+    def test_runs_in_flight_at_once_never_share_a_state(self):
+        """Threads running different configs on one trace (the cc leg lets
+        go of the interpreter lock inside the span) get their serial bytes."""
+        trace = build_trace("gzip", 8_000, 0)
+        cfgs = [SimulationConfig.paper_default(FilterKind.NONE)] + [
+            SimulationConfig.paper_default(kind).with_filter(table_entries=entries)
+            for kind in (FilterKind.PA, FilterKind.PC)
+            for entries in (1024, 16384)
+        ]
+        want = [self._digest(KernelEngine(cfg).run(trace)) for cfg in cfgs]
+        got = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            for _ in range(20):
+                i = rng.randrange(len(cfgs))
+                got.append((i, self._digest(KernelEngine(cfgs[i]).run(trace))))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == 80
+        assert [want[i] for i, _ in got] == [digest for _, digest in got]

@@ -96,6 +96,25 @@ def test_worker_cli_rejects_a_malformed_rss_ceiling(tmp_path):
     assert "configuration error" in proc.stderr and MAX_RSS_ENV in proc.stderr
 
 
+@pytest.mark.parametrize("route", ["flag", "env"])
+def test_rejected_worker_leaves_no_pool_marker(tmp_path, monkeypatch, route):
+    """In-process, a worker rejected for a malformed RSS ceiling does not
+    brand the process a pool worker (which would make every later
+    ``run_jobs`` in it serial)."""
+    from repro.analysis.parallel import _POOL_WORKER_ENV
+    from repro.cli import main
+
+    monkeypatch.setenv(_POOL_WORKER_ENV, "")  # so teardown removes any leak
+    monkeypatch.delenv(_POOL_WORKER_ENV)
+    argv = ["worker", "--queue-dir", str(tmp_path)]
+    if route == "flag":
+        argv += ["--max-rss", "2gb"]
+    else:
+        monkeypatch.setenv(MAX_RSS_ENV, "2gb")
+    assert main(argv) == 2
+    assert _POOL_WORKER_ENV not in os.environ
+
+
 # ----------------------------------------------------------------------
 # PressureGuard: real measurements
 # ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ because the golden corpus reads every ``*.json`` directly in
 from __future__ import annotations
 
 import json
+import random
 import sys
 from dataclasses import replace
 from functools import partial
@@ -129,14 +130,31 @@ def test_fixture_covers_every_case():
     assert sorted(CASES) == sorted(LOCKED)
 
 
+def _require_cc() -> None:
+    if _ckernel.rejected():
+        pytest.fail(_ckernel.LOAD_ERROR)
+    if _ckernel.load() is None:
+        pytest.skip(f"no C compiler builds the cc leg: {_ckernel.LOAD_ERROR}")
+
+
 @pytest.mark.parametrize("key", sorted(CASES))
 def test_result_payload_is_bit_identical(key):
     needs_cc, run = CASES[key]
-    if needs_cc and _ckernel.rejected():
-        pytest.fail(_ckernel.LOAD_ERROR)
-    if needs_cc and _ckernel.load() is None:
-        pytest.skip(f"no C compiler builds the cc leg: {_ckernel.LOAD_ERROR}")
+    if needs_cc:
+        _require_cc()
     assert result_digest(run()) == LOCKED[key], f"{key}: result payload moved"
+
+
+def test_kernel_cases_in_any_order_on_shared_traces():
+    """Every kernel case again in one process, reversed and then shuffled,
+    on the shared ``cached_trace`` objects: a run that reuses the previous
+    run's columns or scratch state must not see its table size, filter,
+    L1 geometry, instruction cap or software-prefetch setting."""
+    _require_cc()
+    keys = [key for key in CASES if key.startswith("kernel/")]
+    order = keys[::-1] + random.Random(2003).sample(keys, len(keys))
+    moved = [key for key in order if result_digest(CASES[key][1]()) != LOCKED[key]]
+    assert not moved, f"payloads moved when run in another order: {moved}"
 
 
 if __name__ == "__main__":

@@ -10,7 +10,12 @@ import pytest
 from repro.analysis.checkpoint import RunJournal
 from repro.analysis.parallel import SimulationJob
 from repro.analysis.resilience import execute_batch
-from repro.analysis.result_cache import ResultCache, config_fingerprint
+from repro.analysis.result_cache import (
+    ResultCache,
+    config_fingerprint,
+    payload_digest,
+    result_to_dict,
+)
 from repro.analysis.sweep import run_workload
 from repro.common.config import CacheConfig, FilterKind, SimulationConfig
 from repro.common.faults import inject_faults
@@ -29,6 +34,7 @@ from repro.sanitize import (
 )
 from repro.sanitize.differential import run_parity, verify_golden, write_corpus
 from repro.trace.stream import Trace, TraceBuilder
+from repro.workloads import cached_trace
 
 N = 4_000
 ENGINES = ("pipeline", "kernel")
@@ -46,6 +52,10 @@ SANITIZED_CASES = [
 def _cfg(kind=FilterKind.PA, **overrides) -> SimulationConfig:
     cfg = SimulationConfig.paper_default(kind)
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
+
+
+def _digest(result) -> str:
+    return payload_digest(result_to_dict(result))
 
 
 # ----------------------------------------------------------------------
@@ -218,9 +228,17 @@ class TestFaultInjection:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_invariant_trip_detected(self, engine, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE_INTERVAL", "512")
+        cfg = _cfg().with_sanitize()
+        trace = cached_trace("em3d", N, 0)
         with inject_faults("invariant-trip@sanitizer"):
             with pytest.raises(SanitizerViolation):
-                run_workload("em3d", _cfg().with_sanitize(), N, 0, engine)
+                run_workload("em3d", cfg, engine=engine, trace=trace)
+        if engine == "kernel":
+            # The tripped run's corrupted state stays with it: a rerun on
+            # the same trace object matches a run on a fresh copy of it.
+            rerun = run_workload("em3d", cfg, engine=engine, trace=trace)
+            clean = run_workload("em3d", cfg, engine=engine, trace=trace.head(len(trace)))
+            assert _digest(rerun) == _digest(clean)
 
     def test_result_cache_corrupt_artifact_quarantined(self, tmp_path):
         cache = ResultCache(tmp_path)
