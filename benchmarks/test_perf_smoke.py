@@ -2,10 +2,9 @@
 
 Exercises the whole perf stack end to end at a tiny instruction budget:
 parallel fan-out equals serial execution, the disk cache round-trips results
-bit-identically, and a warm cache short-circuits execution entirely.  The
-real speedup measurement lives in BENCH_parallel.json (produced by
-``repro-sim bench``); this test only guards that the machinery keeps
-working.
+bit-identically, and a warm cache short-circuits execution entirely.  Speed
+is measured by the benchmark in ``bench/`` (``python3 bench/run.py``); this
+test only guards that the machinery keeps working.
 """
 
 import time

@@ -167,9 +167,10 @@ class QueueBackend(ExecutionBackend):
 
     After ``execute`` returns, ``last_counts`` / ``last_worker_stats``
     / ``last_parent_stats`` / ``last_supervisor`` hold the drain's
-    telemetry for ``repro-sim bench --sweep``; a broker drain also
-    fills ``last_transport`` (and ``batch.report.transport``) with its
-    wire-health counters.
+    telemetry: queue counts, each worker's
+    :class:`~repro.analysis.worker.WorkerStats` ledger and the
+    supervisor's report.  A broker drain also fills ``last_transport``
+    (and ``batch.report.transport``) with its wire-health counters.
     """
 
     def __init__(

@@ -177,10 +177,9 @@ class ResultCache:
     ``get`` is tolerant by design: a missing, corrupt, or structurally
     stale file is treated as a miss (and a corrupt file is removed), so a
     killed process or a format change can never wedge the cache.
-    Quarantined entries are *counted* (``.stats``, surfaced by
-    ``repro-sim bench``) so a degraded disk is distinguishable from a
-    cold cache; construction also sweeps temp files orphaned by killed
-    writers.
+    Quarantined entries are *counted* (``.stats``) so a degraded disk
+    is distinguishable from a cold cache; construction also sweeps temp
+    files orphaned by killed writers.
 
     With a size ``budget`` (explicit bytes, or the
     ``REPRO_CACHE_BUDGET`` environment variable — ``64k``/``200m``/

@@ -18,8 +18,8 @@ group acquires its trace exactly **once**; members after the first pay
 only the simulation itself.  Each job then runs through
 :func:`~repro.analysis.resilience.run_attempts`, the attempt loop the
 serial executor runs too.  :class:`WorkerStats` separates
-first-of-group from rest-of-group wall time so ``repro-sim bench
---sweep`` can report the amortization win instead of asserting it.
+first-of-group from rest-of-group wall time, so each worker's stats
+file shows the amortization win instead of asserting it.
 
 Fault sites (chaos-tested, registered in :mod:`repro.common.faults`):
 
@@ -119,13 +119,6 @@ class WorkerStats:
 
     def to_dict(self) -> Dict:
         return asdict(self)
-
-    @property
-    def amortization(self) -> Optional[float]:
-        """Mean first-of-group time over mean rest-of-group time (>1 is a win)."""
-        if not self.first_jobs or not self.rest_jobs or not self.rest_job_s:
-            return None
-        return (self.first_job_s / self.first_jobs) / (self.rest_job_s / self.rest_jobs)
 
 
 class _Heartbeat(threading.Thread):

@@ -649,7 +649,7 @@ class FileQueue:
         }
 
     def write_stats(self, worker: str, stats: Dict) -> None:
-        """Publish a worker's drain statistics (read by ``bench --sweep``)."""
+        """Publish a worker's drain statistics (see ``read_stats``)."""
         try:
             atomic_write_json(self.stats_dir / f"{worker}.json", stats)
         except OSError:

@@ -16,11 +16,6 @@ Subcommands::
     repro-sim broker --queue-dir /shared/q0 --listen 127.0.0.1:7070
     repro-sim verify --workload em3d mcf --insts 12000
     repro-sim export --workload gcc --filter pa --format csv
-    repro-sim bench --workload em3d --runs 5 --workers 0
-    repro-sim bench --engines pipeline kernel --insts 200000
-    repro-sim bench --sweep --runs 24 --insts 4000
-    repro-sim bench --sweep --baseline BENCH_sweep.json --max-regress 0.25
-    repro-sim bench --lint --runs 3
     repro-sim lint
     repro-sim lint --update-baseline
 
@@ -544,508 +539,11 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_engines(args: argparse.Namespace, lint_health: dict | None = None) -> int:
-    """The ``bench --engines`` axis: per-run engine speedups + counter gaps.
-
-    Times every (workload, filter) cell under each requested engine,
-    records the speedup and the relative classification-counter deltas
-    against the first engine listed (the reference, normally the
-    pipeline), and times the trace store cold (synthesise + save) versus
-    warm (load).  The report lands in ``--out`` (default
-    ``BENCH_kernel.json``) — it is the documented-tolerance artefact the
-    kernel engine's fidelity contract points at.
-
-    Timing discipline for compiled engines: the first run of a compiled
-    engine pays one-off costs (building or loading the cached C
-    kernel) that would skew a timed rep, so every (engine,
-    workload) pair gets one *untimed* warm-up run before any timed rep.
-    Warm-up durations are recorded separately in the report's
-    ``warmup`` health block — compile cost is visible, never silently
-    folded into (or hidden from) the speedup numbers.
-    """
-    import json
-    import math
-    import tempfile
-    import time
-
-    from repro.analysis.sweep import run_workload
-    from repro.trace.store import TraceStore
-    from repro.workloads import cached_trace
-
-    reference = args.engines[0]
-    workloads = [args.workload] if args.workload else list(workload_names())
-    filters = ("none", "pa", "pc")
-    counter_keys = (
-        "generated", "squashed", "filtered", "dropped", "issued", "good", "bad",
-    )
-    scalar_keys = (
-        "l1_demand_accesses", "l1_demand_misses", "l2_demand_accesses",
-        "l2_demand_misses", "prefetch_line_traffic", "demand_line_traffic",
-    )
-
-    def counters_of(result) -> dict:
-        out = {k: getattr(result.prefetch, k) for k in counter_keys}
-        out.update({k: getattr(result, k) for k in scalar_keys})
-        return out
-
-    def best_time(workload: str, cfg: SimulationConfig, engine: str, trace):
-        best, result = math.inf, None
-        for _ in range(2):  # best-of-2 absorbs one-off scheduler noise
-            t0 = time.perf_counter()
-            result = run_workload(workload, cfg, args.insts, args.seed, engine, trace=trace)
-            best = min(best, time.perf_counter() - t0)
-        return best, result
-
-    # One untimed warm-up per (engine, workload) before any timed rep:
-    # a compiled engine's first run carries compile/load cost.
-    warmup_seconds: dict[str, dict[str, float]] = {e: {} for e in args.engines}
-
-    def warm_up(workload: str, cfg: SimulationConfig, engine: str, trace) -> None:
-        if workload in warmup_seconds[engine]:
-            return
-        t0 = time.perf_counter()
-        run_workload(workload, cfg, args.insts, args.seed, engine, trace=trace)
-        warmup_seconds[engine][workload] = round(time.perf_counter() - t0, 4)
-
-    rows = []
-    speedups: dict[str, list[float]] = {e: [] for e in args.engines[1:]}
-    for workload in workloads:
-        trace = cached_trace(workload, args.insts, args.seed)
-        for filter_name in filters:
-            cfg = _finalize(SimulationConfig.paper_default(FilterKind(filter_name)), args)
-            seconds, counters, deltas = {}, {}, {}
-            for engine in args.engines:
-                warm_up(workload, cfg, engine, trace)
-                seconds[engine], result = best_time(workload, cfg, engine, trace)
-                counters[engine] = counters_of(result)
-            row = {
-                "workload": workload,
-                "filter": filter_name,
-                "seconds": {e: round(s, 4) for e, s in seconds.items()},
-                "counters": counters,
-            }
-            for engine in args.engines[1:]:
-                ratio = seconds[reference] / seconds[engine] if seconds[engine] else None
-                row.setdefault("speedup_vs_" + reference, {})[engine] = (
-                    round(ratio, 2) if ratio else None
-                )
-                if ratio:
-                    speedups[engine].append(ratio)
-                deltas[engine] = {
-                    k: round(
-                        abs(counters[engine][k] - counters[reference][k])
-                        / max(1, counters[reference][k]),
-                        4,
-                    )
-                    for k in counter_keys + scalar_keys
-                }
-            if deltas:
-                row["counter_rel_delta_vs_" + reference] = deltas
-            rows.append(row)
-            cell = " ".join(
-                f"{e}={seconds[e]:.3f}s" for e in args.engines
-            )
-            print(f"{workload:10s} {filter_name:4s} {cell}")
-
-    # Trace store: cold synthesis-and-save versus warm load-from-disk.
-    store_rows = []
-    with tempfile.TemporaryDirectory() as tmp:
-        store = TraceStore(tmp)
-        for workload in workloads:
-            t0 = time.perf_counter()
-            store.get_or_build(workload, args.insts, args.seed + 1)  # unseen seed: cold
-            cold = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            store.get_or_build(workload, args.insts, args.seed + 1)
-            warm = time.perf_counter() - t0
-            store_rows.append(
-                {
-                    "workload": workload,
-                    "cold_seconds": round(cold, 4),
-                    "warm_seconds": round(warm, 4),
-                    "speedup": round(cold / warm, 1) if warm else None,
-                }
-            )
-
-    def geomean(values):
-        return round(math.exp(sum(math.log(v) for v in values) / len(values)), 2)
-
-    report = {
-        "insts_per_run": args.insts,
-        "seed": args.seed,
-        "engines": list(args.engines),
-        "reference_engine": reference,
-        # Compile warm-up cost, kept out of the timed reps: the first
-        # workload's warm-up absorbs any one-off compilation.
-        "warmup": {
-            engine: {
-                "per_workload_seconds": per,
-                "total_seconds": round(sum(per.values()), 4),
-            }
-            for engine, per in warmup_seconds.items()
-        },
-        "rows": rows,
-        "trace_store": store_rows,
-        "trace_store_stats": store.stats,
-        "summary": {
-            engine: {
-                "geomean_speedup": geomean(values),
-                "min_speedup": round(min(values), 2),
-                "max_speedup": round(max(values), 2),
-            }
-            for engine, values in speedups.items()
-            if values
-        },
-    }
-    if "kernel" in args.engines:
-        from repro.core.kernel import select_mode
-
-        report["kernel_mode"] = select_mode()
-    if lint_health is not None:
-        report["lint"] = lint_health
-    out = args.out or "BENCH_kernel.json"
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
-    for engine, summary in report["summary"].items():
-        print(
-            f"{engine} vs {reference}: geomean {summary['geomean_speedup']}x "
-            f"(min {summary['min_speedup']}x, max {summary['max_speedup']}x)"
-        )
-    print(f"wrote {out}")
-    return _apply_baseline(report, args)
-
-
-def _apply_baseline(report: dict, args: argparse.Namespace) -> int:
-    """The ``bench --baseline`` regression gate; 0 = no baseline or ok."""
-    if not args.baseline:
-        return 0
-    from repro.analysis.regression import compare_reports, load_baseline
-
-    gate = compare_reports(report, load_baseline(args.baseline), max_regress=args.max_regress)
-    print(gate.render())
-    return 0 if gate.ok else 1
-
-
-def _bench_sweep(args: argparse.Namespace, lint_health: dict | None = None) -> int:
-    """The ``bench --sweep`` axis: queue-backend throughput + amortization.
-
-    Times one job grid four ways — serial in-process, through the
-    shared-FS queue backend at one and two workers, then through an
-    in-process TCP broker — asserting along the way that every drain is
-    bit-identical to serial.  The report
-    (``BENCH_sweep.json`` by default) records jobs/sec per drain, the
-    measured warm-up amortization (mean first-of-trace-group job time
-    over mean rest-of-group time, from the workers' own stats files),
-    and the host CPU count, because queue speedup on a 1-CPU box comes
-    from I/O overlap and amortization, not parallel simulation — the
-    report must let a reader see that.
-    """
-    import contextlib
-    import json
-    import os
-    import tempfile
-    import time
-
-    from repro.analysis.backend import QueueBackend
-    from repro.analysis.parallel import SimulationJob, run_jobs
-    from repro.analysis.result_cache import ResultCache
-
-    workloads = [args.workload] if args.workload else ["em3d", "mcf"]
-    cfg = _finalize(
-        SimulationConfig.paper_default(FilterKind(args.filter)).with_warmup(args.insts // 3), args
-    )
-    # The grid varies the *config* (filter kind × history-table size) over
-    # a shared trace per workload, like a real sensitivity sweep — that is
-    # what makes per-worker trace-group amortization measurable.  Seeds
-    # only advance once a workload's config combinations are exhausted.
-    sizes = (1024, 2048, 4096, 8192, 16384)
-    kinds = (FilterKind.PA, FilterKind.PC)
-    per = max(1, args.runs // len(workloads))
-    jobs = []
-    for w in workloads:
-        for i in range(per):
-            kind = kinds[(i // len(sizes)) % len(kinds)]
-            cfg_i = cfg.with_filter(kind=kind, table_entries=sizes[i % len(sizes)])
-            seed = args.seed + i // (len(sizes) * len(kinds))
-            jobs.append(SimulationJob(w, cfg_i, args.insts, seed, engine=args.engine))
-
-    def fingerprints(results):
-        return [(r.cycles, r.instructions, r.prefetch) for r in results]
-
-    def amortization(stats_list):
-        first_s = sum(s.get("first_job_s", 0.0) for s in stats_list)
-        first_n = sum(s.get("first_jobs", 0) for s in stats_list)
-        rest_s = sum(s.get("rest_job_s", 0.0) for s in stats_list)
-        rest_n = sum(s.get("rest_jobs", 0) for s in stats_list)
-        if not first_n or not rest_n or not rest_s:
-            return None
-        return round((first_s / first_n) / (rest_s / rest_n), 2)
-
-    t0 = time.perf_counter()
-    serial = run_jobs(jobs, workers=1)
-    t_serial = time.perf_counter() - t0
-    expected = fingerprints(serial)
-    drains = [
-        {
-            "label": "serial",
-            "workers": 1,
-            "seconds": round(t_serial, 3),
-            "jobs_per_sec": round(len(jobs) / t_serial, 3),
-            "speedup_vs_serial": 1.0,
-        }
-    ]
-    print(f"serial        {len(jobs)} jobs in {t_serial:.2f}s")
-
-    identical = True
-    worker_counts = sorted({1, 2} | ({args.workers} if args.workers > 2 else set()))
-    cache_stats = None
-    queue_quarantined = 0
-    queue_poisoned = 0
-    transport_health = None
-    # The same grid through the shared-FS queue at each worker count,
-    # then through an in-process TCP broker, so the report shows what
-    # the network hop costs relative to the directory queue and records
-    # transport health (a clean bench must show zero reconnects/replays;
-    # a noisy host shows up here, not as a silent throughput dip).
-    for n_workers, over_tcp in [(n, False) for n in worker_counts] + [(2, True)]:
-        with tempfile.TemporaryDirectory() as scratch, contextlib.ExitStack() as stack:
-            address = None
-            if over_tcp:
-                from repro.analysis.netqueue import Broker
-                from repro.analysis.workqueue import FileQueue
-
-                broker = Broker(FileQueue(scratch + "/queue", lease_ttl=15.0),
-                                host="127.0.0.1", port=0)
-                broker.start()
-                broker.serve_in_thread()
-                stack.callback(broker.stop)
-                address = f"127.0.0.1:{broker.port}"
-            backend = QueueBackend(
-                queue_dir=None if over_tcp else scratch + "/queue",
-                broker=address,
-                spawn=n_workers - 1,
-                lease_ttl=15.0,
-                batch=max(2, len(jobs) // (2 * n_workers)),
-            )
-            cache = None
-            if not (args.no_cache or over_tcp):
-                cache = ResultCache(args.cache_dir or scratch + "/cache")
-            t0 = time.perf_counter()
-            results = run_jobs(jobs, workers=1, cache=cache, backend=backend)
-            seconds = time.perf_counter() - t0
-            identical = identical and fingerprints(results) == expected
-            stats_list = backend.last_worker_stats or [backend.last_parent_stats]
-            if cache is not None:
-                cache_stats = cache.stats
-            label = f"{backend.name}[{n_workers}w]"
-            drain = {
-                "label": label,
-                "workers": n_workers,
-                "seconds": round(seconds, 3),
-                "jobs_per_sec": round(len(jobs) / seconds, 3),
-                "speedup_vs_serial": round(t_serial / seconds, 2),
-                "amortization_first_vs_rest": amortization(stats_list),
-                "trace_reuses": sum(s.get("trace_reuses", 0) for s in stats_list),
-                "stolen": sum(s.get("stolen", 0) for s in stats_list),
-            }
-            if over_tcp:
-                transport_health = drain["transport"] = dict(backend.last_transport)
-            else:
-                queue_quarantined += backend.last_counts.get("quarantined", 0)
-                queue_poisoned += backend.last_counts.get("poisoned", 0)
-                drain["queue_counts"] = backend.last_counts
-            drain["worker_stats"] = stats_list
-            drains.append(drain)
-            print(
-                f"{label:13s} {len(jobs)} jobs in {seconds:.2f}s "
-                f"({t_serial / seconds:.2f}x vs serial, "
-                f"amortization {amortization(stats_list)})"
-            )
-
-    report = {
-        "workloads": workloads,
-        "filter": args.filter,
-        "engine": args.engine or "pipeline",
-        "jobs": len(jobs),
-        "insts_per_run": args.insts,
-        "seed": args.seed,
-        # Honesty marker: on a 1-CPU host, multi-worker speedup can only
-        # come from I/O overlap + amortization, not parallel simulation.
-        "cpu_count": os.cpu_count(),
-        "drains": drains,
-        "results_identical": identical,
-    }
-    # Health block: quarantines are invisible in throughput numbers, so
-    # surface every flavour — corrupt queue records refused on read,
-    # poison jobs sealed off, and cache-side corruption/pressure skips.
-    health = {
-        "queue_quarantined": queue_quarantined,
-        "queue_poisoned": queue_poisoned,
-    }
-    if transport_health is not None:
-        # Transport health from the tcp drain: nonzero on a clean local
-        # bench means the loopback transport itself is misbehaving.
-        health["net_reconnects"] = transport_health.get("reconnects", 0)
-        health["net_retried_calls"] = transport_health.get("retried_calls", 0)
-        health["net_replayed_ops"] = transport_health.get("replayed_ops", 0)
-        health["net_broker_restarts"] = transport_health.get("broker_restarts", 0)
-    if cache_stats is not None:
-        health["cache_quarantined"] = cache_stats.get("quarantined", 0)
-        health["cache_pressure_skipped"] = cache_stats.get("pressure_skipped", 0)
-    report["health"] = health
-    if any(health.values()):
-        print(
-            "health: "
-            + ", ".join(f"{name}={count}" for name, count in health.items() if count)
-        )
-    if cache_stats is not None:
-        report["cache"] = cache_stats
-    if lint_health is not None:
-        report["lint"] = lint_health
-    out = args.out or "BENCH_sweep.json"
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {out}")
-    if not identical:
-        print("bench --sweep: drained results are NOT identical to serial", file=sys.stderr)
-        return 1
-    return _apply_baseline(report, args)
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     """``repro-sim lint``: forward to the analyzer's own argument parser."""
     from repro.lint import main as lint_main
 
     return lint_main(args.lint_args)
-
-
-def _lint_health() -> dict:
-    """Static-analyzer counters for the ``bench --lint`` health gate."""
-    from repro.lint import apply_baseline, default_repo_root, lint_tree, load_baseline
-    from repro.lint.baseline import DEFAULT_BASELINE_NAME
-
-    root = default_repo_root()
-    result = apply_baseline(lint_tree(root), load_baseline(root / DEFAULT_BASELINE_NAME))
-    return {
-        "new": len(result.new),
-        "accepted": len(result.accepted),
-        "stale_baseline": len(result.stale),
-    }
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-    import time
-
-    from repro.analysis.parallel import SimulationJob, default_workers, run_jobs
-    from repro.analysis.result_cache import ResultCache
-
-    # Lint health gate: a sweep about to burn hours of CPU can assert the
-    # tree passes static analysis first, and the report records the counts.
-    lint_health = None
-    if args.lint:
-        lint_health = _lint_health()
-        if lint_health["new"] or lint_health["stale_baseline"]:
-            print(
-                f"bench: static analysis is dirty ({lint_health['new']} new "
-                f"finding(s), {lint_health['stale_baseline']} stale baseline "
-                "entr(y/ies)) — run `repro-sim lint` and fix before benching",
-                file=sys.stderr,
-            )
-            return 1
-
-    if args.engines and args.sweep:
-        raise ValueError("--engines and --sweep are different bench axes; pick one")
-    if args.engines:
-        # Accept both `--engines a b` and `--engines a,b,c`; validated here
-        # (not via argparse choices) so the comma form gets the same message.
-        args.engines = [e for part in args.engines for e in part.split(",") if e]
-        unknown = [e for e in args.engines if e not in KNOWN_ENGINES]
-        if unknown:
-            raise ValueError(
-                f"unknown engine(s) {', '.join(unknown)}; "
-                f"choose from {', '.join(KNOWN_ENGINES)}"
-            )
-        return _bench_engines(args, lint_health)
-    if args.sweep:
-        return _bench_sweep(args, lint_health)
-
-    workload = args.workload or "em3d"
-    cfg = _finalize(
-        SimulationConfig.paper_default(FilterKind(args.filter)).with_warmup(args.insts // 3), args
-    )
-    # Distinct seeds make each run a genuinely different simulation, so the
-    # cache cannot collapse the batch into one job.
-    jobs = [
-        SimulationJob(workload, cfg, args.insts, args.seed + i, engine=args.engine)
-        for i in range(args.runs)
-    ]
-    workers = args.workers if args.workers > 0 else default_workers()
-    total_insts = args.insts * args.runs
-
-    t0 = time.perf_counter()
-    serial = run_jobs(jobs, workers=1)
-    t_serial = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    parallel = run_jobs(jobs, workers=workers)
-    t_parallel = time.perf_counter() - t0
-
-    identical = all(
-        (a.cycles, a.instructions, a.prefetch) == (b.cycles, b.instructions, b.prefetch)
-        for a, b in zip(serial, parallel)
-    )
-
-    t_cold = t_warm = None
-    cache_stats = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir)
-        t0 = time.perf_counter()
-        run_jobs(jobs, workers=workers, cache=cache)
-        t_cold = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        warm = run_jobs(jobs, workers=workers, cache=cache)
-        t_warm = time.perf_counter() - t0
-        identical = identical and all(
-            (a.cycles, a.instructions, a.prefetch) == (b.cycles, b.instructions, b.prefetch)
-            for a, b in zip(serial, warm)
-        )
-        # Full health counters: quarantined > 0 means the disk is eating
-        # entries — a degraded cache, not a cold one.
-        cache_stats = cache.stats
-
-    report = {
-        "workload": workload,
-        "filter": args.filter,
-        "engine": args.engine or "pipeline",
-        "runs": args.runs,
-        "insts_per_run": args.insts,
-        "workers": workers,
-        "serial_seconds": round(t_serial, 3),
-        "parallel_seconds": round(t_parallel, 3),
-        "serial_insts_per_sec": round(total_insts / t_serial),
-        "parallel_insts_per_sec": round(total_insts / t_parallel),
-        "parallel_speedup": round(t_serial / t_parallel, 2),
-        "results_identical": identical,
-    }
-    if t_cold is not None:
-        report["cold_cache_seconds"] = round(t_cold, 3)
-        report["warm_cache_seconds"] = round(t_warm, 3)
-        report["warm_cache_speedup"] = round(t_serial / t_warm, 1) if t_warm else None
-        report["cache"] = cache_stats
-    if lint_health is not None:
-        report["lint"] = lint_health
-
-    if args.json:
-        print(json.dumps(report, indent=1))
-    else:
-        for key, value in report.items():
-            print(f"{key:24} {value}")
-    if not identical:
-        return 1
-    return _apply_baseline(report, args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -1292,49 +790,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_xp.add_argument("--out", help="write to a file instead of stdout")
     _add_common(p_xp)
     p_xp.set_defaults(func=_cmd_export)
-
-    p_bn = sub.add_parser("bench", help="time serial vs parallel vs cached execution")
-    p_bn.add_argument("--workload", choices=workload_names(), default=None,
-                      help="default: em3d (pool bench) / every workload (--engines bench)")
-    p_bn.add_argument("--filter", choices=[k.value for k in FilterKind], default="pa")
-    p_bn.add_argument("--runs", type=int, default=5, help="distinct simulations to time")
-    p_bn.add_argument("--workers", type=int, default=0, help="parallel processes (0 = one per CPU)")
-    p_bn.add_argument("--no-cache", action="store_true", help="skip the disk-cache timing phases")
-    p_bn.add_argument("--cache-dir", help="result-cache directory (default: REPRO_CACHE_DIR or ~/.cache/repro)")
-    p_bn.add_argument("--json", action="store_true", help="emit the report as JSON")
-    p_bn.add_argument(
-        "--engines", nargs="+",
-        help="engine-axis bench: time each engine per (workload, filter) cell "
-        f"({', '.join(KNOWN_ENGINES)}; space- or comma-separated), record "
-        "speedups and counter deltas vs the first engine listed, and time the "
-        "trace store cold vs warm; writes --out (default BENCH_kernel.json)",
-    )
-    p_bn.add_argument(
-        "--out",
-        help="engine-axis report path (default: BENCH_kernel.json)",
-    )
-    p_bn.add_argument(
-        "--lint", action="store_true",
-        help="run the static analyzer first and refuse to bench a dirty tree; "
-        "the report gains a 'lint' health-counter block",
-    )
-    p_bn.add_argument(
-        "--sweep", action="store_true",
-        help="sweep-backend axis: time a job grid serial vs through the "
-        "shared-FS queue at 1 and 2 workers, verify bit-identical results, "
-        "and record the warm-up amortization; writes BENCH_sweep.json",
-    )
-    p_bn.add_argument(
-        "--baseline", default=None, metavar="BENCH_JSON",
-        help="compare this bench's report against a previous BENCH_*.json and "
-        "fail on a geomean throughput regression beyond --max-regress",
-    )
-    p_bn.add_argument(
-        "--max-regress", type=float, default=0.25,
-        help="allowed fractional geomean slowdown vs --baseline (default 0.25)",
-    )
-    _add_common(p_bn)
-    p_bn.set_defaults(func=_cmd_bench)
 
     p_ln = sub.add_parser(
         "lint",

@@ -54,6 +54,10 @@ def build_trace(
 
 
 @lru_cache(maxsize=64)
+def _memo_trace(name: str, n_insts: int, seed: int, software_prefetch: bool) -> Trace:
+    return build_trace(name, n_insts, seed, software_prefetch)
+
+
 def cached_trace(
     name: str,
     n_insts: int = 100_000,
@@ -61,8 +65,15 @@ def cached_trace(
     software_prefetch: bool = True,
 ) -> Trace:
     """Memoised :func:`build_trace` — traces are immutable, so benches and
-    sweeps that rerun the same workload share one copy."""
-    return build_trace(name, n_insts, seed, software_prefetch)
+    sweeps that rerun the same workload share one copy.
+
+    The memo is keyed on all four parameters positionally, so every
+    spelling of a call (defaults left out, keywords) finds the same
+    trace; ``cached_trace.cache_clear()`` empties it."""
+    return _memo_trace(name, n_insts, seed, software_prefetch)
+
+
+cached_trace.cache_clear = _memo_trace.cache_clear  # type: ignore[attr-defined]
 
 
 __all__ = [

@@ -622,18 +622,6 @@ def test_repro_sim_lint_subcommand_forwards(tmp_path, capsys):
     assert "RL001" in capsys.readouterr().out
 
 
-def test_bench_lint_gate_refuses_dirty_tree(monkeypatch, capsys):
-    import repro.cli as cli
-
-    monkeypatch.setattr(
-        cli, "_lint_health",
-        lambda: {"new": 2, "accepted": 0, "stale_baseline": 0},
-    )
-    assert cli.main(["bench", "--lint", "--runs", "1", "--insts", "1000"]) == 1
-    assert "refusing" not in capsys.readouterr().out  # message goes to stderr
-    assert cli.main(["bench", "--lint", "--runs", "1", "--insts", "1000"]) == 1
-
-
 # ----------------------------------------------------------------------
 # Self-check: the committed tree is clean against the committed baseline
 # ----------------------------------------------------------------------
@@ -650,10 +638,3 @@ def test_live_tree_is_clean_against_committed_baseline():
 
 def test_default_repo_root_finds_this_repo():
     assert default_repo_root() == REPO_ROOT
-
-
-def test_live_lint_health_counters_are_clean():
-    from repro.cli import _lint_health
-
-    health = _lint_health()
-    assert health["new"] == 0 and health["stale_baseline"] == 0

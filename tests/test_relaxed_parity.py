@@ -8,8 +8,8 @@ The contract (see ``repro.core.kernel``) has two regimes:
   tolerance for prefetch counters (residuals come from the pipeline's
   1-cycle enqueue delay and LRU timestamp ties);
 * under paper-default contention the engines legitimately diverge on
-  timeliness-coupled counters; ``repro-sim bench --engines`` measures
-  that gap, and here we only check structural invariants.
+  timeliness-coupled counters; no tolerance bounds that gap, so here
+  we only check structural invariants.
 
 The tolerances are the ones ``repro-sim verify`` enforces, imported from
 ``repro.sanitize.differential`` so there is one definition of the contract.

@@ -6,6 +6,7 @@ import pytest
 from repro.trace.record import LOAD, SW_PREFETCH, InstrClass
 from repro.workloads import (
     build_trace,
+    cached_trace,
     count_inserted,
     get_workload,
     insert_software_prefetches,
@@ -170,3 +171,11 @@ class TestBuildTrace:
         mcf = build_trace("mcf", 10000, seed=0)
         ijpeg = build_trace("ijpeg", 10000, seed=0)
         assert count_inserted(mcf) < count_inserted(ijpeg)
+
+    def test_cached_trace_is_one_memo_entry_however_it_is_called(self):
+        trace = cached_trace("em3d", 3000, 1)
+        assert cached_trace("em3d", 3000, 1, True) is trace
+        assert cached_trace(name="em3d", n_insts=3000, seed=1, software_prefetch=True) is trace
+        assert cached_trace("em3d", 3000, 1, software_prefetch=False) is not trace
+        cached_trace.cache_clear()
+        assert cached_trace("em3d", 3000, 1) is not trace
