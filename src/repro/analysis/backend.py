@@ -71,11 +71,12 @@ class ExecutionBackend(ABC):
 
     ``execute`` receives the resilience engine's mutable batch state
     (``repro.analysis.resilience._Batch``) and the indices still
-    pending after the journal/cache prefilter.  It must drive every
-    pending index to a terminal state — ``batch.complete(i, result)``
-    on success, ``batch.record_failure(...)`` + ``batch.give_up(i)``
-    on permanent failure — and may call ``batch.degrade(event)`` to
-    report degradations.  It must not touch non-pending outcomes.
+    pending after the journal/cache prefilter, one per key.  It must
+    drive every pending index to a terminal state —
+    ``batch.complete(i, result)`` on success,
+    ``batch.record_failure(...)`` + ``batch.give_up(i)`` on permanent
+    failure — and may call ``batch.degrade(event)`` to report
+    degradations.  It must not touch non-pending outcomes.
     """
 
     #: Registry name; subclasses override.
@@ -165,10 +166,9 @@ class QueueBackend(ExecutionBackend):
         so ``sweep --resume`` against a restarted broker completes
         exactly the missing work.
 
-    After ``execute`` returns, ``last_counts`` / ``last_worker_stats``
-    / ``last_parent_stats`` / ``last_supervisor`` hold the drain's
-    telemetry: queue counts, each worker's
-    :class:`~repro.analysis.worker.WorkerStats` ledger and the
+    After ``execute`` returns, ``last_counts`` / ``last_parent_stats``
+    / ``last_supervisor`` hold the drain's telemetry: queue counts, the
+    parent's :class:`~repro.analysis.worker.WorkerStats` ledger and the
     supervisor's report.  A broker drain also fills ``last_transport``
     (and ``batch.report.transport``) with its wire-health counters.
     """
@@ -219,7 +219,6 @@ class QueueBackend(ExecutionBackend):
         self.retry = retry
         self.call_timeout = call_timeout
         self.last_counts: Dict = {}
-        self.last_worker_stats: List[Dict] = []
         self.last_parent_stats: Dict = {}
         self.last_supervisor: Dict = {}
         self.last_transport: Dict[str, int] = {}
@@ -288,42 +287,36 @@ class QueueBackend(ExecutionBackend):
             finally:
                 log.close()
 
-    def _apply(self, batch, indices: List[int], record: Dict) -> None:
-        """Fold one sealed done record into every outcome sharing its key."""
+    def _apply(self, batch, index: int, record: Dict) -> None:
+        """Fold one sealed done record into its job's outcome."""
         from repro.analysis.result_cache import result_from_dict
 
+        result = None
         if record.get("ok"):
             try:
                 result = result_from_dict(record["result"])
             except (KeyError, TypeError, ValueError):
-                for index in indices:
-                    batch.record_failure(index, "exception", "corrupt done record payload", 0.0)
-                    batch.give_up(index)
+                batch.record_failure(index, "exception", "corrupt done record payload", 0.0)
+                batch.give_up(index)
                 return
-            for index in indices:
-                # Replay failed attempts that preceded the success, so the
-                # outcome's history matches what a pool run would report.
-                for attempt in record.get("attempts") or []:
-                    batch.record_failure(
-                        index,
-                        str(attempt.get("kind", "exception")),
-                        str(attempt.get("error", "failed")),
-                        float(attempt.get("elapsed", 0.0)),
-                    )
-                batch.complete(index, result)
-            return
-        attempts = record.get("attempts") or [
-            {"kind": "exception", "error": record.get("error", "failed"), "elapsed": 0.0}
-        ]
-        for index in indices:
-            for attempt in attempts:
-                batch.record_failure(
-                    index,
-                    str(attempt.get("kind", "exception")),
-                    str(attempt.get("error", "failed")),
-                    float(attempt.get("elapsed", 0.0)),
-                )
+            # Replay failed attempts that preceded the success, so the
+            # outcome's history matches what a pool run would report.
+            attempts = record.get("attempts") or []
+        else:
+            attempts = record.get("attempts") or [
+                {"kind": "exception", "error": record.get("error", "failed"), "elapsed": 0.0}
+            ]
+        for attempt in attempts:
+            batch.record_failure(
+                index,
+                str(attempt.get("kind", "exception")),
+                str(attempt.get("error", "failed")),
+                float(attempt.get("elapsed", 0.0)),
+            )
+        if result is None:
             batch.give_up(index)
+        else:
+            batch.complete(index, result)
 
     def execute(self, batch, pending: Sequence[int], workers: int) -> None:
         # Inside a pool worker already (nested fan-out): spawning more
@@ -340,13 +333,10 @@ class QueueBackend(ExecutionBackend):
         # released here, whether the drain returns or raises.
         with ExitStack() as cleanup:
             queue = self._open_queue(cleanup)
-            key_to_indices: Dict[str, List[int]] = {}
-            for index in pending:
-                key_to_indices.setdefault(batch.outcome(index).key, []).append(index)
-            # One queue job per distinct key; duplicates fan back out on
-            # apply.  A queue already holding done records for some keys
-            # skips them — that is the resume path.
-            queue.submit([batch.jobs[indices[0]] for indices in key_to_indices.values()])
+            # ``pending`` holds one index per key.  A queue already holding
+            # done records for some keys skips them — that is the resume path.
+            key_to_index = {batch.outcome(index).key: index for index in pending}
+            queue.submit([batch.jobs[index] for index in pending])
 
             # A deadline set on the batch (sweep --deadline) wins; otherwise
             # the backend's own budget starts ticking now.
@@ -368,9 +358,9 @@ class QueueBackend(ExecutionBackend):
             )
             if deadline_hit:
                 batch.report.deadline_hit = True
-            self._collect_and_fold(batch, queue, key_to_indices, deadline_hit, disconnected)
+            self._collect_and_fold(batch, queue, key_to_index, deadline_hit, disconnected)
 
-    def _collect_and_fold(self, batch, queue, key_to_indices: Dict[str, List[int]],
+    def _collect_and_fold(self, batch, queue, key_to_index: Dict[str, int],
                           deadline_hit: bool, disconnected: bool) -> None:
         """Fold the queue's records into the batch's outcomes.
 
@@ -396,29 +386,23 @@ class QueueBackend(ExecutionBackend):
                 f"{self.name}: broker unreachable while collecting results ({exc}); "
                 "uncollected jobs left for --resume"
             )
-        applied = set()
         for key, record in done_records.items():
-            indices = key_to_indices.get(key)
-            if indices is None:
-                continue  # a previous sweep's job sharing this queue
-            applied.add(key)
-            self._apply(batch, indices, record)
+            index = key_to_index.pop(key, None)
+            if index is not None:  # else a previous sweep's job sharing this queue
+                self._apply(batch, index, record)
         poisoned_jobs = 0
         unclaimed_jobs = 0
-        for key, indices in key_to_indices.items():
-            if key in applied:
-                continue
+        for key, index in key_to_index.items():
             record = quarantined_records.get(key)
             if record is not None:
                 # Poison job: every execution killed its worker.  The
                 # sealed quarantine record is the outcome — a permanent,
                 # journaled failure carrying the forensics.
                 reason = str(record.get("reason", "quarantined as a poison job"))
-                for index in indices:
-                    batch.record_failure(index, "poisoned", reason, 0.0)
-                    batch.outcome(index).quarantined = True
-                    batch.give_up(index)
-                poisoned_jobs += len(indices)
+                batch.record_failure(index, "poisoned", reason, 0.0)
+                batch.outcome(index).quarantined = True
+                batch.give_up(index)
+                poisoned_jobs += 1
                 continue
             if deadline_hit or disconnected:
                 # Never claimed (or its record never collected): not a
@@ -426,16 +410,14 @@ class QueueBackend(ExecutionBackend):
                 # view.  Left out of the journal so --resume runs it —
                 # and a restarted broker's ``submit`` skips keys whose
                 # done records already landed, so nothing re-executes.
-                for index in indices:
-                    batch.mark_unclaimed(index)
-                unclaimed_jobs += len(indices)
+                batch.mark_unclaimed(index)
+                unclaimed_jobs += 1
                 continue
             # Drained queue but no intact done record (quarantined on
             # read, or lost to the filesystem): an honest failure beats
             # a silent hang.
-            for index in indices:
-                batch.record_failure(index, "exception", "queue drained with no done record", 0.0)
-                batch.give_up(index)
+            batch.record_failure(index, "exception", "queue drained with no done record", 0.0)
+            batch.give_up(index)
         if poisoned_jobs:
             batch.degrade(
                 f"{self.name}: {poisoned_jobs} job(s) quarantined as poison "
@@ -507,11 +489,9 @@ class QueueBackend(ExecutionBackend):
             self._reap(procs)
             try:
                 self.last_counts = queue.counts()
-                self.last_worker_stats = queue.read_stats()
             except (BrokerUnreachable, BrokerError):
                 disconnected = True
                 self.last_counts = {}
-                self.last_worker_stats = []
         return disconnected
 
     def _drain_supervised(self, batch, queue: FileQueue, workers: int,
@@ -540,7 +520,6 @@ class QueueBackend(ExecutionBackend):
         report = supervisor.run()
         self.last_supervisor = report.to_dict()
         self.last_counts = queue.counts()
-        self.last_worker_stats = queue.read_stats()
         self.last_parent_stats = {}
         if report.deadline_hit:
             batch.report.deadline_hit = True

@@ -8,6 +8,12 @@ before running anything and append to it as each job completes, so a
 crashed or Ctrl-C'd sweep resumes by replaying the journal and running
 only what is missing — ``repro-sim sweep --resume <run-id>``.
 
+A success line carries the payload's digest; the payload lives in a
+result store: the batch's cache, else the journal's own
+:attr:`RunJournal.store`.  Resume serves a journaled job only when the
+store holds the payload with that digest; an evicted, unwritten or
+tampered entry, or a line from before digests, re-runs the job.
+
 Crash-consistency contract:
 
 * **Append-only, one JSON object per line.**  A record is durable once
@@ -32,18 +38,14 @@ from __future__ import annotations
 import json
 import os
 import uuid
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.result_cache import (
-    DIGEST_KEY,
-    payload_digest,
-    result_from_dict,
-    result_to_dict,
-)
+from repro.analysis.result_cache import DIGEST_KEY, ResultCache, payload_digest
+from repro.analysis.result_cache import result_to_dict  # noqa: F401 - bench/tracing.py wraps it
 from repro.common.diskio import default_cache_dir
 from repro.common.faults import fault_point
-from repro.core.simulator import SimulationResult
 
 _RECORD_VERSION = 1
 
@@ -106,6 +108,12 @@ class RunJournal:
     def for_run(cls, run_id: str, directory: Optional[os.PathLike | str] = None) -> "RunJournal":
         return cls(journal_path(run_id, directory))
 
+    @cached_property
+    def store(self) -> ResultCache:
+        """The payload store of a run with no result cache:
+        ``<run-id>.results/`` beside the journal."""
+        return ResultCache(self.path.with_suffix(".results"))
+
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
@@ -124,8 +132,9 @@ class RunJournal:
             os.fsync(fh.fileno())
         self.appended += 1
 
-    def record_success(self, key: str, result: SimulationResult) -> None:
-        self._append({"key": key, "ok": True, "result": result_to_dict(result)})
+    def record_success(self, key: str, digest: str) -> None:
+        """Journal a success by the digest of its stored payload."""
+        self._append({"key": key, "ok": True, "digest": digest})
 
     def record_failure(self, key: str, error: str, attempts: Optional[List[Dict[str, Any]]] = None) -> None:
         self._append({"key": key, "ok": False, "error": error, "attempts": attempts or []})
@@ -165,17 +174,17 @@ class RunJournal:
             pass
         return records
 
-    def completed(self) -> Dict[str, SimulationResult]:
-        """Key -> result for every journaled *success* (what resume skips)."""
-        done: Dict[str, SimulationResult] = {}
-        for key, record in self.load().items():
-            if not record.get("ok"):
-                continue
-            try:
-                done[key] = result_from_dict(record["result"])
-            except (KeyError, TypeError, ValueError):
-                continue  # stale/foreign record shape: treat as not done
-        return done
+    def completed(self) -> Dict[str, str]:
+        """Key -> payload digest for every journaled *success*.
+
+        A success line without a digest (one written before payloads
+        moved to the result store) does not count: resume re-runs it.
+        """
+        return {
+            key: record["digest"]
+            for key, record in self.load().items()
+            if record.get("ok") and isinstance(record.get("digest"), str)
+        }
 
     def failed(self) -> Dict[str, Dict[str, Any]]:
         """Key -> raw record for every key whose *latest* record is a failure."""

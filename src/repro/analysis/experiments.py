@@ -113,13 +113,7 @@ class ExperimentSuite:
 
     def _ensure(self, specs: Sequence[SimulationJob]) -> None:
         """Run (in one parallel batch) every spec not already memoised."""
-        fresh: List[SimulationJob] = []
-        seen = set()
-        for job in specs:
-            key = job.key()
-            if key not in self._runs and key not in seen:
-                seen.add(key)
-                fresh.append(job)
+        fresh = [job for job in specs if job.key() not in self._runs]
         if not fresh:
             return
         results = run_jobs(

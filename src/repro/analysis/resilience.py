@@ -29,7 +29,8 @@ each job as its own unit of failure:
   :class:`~repro.analysis.checkpoint.RunJournal` attached, every
   completed job is journaled (fsync'd) the moment it finishes, and
   journaled successes are never re-run — a killed batch resumes where
-  it died.
+  it died.  Each result is serialised once, into one result store; the
+  journal line carries only its digest (see :mod:`~repro.analysis.checkpoint`).
 
 The pool is a set of forked workers, each with its own pipe and at most
 one job in flight, so the parent always knows which job a worker was
@@ -60,7 +61,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
 from multiprocessing.connection import wait
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -409,11 +410,11 @@ def _pool_worker(conn, parent_end, jobs, traces, policy: RetryPolicy) -> None:
 class _Batch:
     """Mutable state of one execute_batch call (shared by both phases)."""
 
-    def __init__(self, jobs, policy, cache, trace_store, journal, report,
+    def __init__(self, jobs, policy, store, trace_store, journal, report,
                  deadline_at: Optional[float] = None):
         self.jobs = jobs
         self.policy = policy
-        self.cache = cache
+        self.store = store  # where completed payloads go (None: nowhere)
         self.trace_store = trace_store
         self.journal = journal
         self.report = report
@@ -445,10 +446,10 @@ class _Batch:
     def complete(self, index: int, result: SimulationResult) -> None:
         o = self.outcome(index)
         o.ok, o.result = True, result
-        if self.cache is not None:
-            self.cache.put(o.key, result)
-        if self.journal is not None:
-            self.journal.record_success(o.key, result)
+        if self.store is not None:
+            digest = self.store.put(o.key, result)
+            if self.journal is not None:
+                self.journal.record_success(o.key, digest)
 
     def record_failure(self, index: int, kind: str, error: str, elapsed: float) -> JobAttempt:
         o = self.outcome(index)
@@ -686,7 +687,10 @@ def execute_batch(
     Jobs found in the journal (successes only) or the result cache are
     served without execution; everything else runs under the policy's
     retry/timeout/degradation rules.  Returns a :class:`BatchReport`
-    whose ``outcomes`` align with ``jobs``.
+    whose ``outcomes`` align with ``jobs``; jobs sharing a key run once
+    and the rest copy that outcome.  A journaled success is served only
+    when the result store (``cache``, else the journal's own) holds the
+    payload with the journaled digest; otherwise the job re-runs.
 
     ``backend`` (an :class:`~repro.analysis.backend.ExecutionBackend`
     instance, or ``None`` for the built-in
@@ -716,31 +720,35 @@ def execute_batch(
 
     outcomes = [JobOutcome(index=i, key=job.key()) for i, job in enumerate(jobs)]
     report = BatchReport(outcomes=outcomes)
-    batch = _Batch(jobs, policy, cache, trace_store, journal, report,
+    store = cache if cache is not None else journal.store if journal is not None else None
+    batch = _Batch(jobs, policy, store, trace_store, journal, report,
                    deadline_at=deadline_at)
 
     journaled = journal.completed() if journal is not None else {}
+    first: Dict[str, int] = {}
     pending: List[int] = []
-    for index, job in enumerate(jobs):
-        o = outcomes[index]
-        done = journaled.get(o.key)
-        if done is not None:
-            o.ok, o.result, o.from_journal = True, done, True
+    for o in outcomes:
+        if first.setdefault(o.key, o.index) != o.index:
+            continue  # a duplicate: it copies its key's outcome below
+        digest = journaled.get(o.key)
+        # The journal's own store holds journaled payloads only.
+        hit = store.get(o.key) if digest is not None or cache is not None else None
+        if hit is None or digest not in (None, hit[1]):
+            pending.append(o.index)  # missing, or not the payload the journal names
             continue
-        if cache is not None:
-            cached = cache.get(o.key)
-            if cached is not None:
-                o.ok, o.result, o.from_cache = True, cached, True
-                if journal is not None:
-                    journal.record_success(o.key, cached)
-                continue
-        pending.append(index)
+        o.ok, o.result = True, hit[0]
+        o.from_journal, o.from_cache = digest is not None, digest is None
+        if digest is None and journal is not None:
+            journal.record_success(o.key, hit[1])
 
-    if not pending:
-        return report
-    if backend is None:
-        from repro.analysis.backend import PoolBackend
+    if pending:
+        if backend is None:
+            from repro.analysis.backend import PoolBackend
 
-        backend = PoolBackend()
-    backend.execute(batch, pending, workers)
+            backend = PoolBackend()
+        backend.execute(batch, pending, workers)
+    for o in outcomes:
+        source = outcomes[first[o.key]]
+        if source is not o:
+            outcomes[o.index] = replace(source, index=o.index, attempts=list(source.attempts))
     return report

@@ -15,7 +15,8 @@ Only the serialisable subset of :class:`~repro.core.simulator
 .SimulationResult` is stored (every scalar, both tally structures, and the
 flattened stats tree); :func:`result_from_dict` rebuilds an equivalent
 result object, so cached and fresh results are interchangeable for all
-reporting code.
+reporting code.  This module alone owns that payload format: a run
+journal records only the digest :meth:`ResultCache.put` returns.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.common.config import SimulationConfig
 from repro.common.diskio import (
@@ -228,13 +229,15 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    def get(self, key: str) -> Optional[SimulationResult]:
+    def get(self, key: str) -> Optional[Tuple[SimulationResult, str]]:
+        """The result stored under ``key`` and the digest :meth:`put`
+        returned for it, or ``None``."""
         path = self._path(key)
         try:
             with open(path) as fh:
                 data = json.load(fh)
-            stored = data.get(DIGEST_KEY)
-            if stored != payload_digest(data):
+            digest = data.get(DIGEST_KEY)
+            if digest != payload_digest(data):
                 # Bit rot, truncation, or a pre-digest entry: either way
                 # the bytes cannot be trusted as a simulation result.
                 raise ValueError("artifact digest mismatch")
@@ -255,19 +258,21 @@ class ResultCache:
         except OSError:
             pass
         self.hits += 1
-        return result
+        return result, digest
 
-    def put(self, key: str, result: SimulationResult) -> None:
+    def put(self, key: str, result: SimulationResult) -> str:
+        """Store ``result`` under ``key``; returns its payload digest, also
+        when the write is skipped or lost (a resume then re-runs the job)."""
+        data = result_to_dict(result)
+        digest = data[DIGEST_KEY] = payload_digest(data)
         if self._pressure.check() is not None:
             # A nearly-full disk turns every write into a potential torn
             # entry; skipping is safe (the cache is a pure memo) and the
             # counter keeps the skip honest.
             self.pressure_skipped += 1
-            return
+            return digest
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
-        data = result_to_dict(result)
-        data[DIGEST_KEY] = payload_digest(data)
         try:
             atomic_write_json(path, data)  # readers never see partial files
             spec = fault_point("cache", key=key)
@@ -284,6 +289,7 @@ class ResultCache:
         except OSError:
             pass  # a lost memo write is a future miss, not an error
         self._enforce_budget()
+        return digest
 
     def _enforce_budget(self) -> int:
         """Evict least-recently-used entries until the directory fits.

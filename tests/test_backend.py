@@ -13,6 +13,7 @@ import tempfile
 
 import pytest
 
+import repro.analysis.parallel as parallel_mod
 from repro.analysis.backend import (
     ExecutionBackend,
     PoolBackend,
@@ -169,10 +170,11 @@ def test_shared_fs_feeds_cache_and_journal(tmp_path):
     run_jobs(jobs, workers=1, cache=cache, journal=journal, backend=_backend(tmp_path))
     assert len(cache) == 3
     assert len(journal.completed()) == 3
-    # a resumed batch is served wholly from the journal: nothing executes
+    # a resumed batch on the same store is served wholly from the journal:
+    # nothing executes
     backend = _backend(tmp_path, queue_dir=tmp_path / "queue2")
     report = run_jobs(
-        jobs, workers=1, journal=journal, backend=backend, return_report=True
+        jobs, workers=1, cache=cache, journal=journal, backend=backend, return_report=True
     )
     assert all(o.from_journal for o in report.outcomes)
     assert backend.last_parent_stats == {}  # backend never even ran
@@ -193,14 +195,52 @@ def test_reusing_a_queue_dir_resumes_without_rerunning(tmp_path):
     assert third.last_parent_stats["executed"] == len(superset) - len(jobs)
 
 
-def test_duplicate_jobs_in_one_batch_share_one_execution(tmp_path):
-    job = _jobs(1)[0]
-    backend = _backend(tmp_path)
-    report = run_jobs([job, job, job], workers=1, backend=backend, return_report=True)
+@pytest.fixture
+def via():
+    """What executes a batch: the queue, unless a test parametrises it."""
+    return "queue"
+
+
+@pytest.mark.parametrize("via", ["queue", "serial", "pool"])
+def test_duplicate_jobs_in_one_batch_share_one_execution(tmp_path, monkeypatch, via):
+    """Each key runs, is stored and is journaled once, whatever executes it."""
+    a, b = _jobs(2)
+    jobs, workers, backend = [a, a, a], 1, None
+    if via == "queue":
+        backend = _backend(tmp_path)
+    elif via == "pool":
+        # Two distinct keys, so the pool forks rather than running serially.
+        jobs, workers, backend = [a, b, a, b, a], 2, PoolBackend()
+    runs = tmp_path / "runs.log"  # appended to from forked workers too
+    real_execute, real_put = parallel_mod.execute_job, ResultCache.put
+    puts = []
+
+    def execute(job, **kwargs):
+        with open(runs, "a") as fh:
+            fh.write(job.key() + "\n")
+        return real_execute(job, **kwargs)
+
+    def put(cache, key, result):
+        puts.append(key)
+        return real_put(cache, key, result)
+
+    monkeypatch.setattr(parallel_mod, "execute_job", execute)
+    monkeypatch.setattr(ResultCache, "put", put)
+    journal = RunJournal(tmp_path / "j.jsonl")
+    report = run_jobs(
+        jobs, workers=workers, backend=backend, cache=ResultCache(tmp_path / "cache"),
+        journal=journal, return_report=True,
+    )
     assert all(o.ok for o in report.outcomes)
-    assert backend.last_parent_stats["executed"] == 1
-    first = _fingerprint(report.outcomes[0].result)
-    assert all(_fingerprint(o.result) == first for o in report.outcomes)
+    keys = sorted({job.key() for job in jobs})
+    assert sorted(runs.read_text().split()) == keys
+    assert sorted(puts) == keys
+    assert journal.appended == len(keys)
+    if via == "queue":
+        assert backend.last_parent_stats["executed"] == 1
+    for job, outcome in zip(jobs, report.outcomes):
+        first = report.outcomes[jobs.index(job)]
+        assert _fingerprint(outcome.result) == _fingerprint(first.result)
 
 
 def test_pool_backend_instance_matches_default_path(tmp_path):

@@ -1,18 +1,24 @@
 """Run journal: crash consistency, resume semantics, CLI wiring."""
 
 import json
+import shutil
 
 import pytest
 
+import repro.analysis.checkpoint as checkpoint_mod
 import repro.analysis.parallel as parallel_mod
+import repro.analysis.result_cache as result_cache_mod
 from repro.analysis.checkpoint import (
     RunJournal,
     journal_path,
     new_run_id,
     runs_dir,
+    seal_record,
 )
 from repro.analysis.parallel import SimulationJob, run_jobs
+from repro.analysis.result_cache import ResultCache, payload_digest, result_to_dict
 from repro.common.config import FilterKind, SimulationConfig
+from repro.common.faults import inject_faults
 
 N = 3_000
 WARM = 1_000
@@ -27,6 +33,17 @@ def result():
     """One real simulation result to journal (tiny, computed once)."""
     [r] = run_jobs([SimulationJob("em3d", _cfg(), N, 0)], workers=1)
     return r
+
+
+@pytest.fixture(scope="module")
+def digest(result):
+    """The payload digest a result store returns for ``result``."""
+    return payload_digest(result_to_dict(result))
+
+
+def _digests(results):
+    """Every result's full payload digest, in order."""
+    return [payload_digest(result_to_dict(r)) for r in results]
 
 
 def _fingerprint(result):
@@ -56,12 +73,12 @@ class TestJournalBasics:
         assert journal.completed() == {}
         assert len(journal) == 0
 
-    def test_success_roundtrip(self, tmp_path, result):
+    def test_success_roundtrip(self, tmp_path, digest):
         journal = RunJournal(tmp_path / "j.jsonl")
-        journal.record_success("k1", result)
+        journal.record_success("k1", digest)
         back = RunJournal(tmp_path / "j.jsonl").completed()
         assert set(back) == {"k1"}
-        assert _fingerprint(back["k1"]) == _fingerprint(result)
+        assert back["k1"] == digest
 
     def test_failures_recorded_but_not_completed(self, tmp_path):
         journal = RunJournal(tmp_path / "j.jsonl")
@@ -71,28 +88,28 @@ class TestJournalBasics:
         assert failed["k1"]["error"] == "boom"
         assert failed["k1"]["attempts"][0]["kind"] == "exception"
 
-    def test_last_writer_wins(self, tmp_path, result):
+    def test_last_writer_wins(self, tmp_path, digest):
         journal = RunJournal(tmp_path / "j.jsonl")
         journal.record_failure("k1", "first try died")
-        journal.record_success("k1", result)
+        journal.record_success("k1", digest)
         assert set(journal.completed()) == {"k1"}
         assert journal.failed() == {}
         assert len(journal) == 1  # one key, despite two appended lines
 
 
 class TestCrashConsistency:
-    def test_torn_tail_is_tolerated(self, tmp_path, result):
+    def test_torn_tail_is_tolerated(self, tmp_path, digest):
         journal = RunJournal(tmp_path / "j.jsonl")
-        journal.record_success("k1", result)
-        journal.record_success("k2", result)
+        journal.record_success("k1", digest)
+        journal.record_success("k2", digest)
         with open(journal.path, "a") as fh:
             fh.write('{"key": "k3", "ok": true, "result": {"trun')  # torn mid-write
         back = RunJournal(journal.path)
         assert set(back.completed()) == {"k1", "k2"}
 
-    def test_foreign_lines_are_skipped(self, tmp_path, result):
+    def test_foreign_lines_are_skipped(self, tmp_path, digest):
         journal = RunJournal(tmp_path / "j.jsonl")
-        journal.record_success("k1", result)
+        journal.record_success("k1", digest)
         with open(journal.path, "a") as fh:
             fh.write("\n")  # blank
             fh.write("[1, 2, 3]\n")  # valid JSON, wrong shape
@@ -105,12 +122,12 @@ class TestCrashConsistency:
             fh.write(json.dumps({"key": "k1", "ok": True, "result": {"nope": 1}}) + "\n")
         assert RunJournal(journal.path).completed() == {}
 
-    def test_every_append_lands_on_disk_immediately(self, tmp_path, result):
+    def test_every_append_lands_on_disk_immediately(self, tmp_path, digest):
         """The crash contract: a record is durable the moment the call
         returns — a *different* handle must see it with no close/flush."""
         journal = RunJournal(tmp_path / "j.jsonl")
         for i in range(3):
-            journal.record_success(f"k{i}", result)
+            journal.record_success(f"k{i}", digest)
             assert len(RunJournal(journal.path)) == i + 1
 
 
@@ -153,8 +170,97 @@ class TestResumeThroughRunJobs:
 
         journal = RunJournal(tmp_path / "j.jsonl")
         run_jobs(jobs, workers=1, cache=cache, journal=journal)
-        # The journal alone can now resume this run, cache or no cache.
+        # The journal names the cache's payload, so a resume on that
+        # store replays the run.
         assert set(RunJournal(journal.path).completed()) == {jobs[0].key()}
+        report = run_jobs(
+            jobs, workers=1, cache=cache, journal=RunJournal(journal.path), return_report=True
+        )
+        assert report.outcomes[0].from_journal
+
+
+class TestResumeFromTheStore:
+    """The journal names each payload by digest and the result store holds
+    it: whatever the store lost or garbled re-runs, and the final payloads
+    equal a clean serial run's."""
+
+    JOBS = [SimulationJob("gzip", _cfg(), N, s) for s in range(3)]
+
+    @pytest.fixture(scope="class")
+    def clean(self):
+        return _digests(run_jobs(self.JOBS, workers=1))
+
+    def test_budget_evicted_entry_reruns_exactly_that_job(self, tmp_path, clean):
+        sizing = ResultCache(tmp_path / "sizing")
+        run_jobs(self.JOBS, workers=1, cache=sizing)
+        budget = sum(p.stat().st_size for p in sizing.directory.glob("*.json")) - 1
+        cache = ResultCache(tmp_path / "cache", budget=budget)
+        journal = RunJournal(tmp_path / "j.jsonl")
+        run_jobs(self.JOBS, workers=1, cache=cache, journal=journal)
+        assert cache.evicted == 1
+        stored = {p.stem for p in cache.directory.glob("*.json")}
+        [evicted] = [job.key() for job in self.JOBS if job.key() not in stored]
+
+        report = run_jobs(
+            self.JOBS, workers=1, cache=ResultCache(cache.directory, budget=budget),
+            journal=RunJournal(journal.path), return_report=True,
+        )
+        assert [o.executed for o in report.outcomes] == [
+            o.key == evicted for o in report.outcomes
+        ]
+        assert sum(o.from_journal for o in report.outcomes) == len(self.JOBS) - 1
+        assert _digests(report.results) == clean
+
+    def test_corrupt_store_entry_is_quarantined_and_rerun(self, tmp_path, clean):
+        journal = RunJournal(tmp_path / "j.jsonl")
+        with inject_faults(f"corrupt-artifact@cache:match={self.JOBS[1].key()}"):
+            run_jobs(self.JOBS, workers=1, journal=journal)
+        resumed = RunJournal(journal.path)
+        report = run_jobs(self.JOBS, workers=1, journal=resumed, return_report=True)
+        assert resumed.store.quarantined == 1
+        assert [o.executed for o in report.outcomes] == [False, True, False]
+        assert _digests(report.results) == clean
+
+    def test_intact_entry_with_another_digest_reruns(self, tmp_path, clean):
+        journal = RunJournal(tmp_path / "j.jsonl")
+        run_jobs(self.JOBS, workers=1, journal=journal)
+        entries = journal.store.directory
+        # A sealed entry, but another job's payload: not what the journal names.
+        shutil.copy(entries / f"{self.JOBS[0].key()}.json", entries / f"{self.JOBS[2].key()}.json")
+        report = run_jobs(
+            self.JOBS, workers=1, journal=RunJournal(journal.path), return_report=True
+        )
+        assert [o.executed for o in report.outcomes] == [False, False, True]
+        assert _digests(report.results) == clean
+
+    def test_old_format_success_lines_rerun(self, tmp_path, clean):
+        journal = RunJournal(tmp_path / "j.jsonl")
+        with open(journal.path, "w") as fh:
+            for job, r in zip(self.JOBS, run_jobs(self.JOBS, workers=1)):
+                record = {"key": job.key(), "ok": True, "result": result_to_dict(r)}
+                fh.write(json.dumps(seal_record(record)) + "\n")
+        assert journal.completed() == {}
+        report = run_jobs(self.JOBS, workers=1, journal=journal, return_report=True)
+        assert all(o.executed and not o.from_journal for o in report.outcomes)
+        assert _digests(report.results) == clean
+        assert set(RunJournal(journal.path).completed()) == {job.key() for job in self.JOBS}
+
+    def test_each_executed_job_is_serialised_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = result_cache_mod.result_to_dict
+
+        def counting(result):
+            calls.append(result)
+            return real(result)
+
+        monkeypatch.setattr(result_cache_mod, "result_to_dict", counting)
+        monkeypatch.setattr(checkpoint_mod, "result_to_dict", counting)
+        report = run_jobs(
+            self.JOBS, workers=1, cache=ResultCache(tmp_path / "cache"),
+            journal=RunJournal(tmp_path / "j.jsonl"), return_report=True,
+        )
+        assert all(o.executed for o in report.outcomes)
+        assert len(calls) == len(self.JOBS)
 
 
 class TestSweepResumeCLI:
@@ -170,6 +276,15 @@ class TestSweepResumeCLI:
         assert "run id: run-" in out
         run_id = out.rsplit("run id: ", 1)[1].split()[0]
         first_table = out[: out.index("run id:")]
+
+        # The journal carries digests only; the payloads are in the run's
+        # own store, under the digests the journal names.
+        journal = RunJournal.for_run(run_id)
+        records = [json.loads(line) for line in journal.path.read_text().splitlines()]
+        assert records
+        assert all(set(r) == {"key", "ok", "digest", "v", "sha256"} for r in records)
+        done = journal.completed()
+        assert {key: journal.store.get(key)[1] for key in done} == done
 
         calls = []
         real = parallel_mod.execute_job

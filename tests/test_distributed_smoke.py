@@ -125,12 +125,13 @@ def test_two_workers_drain_a_200_job_sweep_and_the_journal_verifies(tmp_path):
     assert total_reuses == 200 - total_groups
     assert total_reuses > 100  # amortization actually happened
 
-    # merge the done-records into a journal, as a coordinating parent would
+    # merge the done-records into a journal and its store, as a coordinating
+    # parent would
     journal = RunJournal(tmp_path / "merged.jsonl")
     merged = 0
     for key, record in queue.collect_new(set()):
         assert record["ok"], record
-        journal.record_success(key, result_from_dict(record["result"]))
+        journal.record_success(key, journal.store.put(key, result_from_dict(record["result"])))
         merged += 1
     assert merged == 200
 

@@ -82,9 +82,11 @@ class TestRoundTrip:
 class TestResultCache:
     def test_put_get_round_trip(self, tmp_path, sample_result):
         cache = ResultCache(tmp_path)
-        cache.put("abc123", sample_result)
-        restored = cache.get("abc123")
-        assert restored is not None
+        digest = cache.put("abc123", sample_result)
+        entry = cache.get("abc123")
+        assert entry is not None
+        restored, stored = entry
+        assert stored == digest  # what a run journal records and checks
         assert restored.cycles == sample_result.cycles
         assert restored.stats.flat() == sample_result.stats.flat()
         assert cache.hits == 1 and cache.misses == 0

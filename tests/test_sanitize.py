@@ -295,11 +295,12 @@ class TestResumeQuarantine:
         first = execute_batch([job], workers=1, journal=journal)
         assert first.outcomes[0].ok and not first.outcomes[0].from_journal
 
-        # Tamper with the journaled success: flip the cycle count without
-        # touching the digest, the way a bad disk or editor would.
+        # Tamper with the journaled success: change the payload digest it
+        # names without touching the line's seal, the way a bad disk or
+        # editor would.
         lines = journal.path.read_text().splitlines()
         record = json.loads(lines[-1])
-        record["result"]["cycles"] += 1
+        record["digest"] = record["digest"][::-1]
         lines[-1] = json.dumps(record, separators=(",", ":"))
         journal.path.write_text("\n".join(lines) + "\n")
 
