@@ -14,7 +14,8 @@ cover
   with the sanitizer on;
 * a trace with no memory operations, with and without a warm-up window;
 * the pipeline engine: em3d and mcf at 6k × none/PA/PC × warm-up 0 and
-  1,500.
+  1,500, plus PA and PC with the prefetch buffer on and the ``adaptive``
+  filter, each at warm-up 1,500.
 
 Every kernel case pins its leg, because the leg id is part of the
 payload.  The ``cc`` cases skip where that leg cannot be built, and
@@ -114,6 +115,12 @@ def _cases() -> Dict[str, Tuple[bool, Callable[[], SimulationResult]]]:
                 cfg = SimulationConfig.paper_default(kind).with_warmup(warmup)
                 key = f"pipeline/{workload}/{kind.value}/warmup-{warmup}"
                 cases[key] = (False, partial(_run, trace, cfg, "pipeline"))
+        for kind in (FilterKind.PA, FilterKind.PC):
+            cfg = SimulationConfig.paper_default(kind).with_buffer().with_warmup(1_500)
+            key = f"pipeline/{workload}/{kind.value}/buffer/warmup-1500"
+            cases[key] = (False, partial(_run, trace, cfg, "pipeline"))
+        cfg = SimulationConfig.paper_default(FilterKind.ADAPTIVE).with_warmup(1_500)
+        cases[f"pipeline/{workload}/adaptive/warmup-1500"] = (False, partial(_run, trace, cfg, "pipeline"))
     return cases
 
 
