@@ -11,19 +11,17 @@
   already imported the module it is asked to run.
 """
 
-from repro.analysis.energy import EnergyBreakdown, EnergyModel, energy_comparison
-from repro.analysis.export import result_to_dict, results_to_csv, results_to_json
+from repro.analysis.energy import EnergyBreakdown, EnergyModel
+from repro.analysis.export import result_row, results_to_csv, results_to_json
 from repro.analysis.figures import grouped_bars, series_lines, sparkline
 from repro.analysis.metrics import (
     arithmetic_mean,
     geometric_mean,
-    normalised,
     percent_change,
     reduction_percent,
 )
-from repro.analysis.report import Table, render_comparison
+from repro.analysis.report import Table
 from repro.analysis.sweep import (
-    FilterSetup,
     compare_filters,
     run_oracle,
     run_static,
@@ -35,22 +33,18 @@ from repro.analysis.sweep import (
 __all__ = [
     "EnergyBreakdown",
     "EnergyModel",
-    "FilterSetup",
     "Table",
     "grouped_bars",
-    "result_to_dict",
+    "result_row",
     "results_to_csv",
     "results_to_json",
     "series_lines",
     "sparkline",
     "arithmetic_mean",
     "compare_filters",
-    "energy_comparison",
     "geometric_mean",
-    "normalised",
     "percent_change",
     "reduction_percent",
-    "render_comparison",
     "run_oracle",
     "run_static",
     "run_workload",

@@ -113,10 +113,3 @@ class EnergyBreakdown:
             "epi": self.energy_per_instruction,
         }
 
-
-def energy_comparison(
-    results: Dict[str, SimulationResult], model: EnergyModel | None = None
-) -> Dict[str, EnergyBreakdown]:
-    """Energy breakdowns for a set of labelled runs (same workload)."""
-    model = model if model is not None else EnergyModel()
-    return {label: model.energy_of(r) for label, r in results.items()}

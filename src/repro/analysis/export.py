@@ -2,9 +2,11 @@
 
 Downstream users (plotting scripts, regression tracking, spreadsheet
 comparisons against the paper) need results out of Python objects.  This
-module flattens :class:`~repro.core.simulator.SimulationResult` into plain
-dictionaries and renders batches as JSON documents or CSV tables with one
-row per run.
+module flattens :class:`~repro.core.simulator.SimulationResult` into a
+report row and renders batches as JSON documents or CSV tables with one
+row per run.  A row carries derived metrics (IPC, miss rates) and drops
+the stats tree, so it cannot rebuild a result: the lossless payload the
+result cache stores is :func:`repro.analysis.result_cache.result_to_dict`.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ RESULT_FIELDS = (
 _TALLY_FIELDS = ("generated", "squashed", "filtered", "dropped", "issued", "good", "bad")
 
 
-def result_to_dict(result: SimulationResult, include_sources: bool = True) -> Dict[str, object]:
+def result_row(result: SimulationResult, include_sources: bool = True) -> Dict[str, object]:
     """Flatten a result into JSON-ready scalars.
 
     ``include_sources`` adds per-prefetcher tallies under
@@ -63,14 +65,14 @@ def result_to_dict(result: SimulationResult, include_sources: bool = True) -> Di
 
 def results_to_json(results: Iterable[SimulationResult], indent: int = 2) -> str:
     """A JSON array, one object per run."""
-    return json.dumps([result_to_dict(r) for r in results], indent=indent)
+    return json.dumps([result_row(r) for r in results], indent=indent)
 
 
 def results_to_csv(results: Sequence[SimulationResult], include_sources: bool = False) -> str:
     """A CSV table, one row per run (stable column order)."""
     if not results:
         return ""
-    rows: List[Mapping[str, object]] = [result_to_dict(r, include_sources) for r in results]
+    rows: List[Mapping[str, object]] = [result_row(r, include_sources) for r in results]
     columns = list(rows[0].keys())
 
     def cell(value: object) -> str:
@@ -84,8 +86,3 @@ def results_to_csv(results: Sequence[SimulationResult], include_sources: bool = 
     for row in rows:
         lines.append(",".join(cell(row[c]) for c in columns))
     return "\n".join(lines)
-
-
-def counters_to_csv(result: SimulationResult) -> str:
-    """Every raw hardware counter of a run (the full stats tree)."""
-    return result.stats.to_csv()

@@ -14,7 +14,7 @@ figures:
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Sequence
+from typing import Mapping, Sequence
 
 _BLOCKS = " ▏▎▍▌▋▊▉█"
 _FULL = "█"
@@ -112,15 +112,3 @@ def sparkline(values: Sequence[float]) -> str:
         else:
             out.append(marks[int((v - lo) / span * (len(marks) - 1))])
     return "".join(out)
-
-
-def normalised_rows(
-    raw: Dict[str, Dict[str, float]], reference_series: str
-) -> Dict[str, Dict[str, float]]:
-    """Normalise every row's values by that row's ``reference_series`` value
-    (how the paper's figures normalise to the no-filter case)."""
-    out: Dict[str, Dict[str, float]] = {}
-    for group, row in raw.items():
-        ref = row.get(reference_series, 0.0)
-        out[group] = {k: (v / ref if ref else 0.0) for k, v in row.items()}
-    return out

@@ -10,7 +10,7 @@ the experiment suite computes each figure's metrics with them, once.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def reduction_percent(baseline: float, value: float) -> float:
@@ -31,13 +31,6 @@ def percent_change(baseline: float, value: float) -> float:
     return 100.0 * (value - baseline) / baseline
 
 
-def normalised(values: Sequence[float], reference: float) -> list[float]:
-    """Scale a series by a reference value (figures' normalised bars)."""
-    if reference == 0:
-        return [0.0 for _ in values]
-    return [v / reference for v in values]
-
-
 def arithmetic_mean(values: Iterable[float]) -> float:
     vals = [v for v in values if not math.isinf(v) and not math.isnan(v)]
     return sum(vals) / len(vals) if vals else 0.0
@@ -49,9 +42,3 @@ def geometric_mean(values: Iterable[float]) -> float:
     if not vals:
         return 0.0
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
-
-
-def safe_ratio(numerator: float, denominator: float) -> float:
-    if denominator == 0:
-        return float("inf") if numerator else 0.0
-    return numerator / denominator

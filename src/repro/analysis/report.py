@@ -8,7 +8,7 @@ equivalent of the paper's bar charts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.analysis.metrics import arithmetic_mean
 
@@ -58,30 +58,3 @@ class Table:
         for row in body:
             lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
         return "\n".join(lines)
-
-
-def render_comparison(
-    title: str,
-    row_labels: Sequence[str],
-    series: Dict[str, Sequence[float]],
-    float_format: str = "{:.3f}",
-) -> str:
-    """Render named series (columns) against row labels (benchmarks)."""
-    table = Table(title, ["benchmark", *series.keys()], float_format=float_format)
-    for i, label in enumerate(row_labels):
-        table.add_row(label, [values[i] for values in series.values()])
-    return table.render()
-
-
-def format_metric_map(results: Dict[str, float], unit: str = "") -> str:
-    width = max(len(k) for k in results) if results else 0
-    return "\n".join(f"{k.ljust(width)}  {v:.4f}{unit}" for k, v in results.items())
-
-
-def make_series(
-    row_keys: Sequence[object],
-    results: Dict[object, object],
-    extract: Callable[[object], float],
-) -> List[float]:
-    """Pull one metric out of a result dict in row order."""
-    return [extract(results[k]) for k in row_keys]

@@ -8,8 +8,7 @@ All drivers are deterministic given (workload, n_insts, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.analysis.checkpoint import RunJournal
 from repro.analysis.parallel import SimulationJob, run_jobs
@@ -21,15 +20,6 @@ from repro.filters.oracle import OracleFilter, OracleProfileBuilder
 from repro.filters.static_filter import ProfilingObserver, StaticFilter
 from repro.trace.stream import Trace
 from repro.workloads import cached_trace
-
-
-@dataclass(frozen=True)
-class FilterSetup:
-    """A named filter scenario within a comparison (one bar group)."""
-
-    label: str
-    kind: FilterKind
-    config: Optional[SimulationConfig] = None
 
 
 def _trace_for(workload: str, n_insts: int, seed: int, software_prefetch: bool = True) -> Trace:
@@ -153,21 +143,3 @@ def sweep_l1_ports(
         backend=backend, deadline=deadline,
     )
     return dict(zip(ports, results))
-
-
-def run_all_workloads(
-    workloads: Sequence[str],
-    config: SimulationConfig,
-    n_insts: int = 100_000,
-    seed: int = 0,
-    engine: Optional[str] = None,
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    policy: Optional[RetryPolicy] = None,
-    journal: Optional[RunJournal] = None,
-    backend=None,
-) -> List[SimulationResult]:
-    jobs = [SimulationJob(w, config, n_insts, seed, True, engine) for w in workloads]
-    return run_jobs(
-        jobs, workers=workers, cache=cache, policy=policy, journal=journal, backend=backend
-    )

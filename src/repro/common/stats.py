@@ -138,9 +138,3 @@ class Stats(StatGroup):
         """Per-key difference ``after - before`` (missing keys treated as 0)."""
         keys = set(before) | set(after)
         return {k: after.get(k, 0) - before.get(k, 0) for k in keys}
-
-    def to_csv(self) -> str:
-        rows = ["counter,value"]
-        for key, value in sorted(self.flat().items()):
-            rows.append(f"{key},{value}")
-        return "\n".join(rows)

@@ -149,15 +149,11 @@ class OoOPipeline:
         if not evicted.pib:
             return
         self.classifier.on_l1_eviction(evicted)
-        self.filter.on_feedback_ex(
-            evicted.line_addr, evicted.trigger_pc, evicted.rib, evicted.source
-        )
+        self.filter.on_feedback(evicted.line_addr, evicted.trigger_pc, evicted.rib)
 
     def _on_buffer_evict(self, line) -> None:
         self.classifier.on_buffer_eviction(line)
-        self.filter.on_feedback_ex(
-            line.line_addr, line.trigger_pc, line.referenced, line.source
-        )
+        self.filter.on_feedback(line.line_addr, line.trigger_pc, line.referenced)
 
     # ------------------------------------------------------------------
     # Prefetch control path: squash -> filter -> queue

@@ -23,7 +23,7 @@ Implementations:
   filtering (the "advanced features" sketched in §5.2.1).
 """
 
-from repro.filters.adaptive import AdaptiveFilter, PerSourceAdaptiveFilter
+from repro.filters.adaptive import AdaptiveFilter
 from repro.filters.base import PollutionFilter
 from repro.filters.history_table import HistoryTable
 from repro.filters.hybrid import HybridFilter
@@ -43,7 +43,6 @@ __all__ = [
     "OracleProfileBuilder",
     "PAFilter",
     "PCFilter",
-    "PerSourceAdaptiveFilter",
     "PollutionFilter",
     "ProfilingObserver",
     "StaticFilter",

@@ -89,86 +89,3 @@ class AdaptiveFilter(PollutionFilter):
         self.table.reset()
         self._recent.clear()
         self._good_in_window = 0
-
-
-class PerSourceAdaptiveFilter(PollutionFilter):
-    """Adaptive filtering with one accuracy gate per prefetch source.
-
-    The §5.2.1 data motivates this refinement: filtering helps the
-    inaccurate prefetcher (NSP, good/bad 1.8) and *hurts* the accurate one
-    (SDP, good/bad 11.7).  A single global accuracy window — as in
-    :class:`AdaptiveFilter` — blends the two; this variant keeps a sliding
-    outcome window per :class:`~repro.mem.cache.FillSource` and applies the
-    history table only to requests from sources whose own accuracy has
-    dropped below the floor.  Feedback attribution uses the engine's
-    source-tagged update path (``on_feedback_ex``).
-    """
-
-    name = "adaptive_per_source"
-
-    def __init__(
-        self,
-        entries: int = 4096,
-        counter_bits: int = 2,
-        initial_value: int = 2,
-        threshold: int = 2,
-        scheme: str = "pa",
-        accuracy_floor: float = 0.5,
-        window: int = 256,
-        hash_scheme: str = "fold_xor",
-        stats: StatGroup | None = None,
-    ) -> None:
-        super().__init__(stats)
-        if scheme not in ("pa", "pc"):
-            raise ValueError("inner scheme must be 'pa' or 'pc'")
-        if not 0.0 <= accuracy_floor <= 1.0:
-            raise ValueError("accuracy floor must be a fraction")
-        if window < 1:
-            raise ValueError("window must be positive")
-        self.scheme = scheme
-        self.accuracy_floor = accuracy_floor
-        self.window = window
-        self.table = HistoryTable(
-            entries, counter_bits, initial_value, threshold, hash_scheme, self.stats["table"]
-        )
-        self._windows: dict = {}
-
-    def _window_for(self, source) -> Deque[bool]:
-        win = self._windows.get(source)
-        if win is None:
-            win = self._windows[source] = deque(maxlen=self.window)
-        return win
-
-    def source_accuracy(self, source) -> float:
-        win = self._windows.get(source)
-        if not win:
-            return 1.0
-        return sum(win) / len(win)
-
-    def filtering_active_for(self, source) -> bool:
-        win = self._windows.get(source)
-        if win is None or len(win) < self.window:
-            return False
-        return self.source_accuracy(source) < self.accuracy_floor
-
-    def should_prefetch(self, request: PrefetchRequest) -> bool:
-        if not self.filtering_active_for(request.source):
-            self.stats.bump("bypass")
-            return self._count_decision(True)
-        key = request.line_addr if self.scheme == "pa" else request.trigger_pc
-        return self._count_decision(self.table.predict_good(key))
-
-    def on_feedback(self, line_addr: int, trigger_pc: int, referenced: bool) -> None:
-        # Source-less feedback (legacy callers): train the table only.
-        self._count_feedback(referenced)
-        key = line_addr if self.scheme == "pa" else trigger_pc
-        self.table.train(key, referenced)
-
-    def on_feedback_ex(self, line_addr: int, trigger_pc: int, referenced: bool, source=None) -> None:
-        self.on_feedback(line_addr, trigger_pc, referenced)
-        if source is not None:
-            self._window_for(source).append(referenced)
-
-    def reset(self) -> None:
-        self.table.reset()
-        self._windows.clear()

@@ -51,18 +51,6 @@ class PollutionFilter(abc.ABC):
         ``referenced`` is the line's RIB — True means the prefetch was good.
         """
 
-    def on_feedback_ex(
-        self, line_addr: int, trigger_pc: int, referenced: bool, source=None
-    ) -> None:
-        """Update path with the prefetch source attached.
-
-        The engine calls this variant (the evicted line records which
-        prefetcher filled it); the default forwards to :meth:`on_feedback`.
-        Filters that discriminate by source — e.g. the per-source adaptive
-        filter — override this instead.
-        """
-        self.on_feedback(line_addr, trigger_pc, referenced)
-
     def reset(self) -> None:
         """Forget learned state."""
 

@@ -283,15 +283,6 @@ def string_value(node: ast.AST) -> Optional[str]:
     return None
 
 
-def attribute_reads(tree: ast.Module) -> Dict[str, int]:
-    """Count every ``<expr>.name`` attribute access in a module by name."""
-    counts: Dict[str, int] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            counts[node.attr] = counts.get(node.attr, 0) + 1
-    return counts
-
-
 def class_methods(cls: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
     return {
         item.name: item

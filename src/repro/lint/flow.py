@@ -195,10 +195,6 @@ class ConstEnv:
         value = self.resolve_expr(module, expr)
         return value if isinstance(value, int) else None
 
-    def names_defined(self, module: str) -> FrozenSet[str]:
-        """Module-level names ``module`` assigns (not imports)."""
-        return frozenset(n for (m, n) in self._assigns if m == module)
-
 
 class ModuleGraph:
     """Which project modules each module imports (any scope depth)."""
@@ -229,9 +225,6 @@ class ModuleGraph:
 
     def imports_module(self, module: str, target: str) -> bool:
         return target in self.imports(module)
-
-    def importers_of(self, target: str) -> FrozenSet[str]:
-        return frozenset(m for m, deps in self._edges.items() if target in deps)
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,8 @@
 
 This package implements the machine's data-side memory system from scratch:
 
-* :mod:`repro.mem.replacement` — victim-selection policies,
-* :mod:`repro.mem.cache` — a set-associative cache with the paper's per-line
-  PIB/RIB bits and eviction callbacks,
+* :mod:`repro.mem.cache` — a set-associative LRU cache with the paper's
+  per-line PIB/RIB bits and eviction callbacks,
 * :mod:`repro.mem.mshr` — miss-status holding registers (duplicate-miss
   merging, bounded outstanding misses),
 * :mod:`repro.mem.ports` — the L1 port arbiter that demand accesses and the
@@ -22,28 +21,16 @@ from repro.mem.hierarchy import AccessResult, MemoryHierarchy
 from repro.mem.mshr import MSHRFile
 from repro.mem.ports import PortArbiter
 from repro.mem.prefetch_buffer import PrefetchBuffer
-from repro.mem.replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    make_policy,
-)
 
 __all__ = [
     "AccessResult",
     "Bus",
     "Cache",
     "EvictedLine",
-    "FIFOPolicy",
     "FillSource",
-    "LRUPolicy",
     "MSHRFile",
     "MemoryHierarchy",
     "PortArbiter",
     "PrefetchBuffer",
-    "RandomPolicy",
-    "ReplacementPolicy",
     "TransferKind",
-    "make_policy",
 ]

@@ -29,7 +29,6 @@ from typing import Callable, Iterator, List, Optional
 
 from repro.common.config import CacheConfig
 from repro.common.stats import StatGroup
-from repro.mem.replacement import ReplacementPolicy, make_policy
 
 
 class FillSource(enum.IntEnum):
@@ -90,22 +89,11 @@ class _Line:
 
 
 class Cache:
-    """One cache level with prefetch bookkeeping bits."""
+    """One LRU cache level with prefetch bookkeeping bits."""
 
-    def __init__(
-        self,
-        config: CacheConfig,
-        name: str = "cache",
-        policy: ReplacementPolicy | str | None = None,
-        stats: StatGroup | None = None,
-    ) -> None:
+    def __init__(self, config: CacheConfig, name: str = "cache", stats: StatGroup | None = None) -> None:
         self.config = config
         self.name = name
-        if policy is None:
-            policy = make_policy("lru")
-        elif isinstance(policy, str):
-            policy = make_policy(policy)
-        self.policy = policy
         self.stats = stats if stats is not None else StatGroup(name)
 
         self._num_sets = config.num_sets
@@ -114,11 +102,6 @@ class Cache:
         self._offset_bits = config.offset_bits
         self._occupancy = 0
         self.on_evict: Optional[EvictionCallback] = None
-        # Policy fast paths, resolved once.
-        from repro.mem.replacement import FIFOPolicy, LRUPolicy
-
-        self._refresh_on_access = isinstance(policy, LRUPolicy)
-        self._min_stamp_victim = isinstance(policy, (LRUPolicy, FIFOPolicy))
         # Hot-path event counts are batched in plain integer attributes and
         # folded into the stats dict lazily (flush hook): the cache is
         # probed once or twice per memory instruction, and string-keyed
@@ -305,8 +288,7 @@ class Cache:
             self._n_first_use += 1
         if is_write:
             line.dirty = True
-        if self._refresh_on_access:
-            line.stamp = now  # LRU recency; FIFO/random keep insertion order
+        line.stamp = now
         return True, first_use
 
     def consume_nsp_tag(self, line_addr: int) -> bool:
@@ -354,20 +336,12 @@ class Cache:
 
         evicted: Optional[EvictedLine] = None
         if victim_slot is None:
-            if self._min_stamp_victim:
-                # LRU and FIFO both evict the minimum stamp (access refresh
-                # is the only difference, handled in access()).
-                best = entries[0]
-                for line in entries[1:]:
-                    if line.stamp < best.stamp:
-                        best = line
-                victim_slot = best
-            else:
-                import numpy as np
-
-                stamps = np.array([ln.stamp for ln in entries])
-                valid = np.array([ln.valid for ln in entries])
-                victim_slot = entries[self.policy.victim(valid, stamps)]
+            # LRU: every hit and fill stamps its line with the access time,
+            # so the way with the smallest stamp is the least recently used.
+            victim_slot = entries[0]
+            for line in entries[1:]:
+                if line.stamp < victim_slot.stamp:
+                    victim_slot = line
             evicted = victim_slot.evict_record()
             self._occupancy -= 1
             self._n_evictions += 1
@@ -394,17 +368,6 @@ class Cache:
         else:
             self._n_demand_fill += 1
         return evicted
-
-    def invalidate(self, line_addr: int) -> Optional[EvictedLine]:
-        """Remove a line (no eviction callback; used for moves, not pressure)."""
-        line = self._find(line_addr)
-        if line is None:
-            return None
-        record = line.evict_record()
-        line.valid = False
-        line.tag = -1
-        self._occupancy -= 1
-        return record
 
     def flush(self) -> Iterator[EvictedLine]:
         """Drain every resident line, yielding eviction records.

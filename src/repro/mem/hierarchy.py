@@ -72,8 +72,8 @@ class MemoryHierarchy:
         self.config = config
         root = stats if stats is not None else StatGroup("mem")
         self.stats = root
-        self.l1 = Cache(config.l1, "l1", policy="lru", stats=root["l1"])
-        self.l2 = Cache(config.l2, "l2", policy="lru", stats=root["l2"])
+        self.l1 = Cache(config.l1, "l1", stats=root["l1"])
+        self.l2 = Cache(config.l2, "l2", stats=root["l2"])
         self.mshr = MSHRFile(config.mshr_entries, stats=root["mshr"])
         self.ports = PortArbiter(config.l1.ports, stats=root["ports"])
         # L1-side bus: accounting only (port arbitration models the contention).

@@ -17,7 +17,6 @@ from repro.trace.record import (
     InstrClass,
     TraceRecord,
 )
-from repro.trace.sampling import sample_windows, systematic_sample
 from repro.trace.store import TraceStore, trace_key
 from repro.trace.stream import Trace, TraceBuilder
 from repro.trace.synth import (
@@ -39,8 +38,6 @@ __all__ = [
     "InstrClass",
     "Trace",
     "TraceStore",
-    "sample_windows",
-    "systematic_sample",
     "trace_key",
     "TraceBuilder",
     "TraceRecord",

@@ -315,9 +315,6 @@ class _Registry:
         except KeyError:
             raise KeyError(f"unknown workload {name!r}; known: {self._order}") from None
 
-    def infos(self) -> List[WorkloadInfo]:
-        return [self._classes[n].info for n in self._order]
-
 
 REGISTRY = _Registry()
 register_workload = REGISTRY.register

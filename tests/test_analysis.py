@@ -1,19 +1,15 @@
 """Unit tests for analysis metrics, tables, and sweep drivers."""
 
-import math
-
 import pytest
 
 from repro.analysis.metrics import (
     arithmetic_mean,
     geometric_mean,
-    normalised,
     percent_change,
     reduction_percent,
-    safe_ratio,
 )
-from repro.analysis.report import Table, make_series, render_comparison
-from repro.analysis.sweep import FilterSetup, compare_filters, run_workload
+from repro.analysis.report import Table
+from repro.analysis.sweep import compare_filters, run_workload
 from repro.common.config import FilterKind, SimulationConfig
 
 
@@ -27,10 +23,6 @@ class TestMetrics:
         assert percent_change(2.0, 2.2) == pytest.approx(10.0)
         assert percent_change(0, 5) == 0.0
 
-    def test_normalised(self):
-        assert normalised([2, 4], 4) == [0.5, 1.0]
-        assert normalised([2, 4], 0) == [0.0, 0.0]
-
     def test_arithmetic_mean_skips_non_finite(self):
         assert arithmetic_mean([1, 3, float("inf"), float("nan")]) == 2.0
         assert arithmetic_mean([]) == 0.0
@@ -39,11 +31,6 @@ class TestMetrics:
         assert geometric_mean([1, 4]) == pytest.approx(2.0)
         assert geometric_mean([2, 0, -3]) == 2.0
         assert geometric_mean([]) == 0.0
-
-    def test_safe_ratio(self):
-        assert safe_ratio(4, 2) == 2
-        assert safe_ratio(4, 0) == math.inf
-        assert safe_ratio(0, 0) == 0.0
 
 
 class TestTable:
@@ -67,14 +54,6 @@ class TestTable:
         t.add_row("b", [float("nan")])
         text = t.render()
         assert "inf" in text and "-" in text
-
-    def test_render_comparison(self):
-        text = render_comparison("t", ["x", "y"], {"none": [1, 2], "pa": [3, 4]})
-        assert "none" in text and "pa" in text
-
-    def test_make_series(self):
-        results = {"a": 1.5, "b": 2.5}
-        assert make_series(["b", "a"], results, float) == [2.5, 1.5]
 
 
 class TestSweepDrivers:
@@ -104,7 +83,3 @@ class TestSweepDrivers:
         out = compare_filters("ijpeg", cfg, n_insts=self.N)
         assert set(out) == {FilterKind.NONE, FilterKind.PA, FilterKind.PC}
         assert out[FilterKind.PA].filter_name == "pa"
-
-    def test_filter_setup_record(self):
-        s = FilterSetup("PA filter", FilterKind.PA)
-        assert s.label == "PA filter" and s.config is None

@@ -157,16 +157,3 @@ class TestFlushInvalidate:
         c.fill(1, 0)
         list(c.flush())
         assert len(seen) == 1
-
-    def test_invalidate_returns_record_silently(self):
-        c = direct_mapped()
-        seen = []
-        c.on_evict = seen.append
-        c.fill(1, 0, FillSource.NSP)
-        rec = c.invalidate(1)
-        assert rec is not None and rec.pib
-        assert not seen  # no callback
-        assert not c.contains(1)
-
-    def test_invalidate_missing(self):
-        assert direct_mapped().invalidate(99) is None

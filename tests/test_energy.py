@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.energy import EnergyBreakdown, EnergyModel, energy_comparison
+from repro.analysis.energy import EnergyBreakdown, EnergyModel
 from repro.analysis.sweep import run_workload
 from repro.common.config import FilterKind, SimulationConfig
 
@@ -44,11 +44,6 @@ class TestEnergyModel:
     def test_as_dict_keys(self, runs):
         d = EnergyModel().energy_of(runs["none"]).as_dict()
         assert set(d) == {"l1", "l2", "memory", "bus", "filter_table", "static", "total", "epi"}
-
-    def test_comparison_helper(self, runs):
-        out = energy_comparison(runs)
-        assert set(out) == {"none", "pa"}
-        assert all(isinstance(v, EnergyBreakdown) for v in out.values())
 
     def test_zero_instruction_guard(self):
         e = EnergyBreakdown(0, 0, 0, 0, 0, 0, instructions=0)

@@ -6,8 +6,7 @@ import pytest
 
 from repro.analysis.export import (
     RESULT_FIELDS,
-    counters_to_csv,
-    result_to_dict,
+    result_row,
     results_to_csv,
     results_to_json,
 )
@@ -26,23 +25,23 @@ def result(request):
 
 class TestResultToDict:
     def test_contains_all_fields(self, result):
-        d = result_to_dict(result)
+        d = result_row(result)
         for field in RESULT_FIELDS:
             assert field in d
         assert d["trace_name"] == "fpppp"
         assert d["prefetch_good"] == result.prefetch.good
 
     def test_per_source_keys(self, result):
-        d = result_to_dict(result, include_sources=True)
+        d = result_row(result, include_sources=True)
         assert "nsp_issued" in d and "sdp_bad" in d and "software_good" in d
 
     def test_without_sources(self, result):
-        d = result_to_dict(result, include_sources=False)
+        d = result_row(result, include_sources=False)
         assert "nsp_issued" not in d
 
     def test_infinity_mapped_to_none(self, result):
         # bad_good_ratio can be inf when good == 0; simulate via monkeypatch-free check
-        d = result_to_dict(result)
+        d = result_row(result)
         assert d["bad_good_ratio"] is None or isinstance(d["bad_good_ratio"], float)
 
 
@@ -61,11 +60,6 @@ class TestBatchExport:
 
     def test_csv_empty(self):
         assert results_to_csv([]) == ""
-
-    def test_counters_csv(self, result):
-        text = counters_to_csv(result)
-        assert text.startswith("counter,value")
-        assert "mem.l1." in text
 
 
 class TestNewCLICommands:

@@ -4,7 +4,6 @@ import math
 
 from repro.analysis.figures import (
     grouped_bars,
-    normalised_rows,
     series_lines,
     sparkline,
 )
@@ -61,14 +60,3 @@ class TestSparkline:
 
     def test_empty(self):
         assert sparkline([]) == ""
-
-
-class TestNormalisedRows:
-    def test_normalises_by_reference(self):
-        out = normalised_rows({"a": {"none": 2.0, "PA": 1.0}}, "none")
-        assert out["a"]["none"] == 1.0
-        assert out["a"]["PA"] == 0.5
-
-    def test_zero_reference(self):
-        out = normalised_rows({"a": {"none": 0.0, "PA": 1.0}}, "none")
-        assert out["a"]["PA"] == 0.0

@@ -156,59 +156,3 @@ class TestAdaptiveFilter:
         assert not f.filtering_active
         assert f.recent_accuracy == 1.0
 
-
-class TestPerSourceAdaptiveFilter:
-    def _filter(self, window=4):
-        from repro.filters.adaptive import PerSourceAdaptiveFilter
-
-        return PerSourceAdaptiveFilter(entries=64, window=window)
-
-    def test_gates_only_the_inaccurate_source(self):
-        f = self._filter(window=4)
-        # NSP goes bad; SDP stays good.
-        for _ in range(4):
-            f.on_feedback_ex(5, 0x400, False, FillSource.NSP)
-            f.on_feedback_ex(6, 0x500, True, FillSource.SDP)
-        assert f.filtering_active_for(FillSource.NSP)
-        assert not f.filtering_active_for(FillSource.SDP)
-        # NSP's request for the bad-trained key is rejected...
-        assert not f.should_prefetch(req(line=5, source=FillSource.NSP))
-        # ...but the same key from the accurate SDP bypasses the table.
-        assert f.should_prefetch(req(line=5, source=FillSource.SDP))
-
-    def test_needs_full_window_per_source(self):
-        f = self._filter(window=10)
-        for _ in range(5):
-            f.on_feedback_ex(1, 0, False, FillSource.NSP)
-        assert not f.filtering_active_for(FillSource.NSP)
-
-    def test_unknown_source_starts_accurate(self):
-        f = self._filter()
-        assert f.source_accuracy(FillSource.STRIDE) == 1.0
-
-    def test_reset(self):
-        f = self._filter(window=2)
-        f.on_feedback_ex(1, 0, False, FillSource.NSP)
-        f.on_feedback_ex(1, 0, False, FillSource.NSP)
-        f.reset()
-        assert not f.filtering_active_for(FillSource.NSP)
-
-    def test_validation(self):
-        from repro.filters.adaptive import PerSourceAdaptiveFilter
-
-        with pytest.raises(ValueError):
-            PerSourceAdaptiveFilter(scheme="both")
-        with pytest.raises(ValueError):
-            PerSourceAdaptiveFilter(window=0)
-
-    def test_end_to_end(self):
-        from repro.common.config import SimulationConfig
-        from repro.core.simulator import Simulator
-        from repro.filters.adaptive import PerSourceAdaptiveFilter
-        from repro.workloads import build_trace
-
-        f = PerSourceAdaptiveFilter(window=128)
-        r = Simulator(SimulationConfig.paper_default(), filter_=f).run(
-            build_trace("em3d", 10000, seed=4)
-        )
-        assert r.prefetch.issued == r.prefetch.good + r.prefetch.bad

@@ -66,11 +66,3 @@ class TestStats:
 
     def test_delta_handles_missing_keys(self):
         assert Stats.delta({"a": 1}, {"b": 2}) == {"a": -1, "b": 2}
-
-    def test_csv_export_sorted(self):
-        s = Stats()
-        s["b"].bump("x", 1)
-        s["a"].bump("y", 2)
-        lines = s.to_csv().splitlines()
-        assert lines[0] == "counter,value"
-        assert lines[1].startswith("a.y")
