@@ -186,6 +186,16 @@ class RunJournal:
             if record.get("ok") and isinstance(record.get("digest"), str)
         }
 
+    def resumable(self) -> Dict[str, str]:
+        """The :meth:`completed` jobs a resume with no result cache skips:
+        those whose :attr:`store` entry carries the journaled digest, the
+        rule :func:`~repro.analysis.resilience.execute_batch` applies."""
+        return {
+            key: digest
+            for key, digest in self.completed().items()
+            if (hit := self.store.get(key)) is not None and hit[1] == digest
+        }
+
     def failed(self) -> Dict[str, Dict[str, Any]]:
         """Key -> raw record for every key whose *latest* record is a failure."""
         return {k: r for k, r in self.load().items() if not r.get("ok")}

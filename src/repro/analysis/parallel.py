@@ -75,8 +75,9 @@ class SimulationJob:
     The job (not a live simulator) is what crosses the process boundary:
     workers rebuild the machine from the config, which keeps the queue
     record tiny and sidesteps every unpicklable hardware-model handle.
-    ``engine=None`` defers to ``config.engine`` — the two spellings hash
-    to the same cache key, so a sweep can name its engine either way.
+    ``engine=None`` defers to ``config.engine``; an explicit ``engine`` is
+    folded into ``config``, so the two spellings build the same job and
+    share one cache key and one journal line.
     """
 
     workload: str
@@ -86,9 +87,13 @@ class SimulationJob:
     software_prefetch: bool = True
     engine: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if self.engine is not None and self.engine != self.config.engine:
+            object.__setattr__(self, "config", self.config.with_engine(self.engine))
+
     @property
     def engine_name(self) -> str:
-        return self.engine if self.engine is not None else self.config.engine
+        return self.config.engine
 
     def key(self) -> str:
         """The job's content hash — also its result-cache address."""
@@ -98,7 +103,7 @@ class SimulationJob:
             self.n_insts,
             self.seed,
             self.software_prefetch,
-            self.engine_name,
+            self.config.engine,
         )
 
 

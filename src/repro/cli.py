@@ -171,8 +171,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     policy = RetryPolicy(max_attempts=max(1, args.retries + 1), timeout=args.timeout)
     backend = _sweep_backend(args)
     if args.resume:
-        done = len(journal.completed())
+        done = len(journal.resumable())
         print(f"resuming {run_id}: {done} job(s) already journaled")
+        lost = len(journal.completed()) - done
+        if lost:
+            print(f"  {lost} journaled job(s) have no matching stored result and will re-run")
         domains = journal.domains()
         if domains:
             print(
@@ -191,7 +194,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 SimulationConfig.paper_default(FilterKind.PA).with_warmup(args.insts // 3), args
             )
             results = sweep_history_sizes(
-                args.workload, cfg, n_insts=args.insts, seed=args.seed,
+                args.workload, cfg, n_insts=args.insts, seed=args.seed, engine=args.engine,
                 workers=args.workers, policy=policy, journal=journal, backend=backend,
                 deadline=args.deadline,
             )
@@ -202,7 +205,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 table.add_row(str(entries), [r.ipc, float(r.prefetch.good), float(r.prefetch.bad)])
         else:
             results = sweep_l1_ports(
-                args.workload, n_insts=args.insts, seed=args.seed,
+                args.workload, n_insts=args.insts, seed=args.seed, engine=args.engine,
                 workers=args.workers, policy=policy, journal=journal, backend=backend,
                 deadline=args.deadline,
             )

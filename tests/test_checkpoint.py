@@ -300,6 +300,47 @@ class TestSweepResumeCLI:
         assert f"resuming {run_id}" in out
         assert first_table in out  # identical table from journaled results
 
+    def test_resume_banner_counts_only_jobs_the_store_still_holds(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        argv = ["sweep", "--workload", "gzip", "--what", "ports", "--insts", str(N)]
+        assert main(argv) == 0
+        run_id = capsys.readouterr().out.rsplit("run id: ", 1)[1].split()[0]
+        journal = RunJournal.for_run(run_id)
+        done = journal.completed()
+        lost = sorted(done)[0]
+        (journal.store.directory / f"{lost}.json").unlink()
+
+        calls = []
+        real = parallel_mod.execute_job
+
+        def spy(job, **kwargs):
+            calls.append(job.key())
+            return real(job, **kwargs)
+
+        monkeypatch.setattr(parallel_mod, "execute_job", spy)
+        assert main(argv + ["--resume", run_id]) == 0
+        out = capsys.readouterr().out
+        assert f"resuming {run_id}: {len(done) - 1} job(s) already journaled" in out
+        assert "1 journaled job(s) have no matching stored result" in out
+        assert calls == [lost]
+
+    @pytest.mark.parametrize("what", ["history", "ports"])
+    def test_sweep_runs_the_engine_it_is_given(self, tmp_path, monkeypatch, capsys, what):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        argv = ["sweep", "--workload", "em3d", "--what", what, "--insts", str(N), "--engine", "kernel"]
+        assert main(argv) == 0
+        run_id = capsys.readouterr().out.rsplit("run id: ", 1)[1].split()[0]
+        journal = RunJournal.for_run(run_id)
+        stored = [journal.store.get(key)[0] for key in journal.completed()]
+        assert stored
+        assert all("pipeline.kernel_mode_id" in r.stats.flat() for r in stored)
+
 
 class TestInterleavedWriters:
     """Two workers appending to one journal, as a shared-FS drain does."""

@@ -57,6 +57,12 @@ class TestSimulationJob:
         keys = {base.key()} | {v.key() for v in variants}
         assert len(keys) == len(variants) + 1
 
+    def test_both_engine_spellings_are_one_job(self):
+        explicit = SimulationJob("em3d", _cfg(), N, 0, engine="kernel")
+        in_config = SimulationJob("em3d", _cfg().with_engine("kernel"), N, 0)
+        assert explicit.config == in_config.config
+        assert explicit.key() == in_config.key()
+
 
 class TestRunJobs:
     def test_parallel_identical_to_serial(self):
