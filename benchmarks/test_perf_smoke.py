@@ -4,7 +4,9 @@ Exercises the whole perf stack end to end at a tiny instruction budget:
 parallel fan-out equals serial execution, the disk cache round-trips results
 bit-identically, and a warm cache short-circuits execution entirely.  Speed
 is measured by the benchmark in ``bench/`` (``python3 bench/run.py``); this
-test only guards that the machinery keeps working.
+test only guards that the machinery keeps working, and that a pipeline
+job's fixed cost stays proportional to the work it does (counted, not
+timed).
 """
 
 import time
@@ -12,6 +14,8 @@ import time
 from repro.analysis.parallel import SimulationJob, run_jobs
 from repro.analysis.result_cache import ResultCache
 from repro.common.config import FilterKind, SimulationConfig
+from repro.core.simulator import Simulator
+from repro.workloads import cached_trace
 
 N = 6_000
 WARM = 1_500
@@ -49,3 +53,15 @@ def test_parallel_cache_smoke(tmp_path):
     # Warm reads are pure JSON loads; anything near simulation time means
     # the cache is being bypassed.
     assert warm_seconds < 1.0
+
+
+def test_pipeline_caches_hold_only_the_lines_they_filled():
+    # A cache that pre-built every way would hold 256 + 16,384 line
+    # objects whatever the run; a short job must pay only for its fills.
+    sim = Simulator(SimulationConfig.paper_default(FilterKind.PA), engine="pipeline")
+    sim.run(cached_trace("em3d", N, 0))
+    for cache in (sim.hierarchy.l1, sim.hierarchy.l2):
+        fills = cache.stats.get("demand_fill") + cache.stats.get("prefetch_fill")
+        held = sum(len(entries) for entries in cache.sets)
+        assert 0 < fills
+        assert held <= fills, f"{cache.name} holds {held} line objects after {fills} fills"

@@ -121,8 +121,8 @@ def sweep_history_sizes(
 
 def sweep_l1_ports(
     workload: str,
+    base_config: Optional[SimulationConfig] = None,
     ports: Sequence[int] = (3, 4, 5),
-    filter_kind: FilterKind = FilterKind.PA,
     n_insts: int = 100_000,
     seed: int = 0,
     engine: Optional[str] = None,
@@ -133,9 +133,18 @@ def sweep_l1_ports(
     backend=None,
     deadline: Optional[float] = None,
 ) -> Dict[int, SimulationResult]:
-    """Section 5.4: L1 port-count sensitivity (latency rises with ports)."""
+    """Section 5.4: L1 port-count sensitivity (latency rises with ports).
+
+    Each point is ``base_config`` (by default the paper machine under the
+    PA filter) with the paper's L1 for that port count.
+    """
+    if base_config is None:
+        base_config = SimulationConfig.paper_default(FilterKind.PA)
     jobs = [
-        SimulationJob(workload, SimulationConfig.paper_ports(p, filter_kind), n_insts, seed, True, engine)
+        SimulationJob(
+            workload, base_config.with_l1(SimulationConfig.paper_ports(p).hierarchy.l1),
+            n_insts, seed, True, engine,
+        )
         for p in ports
     ]
     results = run_jobs(

@@ -204,8 +204,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             for entries, r in results.items():
                 table.add_row(str(entries), [r.ipc, float(r.prefetch.good), float(r.prefetch.bad)])
         else:
+            cfg = _finalize(SimulationConfig.paper_default(FilterKind.PA), args)
+            if (args.engine or cfg.engine) == "kernel":
+                print(
+                    "note: the kernel tier models neither L1 port contention nor L1 "
+                    "latency, so every row reads the same; this sweep needs "
+                    "--engine pipeline",
+                    file=sys.stderr,
+                )
             results = sweep_l1_ports(
-                args.workload, n_insts=args.insts, seed=args.seed, engine=args.engine,
+                args.workload, cfg, n_insts=args.insts, seed=args.seed, engine=args.engine,
                 workers=args.workers, policy=policy, journal=journal, backend=backend,
                 deadline=args.deadline,
             )

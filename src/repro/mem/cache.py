@@ -15,16 +15,18 @@ feedback loop of Figure 3.  A per-line ``nsp_tag`` bit is exposed for the
 Next-Sequence Prefetcher (the tag bit of tagged sequential prefetching).
 
 Implementation note: line metadata lives in plain Python lists (one
-``_Line`` record per way), not numpy arrays — the simulator makes hundreds
-of thousands of single-line probes per run, and scalar indexing into numpy
-arrays is several times slower than attribute access on small objects.
+``_Line`` record per *resident* line, in way order), not numpy arrays — the
+simulator makes hundreds of thousands of single-line probes per run, and
+scalar indexing into numpy arrays is several times slower than attribute
+access on small objects.  A set starts empty and grows by one line per
+fill until it holds ``ways`` lines, so a short run pays only for the lines
+it fills, not for every way of a 16K-line L2.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterator, List, Optional
 
 from repro.common.config import CacheConfig
@@ -62,13 +64,12 @@ EvictionCallback = Callable[[EvictedLine], None]
 
 
 class _Line:
-    """One cache way's state (mutable, slot-limited for speed)."""
+    """One resident line's state (mutable, slot-limited for speed)."""
 
-    __slots__ = ("tag", "valid", "dirty", "pib", "rib", "nsp_tag", "source", "trigger_pc", "stamp")
+    __slots__ = ("tag", "dirty", "pib", "rib", "nsp_tag", "source", "trigger_pc", "stamp")
 
     def __init__(self) -> None:
         self.tag = -1
-        self.valid = False
         self.dirty = False
         self.pib = False
         self.rib = False
@@ -101,6 +102,9 @@ class Cache:
         self._set_mask = self._num_sets - 1
         self._offset_bits = config.offset_bits
         self._occupancy = 0
+        #: Per set, the resident lines in way order; a fill appends until
+        #: the set holds ``ways`` lines, then replaces the LRU line in place.
+        self.sets: List[List[_Line]] = [[] for _ in range(self._num_sets)]
         self.on_evict: Optional[EvictionCallback] = None
         # Hot-path event counts are batched in plain integer attributes and
         # folded into the stats dict lazily (flush hook): the cache is
@@ -139,17 +143,6 @@ class Cache:
                 c[key] = c.get(key, 0) + pending
                 setattr(self, attr, 0)
 
-    @cached_property
-    def sets(self) -> List[List[_Line]]:
-        """The object-model line array, built on first touch.
-
-        The kernel engine keeps its own flat-array cache state and never
-        probes these lines, so a large L2's ~10^5 ``_Line`` objects would
-        be pure construction waste there.  After the first access this is
-        a plain instance attribute (that is how ``cached_property`` stores
-        its result), so the pipeline's per-access cost is unchanged."""
-        return [[_Line() for _ in range(self._ways)] for _ in range(self._num_sets)]
-
     # ------------------------------------------------------------------
     # Address plumbing
     # ------------------------------------------------------------------
@@ -158,7 +151,7 @@ class Cache:
 
     def _find(self, line_addr: int) -> Optional[_Line]:
         for line in self.sets[line_addr & self._set_mask]:
-            if line.valid and line.tag == line_addr:
+            if line.tag == line_addr:
                 return line
         return None
 
@@ -188,7 +181,6 @@ class Cache:
             "set": set_index,
             "way": way,
             "tag": line.tag,
-            "valid": line.valid,
             "pib": line.pib,
             "rib": line.rib,
             "source": line.source,
@@ -198,20 +190,25 @@ class Cache:
     def validate(self) -> None:
         """Audit every resident line against the paper's tag-bit invariants.
 
-        Checked: tag-to-set consistency, per-set tag uniqueness, PIB <=>
-        prefetch fill source, RIB => PIB (a referenced bit is only
-        meaningful on a prefetched line), and the batched occupancy
-        counter against the per-line truth.  Raises
+        Checked: no set holds more lines than it has ways, tag-to-set
+        consistency, per-set tag uniqueness, PIB <=> prefetch fill source,
+        RIB => PIB (a referenced bit is only meaningful on a prefetched
+        line), and the batched occupancy counter against the per-line
+        truth.  Raises
         :class:`~repro.sanitize.SanitizerViolation` on the first failure.
         """
         from repro.sanitize import SanitizerViolation
 
         resident = 0
         for set_index, entries in enumerate(self.sets):
+            if len(entries) > self._ways:
+                raise SanitizerViolation(
+                    f"{self.name}.set{set_index}",
+                    f"set {set_index} holds {len(entries)} lines in {self._ways} ways",
+                    snapshot={"set": set_index, "tags": [line.tag for line in entries]},
+                )
             seen_tags = set()
             for way, line in enumerate(entries):
-                if not line.valid:
-                    continue
                 resident += 1
                 site = f"{self.name}.set{set_index}.way{way}"
                 snap = lambda: self._snapshot_line(set_index, way)
@@ -318,31 +315,31 @@ class Cache:
         """Bring a line in, evicting a victim if the set is full.
 
         Returns the eviction record (also delivered to ``on_evict``), or
-        None when an invalid way absorbed the fill.  Filling a line that is
-        already resident refreshes its metadata instead of duplicating it.
+        None when the set had a free way.  Filling a line that is already
+        resident refreshes its metadata instead of duplicating it.
         """
         entries = self.sets[line_addr & self._set_mask]
-        victim_slot: Optional[_Line] = None
         for line in entries:
-            if line.valid and line.tag == line_addr:
+            if line.tag == line_addr:
                 # Duplicate fill: refresh recency, never downgrade demand->prefetch.
                 line.stamp = now
                 if dirty:
                     line.dirty = True
                 self._n_duplicate_fill += 1
                 return None
-            if victim_slot is None and not line.valid:
-                victim_slot = line
 
         evicted: Optional[EvictedLine] = None
-        if victim_slot is None:
+        if len(entries) < self._ways:
+            slot = _Line()
+            entries.append(slot)
+        else:
             # LRU: every hit and fill stamps its line with the access time,
             # so the way with the smallest stamp is the least recently used.
-            victim_slot = entries[0]
+            slot = entries[0]
             for line in entries[1:]:
-                if line.stamp < victim_slot.stamp:
-                    victim_slot = line
-            evicted = victim_slot.evict_record()
+                if line.stamp < slot.stamp:
+                    slot = line
+            evicted = slot.evict_record()
             self._occupancy -= 1
             self._n_evictions += 1
             if evicted.pib:
@@ -353,15 +350,14 @@ class Cache:
             if self.on_evict is not None:
                 self.on_evict(evicted)
 
-        victim_slot.tag = line_addr
-        victim_slot.valid = True
-        victim_slot.dirty = dirty
-        victim_slot.pib = source.is_prefetch
-        victim_slot.rib = False
-        victim_slot.nsp_tag = nsp_tag
-        victim_slot.source = int(source)
-        victim_slot.trigger_pc = trigger_pc
-        victim_slot.stamp = now
+        slot.tag = line_addr
+        slot.dirty = dirty
+        slot.pib = source.is_prefetch
+        slot.rib = False
+        slot.nsp_tag = nsp_tag
+        slot.source = int(source)
+        slot.trigger_pc = trigger_pc
+        slot.stamp = now
         self._occupancy += 1
         if source.is_prefetch:
             self._n_prefetch_fill += 1
@@ -370,18 +366,16 @@ class Cache:
         return evicted
 
     def flush(self) -> Iterator[EvictedLine]:
-        """Drain every resident line, yielding eviction records.
+        """Drain every resident line in (set, way) order, yielding eviction records.
 
         Used at end of simulation so prefetched-but-still-resident lines get
         classified exactly once (callback also fires, matching real evicts).
+        Each line leaves its set before its record is yielded, so every set
+        is empty once the iterator is exhausted.
         """
         for entries in self.sets:
-            for line in entries:
-                if not line.valid:
-                    continue
-                record = line.evict_record()
-                line.valid = False
-                line.tag = -1
+            while entries:
+                record = entries.pop(0).evict_record()
                 self._occupancy -= 1
                 if self.on_evict is not None:
                     self.on_evict(record)

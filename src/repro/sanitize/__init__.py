@@ -186,11 +186,15 @@ class Sanitizer:
 
     def _trip_hierarchy(self, engine) -> None:
         """Deliberately violate RIB => PIB lineage in the live L1."""
-        line = engine.hierarchy.l1.sets[0][0]
-        if not line.valid:
-            line.valid = True
-            line.tag = 0  # maps to set 0 under any power-of-two mask
-            engine.hierarchy.l1._occupancy += 1
+        from repro.mem.cache import _Line
+
+        l1 = engine.hierarchy.l1
+        if not l1.sets[0]:
+            planted = _Line()
+            planted.tag = 0  # maps to set 0 under any power-of-two mask
+            l1.sets[0].append(planted)
+            l1._occupancy += 1
+        line = l1.sets[0][0]
         line.pib = False
         line.rib = True
         line.source = 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.config import CacheConfig
+from repro.common.config import CacheConfig, SimulationConfig
 from repro.mem.cache import Cache, EvictedLine, FillSource
 
 
@@ -12,6 +12,11 @@ def direct_mapped(size=1024, line=32):
 
 def four_way(size=4096, line=32):
     return Cache(CacheConfig(size_bytes=size, line_bytes=line, assoc=4), "l2")
+
+
+def held(cache):
+    """The line objects a cache holds, set by set."""
+    return sum(len(entries) for entries in cache.sets)
 
 
 class TestBasicOperation:
@@ -157,3 +162,41 @@ class TestFlushInvalidate:
         c.fill(1, 0)
         list(c.flush())
         assert len(seen) == 1
+
+
+class TestResidentLinesOnly:
+    def test_fresh_paper_l2_holds_no_lines(self):
+        l2 = SimulationConfig.paper_default().hierarchy.l2
+        c = Cache(l2, "l2")
+        assert len(c.sets) == l2.num_sets == 4096
+        assert held(c) == 0
+
+    def test_fills_append_in_way_order_then_evict_lru_first_in_way_order(self):
+        c = four_way(size=4 * 32 * 4)  # 4 sets, 4 ways
+        for way, line in enumerate((0, 4, 8, 12)):
+            assert c.fill(line, 5) is None  # one stamp for all: a four-way tie
+            assert [entry.tag for entry in c.sets[0]] == [0, 4, 8, 12][: way + 1]
+        assert c.fill(16, 6).line_addr == 0  # tie broken by way order
+        assert [entry.tag for entry in c.sets[0]] == [16, 4, 8, 12]
+        c.access(4, False, 7)
+        assert c.fill(20, 8).line_addr == 8  # 4 was refreshed; 8 is next in way order
+        assert [entry.tag for entry in c.sets[0]] == [16, 4, 20, 12]
+        assert all(len(entries) == 0 for entries in c.sets[1:])
+
+    def test_flush_yields_set_way_order_and_empties_every_set(self):
+        c = Cache(CacheConfig(size_bytes=4 * 32 * 2, line_bytes=32, assoc=2), "l1")  # 4 sets
+        for t, line in enumerate((6, 5, 1, 4, 8, 3)):
+            c.fill(line, t)
+        assert [record.line_addr for record in c.flush()] == [4, 8, 5, 1, 6, 3]
+        assert all(entries == [] for entries in c.sets)
+
+    def test_occupancy_counts_the_held_lines_throughout(self):
+        c = Cache(CacheConfig(size_bytes=4 * 32 * 2, line_bytes=32, assoc=2), "l1")
+        assert c.occupancy == held(c) == 0
+        for t, line in enumerate((0, 1, 4, 0, 8, 2, 12, 5, 9, 3, 13)):
+            c.fill(line, t, FillSource.NSP if t % 2 else FillSource.DEMAND)
+            assert c.occupancy == held(c)
+        assert held(c) == 6  # sets 0 and 1 full, sets 2 and 3 one line each
+        for _ in c.flush():
+            assert c.occupancy == held(c)
+        assert c.occupancy == held(c) == 0

@@ -341,6 +341,39 @@ class TestSweepResumeCLI:
         assert stored
         assert all("pipeline.kernel_mode_id" in r.stats.flat() for r in stored)
 
+    @pytest.mark.parametrize("what", ["history", "ports"])
+    def test_sweep_sanitize_reaches_every_job(self, tmp_path, monkeypatch, capsys, what):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        calls = []
+        real = parallel_mod.execute_job
+
+        def spy(job, **kwargs):
+            calls.append(job)
+            return real(job, **kwargs)
+
+        monkeypatch.setattr(parallel_mod, "execute_job", spy)
+        argv = ["sweep", "--workload", "em3d", "--what", what, "--insts", str(N), "--sanitize"]
+        assert main(argv) == 0
+        assert calls
+        assert all(job.config.sanitize for job in calls)
+
+    @pytest.mark.parametrize("engine", ["kernel", "pipeline"])
+    def test_ports_sweep_says_when_its_rows_cannot_differ(
+        self, tmp_path, monkeypatch, capsys, engine
+    ):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        argv = ["sweep", "--workload", "em3d", "--what", "ports", "--insts", str(N)]
+        argv += ["--engine", engine]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "L1-port sweep" in captured.out
+        noted = "models neither L1 port contention nor L1 latency" in captured.err
+        assert noted == (engine == "kernel")
+
 
 class TestInterleavedWriters:
     """Two workers appending to one journal, as a shared-FS drain does."""

@@ -22,7 +22,7 @@ from repro.common.faults import inject_faults
 from repro.common.saturating import SaturatingCounterArray
 from repro.common.stats import StatGroup
 from repro.core.rob import RetirementWindow
-from repro.mem.cache import Cache, FillSource
+from repro.mem.cache import Cache, FillSource, _Line
 from repro.mem.mshr import MSHRFile
 from repro.mem.ports import PortArbiter
 from repro.prefetch.base import PrefetchRequest
@@ -114,10 +114,10 @@ def _small_cache(assoc=2) -> Cache:
 
 
 def _plant(cache: Cache, set_index=0, way=0, tag=None):
-    line = cache.sets[set_index][way]
-    line.valid = True
+    line = _Line()
     line.tag = tag if tag is not None else set_index
     line.source = 0
+    cache.sets[set_index].insert(way, line)
     cache._occupancy += 1
     return line
 
@@ -154,6 +154,14 @@ class TestStructureValidators:
         _plant(cache, way=0, tag=num_sets)  # congruent to set 0
         _plant(cache, way=1, tag=num_sets)
         with pytest.raises(SanitizerViolation, match="duplicate"):
+            cache.validate()
+
+    def test_cache_set_over_its_ways(self):
+        cache = _small_cache(assoc=2)
+        num_sets = len(cache.sets)
+        for way in range(3):
+            _plant(cache, way=way, tag=way * num_sets)  # three lines in set 0
+        with pytest.raises(SanitizerViolation, match="ways"):
             cache.validate()
 
     def test_clean_cache_passes(self):
