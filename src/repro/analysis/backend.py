@@ -15,7 +15,7 @@ does **not** own is where the simulations physically run.  That is an
   jobs, optionally spawns local workers, *participates in the drain
   itself* (so a sweep completes even if every spawned worker dies —
   stale leases get stolen), then folds the sealed done records back
-  into the batch's outcomes, cache, and journal.  Its two registry
+  into the batch's outcomes, cache, and journal.  Its two backend
   names differ only in the queue handle each drain opens:
 
   - ``"shared-fs"`` — a directory queue
@@ -34,12 +34,15 @@ of their content-hashed keys, so the same sweep through ``pool``,
 ``shared-fs``, or plain serial execution is bit-identical.  Backends
 differ only in throughput, fault envelope, and where the CPUs are.
 
-Selection: ``run_jobs(..., backend=...)`` accepts an instance, a
-registered name, or ``None``; ``None`` defers to the ``REPRO_BACKEND``
-environment variable (unset → the built-in pool path with zero new
-overhead).  Third-party backends register with
-:func:`register_backend` — see ``docs/extending.md`` for the
-checklist.
+Selection follows one rule: flag, then environment, then default.
+``run_jobs(..., backend=...)`` accepts an instance, one of the three
+names above, or ``None``.  The name is that argument (``repro-sim
+sweep --backend``), else ``REPRO_BACKEND``; with neither, the built-in
+pool path runs with zero new overhead.  Each queue setting is its
+sweep flag, else its ``REPRO_*`` variable, else its default, and
+:func:`queue_backend` is the only place that builds a queue backend.
+A backend of your own runs by passing its instance — see
+``docs/extending.md`` for the checklist.
 """
 
 from __future__ import annotations
@@ -52,9 +55,8 @@ import time
 import uuid
 from abc import ABC, abstractmethod
 from contextlib import ExitStack
-from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.analysis.workqueue import FileQueue
 from repro.common.diskio import env_num
@@ -79,7 +81,7 @@ class ExecutionBackend(ABC):
     degradations.  It must not touch non-pending outcomes.
     """
 
-    #: Registry name; subclasses override.
+    #: Backend name; subclasses override.
     name: str = "abstract"
 
     @abstractmethod
@@ -112,7 +114,7 @@ class QueueBackend(ExecutionBackend):
     and journal.  The transport is only the queue handle opened at the
     start of each :meth:`execute`: a
     :class:`~repro.analysis.workqueue.FileQueue` on ``queue_dir``
-    (registry name ``shared-fs``), or a
+    (backend name ``shared-fs``), or a
     :class:`~repro.analysis.netqueue.NetQueue` connected to ``broker``
     (``tcp``), for workers that share no filesystem with the submitter.
 
@@ -204,7 +206,7 @@ class QueueBackend(ExecutionBackend):
             from repro.analysis.netqueue import parse_broker_spec
 
             parse_broker_spec(broker)  # a malformed HOST:PORT fails before any submit
-        #: Registry name, and the prefix of every degradation it reports.
+        #: Backend name, and the prefix of every degradation it reports.
         self.name = "shared-fs" if broker is None else "tcp"
         self.queue_dir = Path(queue_dir) if queue_dir is not None else None
         self.spawn = spawn
@@ -536,64 +538,76 @@ class QueueBackend(ExecutionBackend):
 
 
 # ----------------------------------------------------------------------
-# Registry
+# Selection
 # ----------------------------------------------------------------------
-_REGISTRY: Dict[str, Callable[[], ExecutionBackend]] = {}
+def queue_backend(
+    transport: str,
+    *,
+    queue_dir: Optional[os.PathLike | str] = None,
+    spawn: Optional[int] = None,
+    batch: Optional[int] = None,
+    supervise: bool = False,
+    poison_threshold: Optional[int] = None,
+    broker: Optional[str] = None,
+) -> QueueBackend:
+    """Build the :class:`QueueBackend` for ``transport``, ``"shared-fs"`` or ``"tcp"``.
 
-
-def register_backend(name: str, factory: Callable[[], ExecutionBackend]) -> None:
-    """Register a backend factory under ``name`` (later wins, like env vars)."""
-    _REGISTRY[name] = factory
-
-
-def _queue_from_env(transport: str) -> QueueBackend:
-    """A :class:`QueueBackend` configured from ``REPRO_QUEUE_*`` vars;
-    ``tcp`` also needs ``REPRO_BROKER``, ``shared-fs`` honours
-    ``REPRO_QUEUE_DIR`` and ``REPRO_LEASE_TTL``."""
-    spawn = env_num(QUEUE_WORKERS_ENV, int, None)
-    batch = env_num(QUEUE_BATCH_ENV, int, 8)
+    The one place a queue backend's settings are decided.  Each is the
+    value passed here (a ``repro-sim sweep`` flag), else its environment
+    variable, else its default: ``queue_dir`` from ``REPRO_QUEUE_DIR``
+    (default: a throwaway directory), ``spawn`` from
+    ``REPRO_QUEUE_WORKERS`` (``workers - 1``), ``batch`` from
+    ``REPRO_QUEUE_BATCH`` (8) and ``broker`` from ``REPRO_BROKER``
+    (``tcp`` requires one, ``shared-fs`` refuses one).  The lease TTL
+    has no flag: it is ``REPRO_LEASE_TTL``, else 30 s.  The queue
+    directory and lease TTL are ``shared-fs`` settings, since a ``tcp``
+    drain's queue belongs to its broker.  A malformed value fails here,
+    naming its source, before anything is submitted.
+    """
+    if spawn is None:
+        spawn = env_num(QUEUE_WORKERS_ENV, int, None)
+    if batch is None:
+        batch = env_num(QUEUE_BATCH_ENV, int, 8)
+    # A tcp drain ignores the TTL: its broker's queue keeps its own.
+    lease_ttl = env_num(LEASE_TTL_ENV, float, 30.0)
     if transport == "tcp":
         from repro.analysis.netqueue import BROKER_ENV, net_timeout_from_env
 
-        broker = os.environ.get(BROKER_ENV)
+        broker = broker or os.environ.get(BROKER_ENV)
         if not broker:
             raise ValueError(
-                f"backend 'tcp' needs a broker address: set {BROKER_ENV}=HOST:PORT "
-                "(or pass --broker on the command line)"
+                f"backend 'tcp' needs a broker address: pass --broker HOST:PORT "
+                f"or set {BROKER_ENV}"
             )
         # The timeout env is validated here too so a typo fails pre-submit.
         net_timeout_from_env()
-        return QueueBackend(broker=broker, spawn=spawn, batch=batch)
-    queue_dir = os.environ.get(QUEUE_DIR_ENV) or None
-    if queue_dir is not None:
-        from repro.analysis.workqueue import validate_queue_dir
+    elif broker:
+        raise ValueError("--broker requires --backend tcp")
+    else:
+        what = "--queue-dir"
+        if queue_dir is None:
+            queue_dir, what = os.environ.get(QUEUE_DIR_ENV) or None, QUEUE_DIR_ENV
+        if queue_dir is not None:
+            from repro.analysis.workqueue import validate_queue_dir
 
-        queue_dir = validate_queue_dir(queue_dir, what=QUEUE_DIR_ENV)
+            queue_dir = validate_queue_dir(queue_dir, what=what)
     return QueueBackend(
-        queue_dir=queue_dir,
-        spawn=spawn,
-        lease_ttl=env_num(LEASE_TTL_ENV, float, 30.0),
-        batch=batch,
+        queue_dir=queue_dir, spawn=spawn, lease_ttl=lease_ttl, batch=batch,
+        supervise=supervise, poison_threshold=poison_threshold, broker=broker,
     )
-
-
-register_backend("pool", PoolBackend)
-register_backend("shared-fs", partial(_queue_from_env, "shared-fs"))
-register_backend("tcp", partial(_queue_from_env, "tcp"))
-
-
-def backend_names() -> List[str]:
-    return sorted(_REGISTRY)
 
 
 def resolve_backend(spec=None) -> Optional[ExecutionBackend]:
     """Turn a backend spec into an instance.
 
-    ``None`` consults ``REPRO_BACKEND`` (still unset → ``None``, i.e.
-    the built-in pool path without any backend object); a string is
-    looked up in the registry; an :class:`ExecutionBackend` instance
-    passes through.  An unknown name raises with the known names — a
-    typo in ``REPRO_BACKEND`` must fail loudly, not silently serialise.
+    An :class:`ExecutionBackend` instance passes through.  Otherwise the
+    name is ``spec``, else ``REPRO_BACKEND``; with neither the result is
+    ``None``, i.e. the built-in pool path without any backend object.
+    ``"pool"`` builds a :class:`PoolBackend`, and ``"shared-fs"`` and
+    ``"tcp"`` go to :func:`queue_backend`.  Any other name raises with
+    the known names — a typo in ``REPRO_BACKEND`` must fail loudly, not
+    silently serialise.  A backend of another class runs by passing its
+    instance.
     """
     if isinstance(spec, ExecutionBackend):
         return spec
@@ -601,9 +615,8 @@ def resolve_backend(spec=None) -> Optional[ExecutionBackend]:
         spec = os.environ.get(BACKEND_ENV)
         if not spec:
             return None
-    factory = _REGISTRY.get(spec)
-    if factory is None:
-        raise ValueError(
-            f"unknown execution backend {spec!r}; registered: {', '.join(backend_names())}"
-        )
-    return factory()
+    if spec == "pool":
+        return PoolBackend()
+    if spec in ("shared-fs", "tcp"):
+        return queue_backend(spec)
+    raise ValueError(f"unknown execution backend {spec!r}; registered: pool, shared-fs, tcp")

@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.analysis.checkpoint import RunJournal
 from repro.analysis.figures import grouped_bars, series_lines, sparkline
 from repro.analysis.metrics import arithmetic_mean, percent_change, reduction_percent
 from repro.analysis.parallel import SimulationJob, default_workers, run_jobs
-from repro.analysis.resilience import RetryPolicy
 from repro.analysis.report import Table
 from repro.analysis.result_cache import ResultCache
 from repro.common.config import FilterKind, SimulationConfig
@@ -46,14 +44,14 @@ class ExperimentResult:
     figure: Optional[str] = None
     notes: str = ""
 
-    def render(self, with_figure: bool = True) -> str:
+    def render(self) -> str:
         parts = [f"[{self.exp_id}] {self.title}", "", self.table.render(), ""]
         if self.summary:
             parts.append("measured: " + ", ".join(f"{k}={v:.3g}" for k, v in self.summary.items()))
         parts.append(f"paper:    {self.paper_reference}")
         if self.notes:
             parts.append(f"notes:    {self.notes}")
-        if with_figure and self.figure:
+        if self.figure:
             parts += ["", self.figure]
         return "\n".join(parts)
 
@@ -69,23 +67,14 @@ class ExperimentSuite:
         workers: int = 1,
         cache: Optional[ResultCache] = None,
         engine: Optional[str] = None,
-        policy: Optional[RetryPolicy] = None,
-        journal: Optional[RunJournal] = None,
-        backend=None,
     ) -> None:
         self.n_insts = n_insts
         self.warmup = warmup if warmup is not None else int(n_insts * 0.4)
         self.seed = seed
         self.workers = workers
+        #: the on-disk result store: each job is stored as it lands, so a
+        #: re-run of an interrupted suite executes only the missing jobs.
         self.cache = cache
-        #: resilience knobs, threaded into every ``run_jobs`` batch: the
-        #: retry/timeout policy and the crash-consistent run journal a
-        #: killed suite resumes from (see repro.analysis.resilience).
-        self.policy = policy
-        self.journal = journal
-        #: execution backend for every batch (see repro.analysis.backend);
-        #: ``None`` defers to REPRO_BACKEND and then the in-process pool.
-        self.backend = backend
         #: engine tier for every run in the suite; ``None`` defers to each
         #: config.  The kernel tier suits classification-level experiments
         #: (filter comparisons, table sweeps); keep IPC/port/buffer figures
@@ -116,14 +105,7 @@ class ExperimentSuite:
         fresh = [job for job in specs if job.key() not in self._runs]
         if not fresh:
             return
-        results = run_jobs(
-            fresh,
-            workers=self.workers,
-            cache=self.cache,
-            policy=self.policy,
-            journal=self.journal,
-            backend=self.backend,
-        )
+        results = run_jobs(fresh, workers=self.workers, cache=self.cache)
         for job, result in zip(fresh, results):
             self._runs[job.key()] = result
 
@@ -640,17 +622,15 @@ class ExperimentSuite:
             "s3": self.section3_oracle,
         }
 
-    def run_experiment(self, exp_id: str) -> ExperimentResult:
+    def experiment(self, exp_id: str) -> Callable[[], ExperimentResult]:
+        """The registry entry for ``exp_id``, matched case-insensitively."""
         try:
-            fn = self.registry()[exp_id.lower()]
+            return self.registry()[exp_id.lower()]
         except KeyError:
             raise ValueError(f"unknown experiment {exp_id!r}; known: {sorted(self.registry())}") from None
-        return fn()
 
-    def run_all(self, ids: Optional[Sequence[str]] = None) -> List[ExperimentResult]:
-        reg = self.registry()
-        ids = list(ids) if ids else list(reg)
-        return [reg[i]() for i in ids]
+    def run_experiment(self, exp_id: str) -> ExperimentResult:
+        return self.experiment(exp_id)()
 
 
 #: Qualitative reproduction verdicts, stable across scales/seeds (they
@@ -776,11 +756,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--no-cache", action="store_true", help="do not read or write the on-disk result cache"
     )
     args = parser.parse_args(argv)
+    if args.workers < 0:
+        parser.error(f"--workers must be >= 0 (0 = one per CPU), got {args.workers}")
 
     workers = args.workers if args.workers > 0 else default_workers()
     cache = None if args.no_cache else ResultCache()
     suite = ExperimentSuite(args.insts, args.warmup, args.seed, workers=workers, cache=cache)
-    results = suite.run_all(args.ids)
+    try:
+        # Every id resolves before the first job runs.
+        todo = [suite.experiment(exp_id) for exp_id in args.ids or suite.registry()]
+    except ValueError as exc:
+        parser.error(str(exc))
+    results = [run() for run in todo]
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(markdown_report(results, suite))

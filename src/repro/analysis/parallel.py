@@ -225,8 +225,8 @@ def run_jobs(
     ``backend`` selects the execution substrate (see
     :mod:`repro.analysis.backend`): ``None`` defers to the
     ``REPRO_BACKEND`` environment variable and then the default
-    in-process pool; a string (``"pool"`` / ``"shared-fs"``) resolves
-    through the backend registry; an
+    in-process pool; a name (``"pool"`` / ``"shared-fs"`` / ``"tcp"``)
+    builds that backend; an
     :class:`~repro.analysis.backend.ExecutionBackend` instance is used
     as-is.  Every backend honours the same cache/journal/policy
     semantics — swapping backends never changes results, only where the

@@ -13,7 +13,6 @@ from typing import Dict, Optional, Sequence
 from repro.analysis.checkpoint import RunJournal
 from repro.analysis.parallel import SimulationJob, run_jobs
 from repro.analysis.resilience import RetryPolicy
-from repro.analysis.result_cache import ResultCache
 from repro.common.config import FilterKind, SimulationConfig
 from repro.core.simulator import SimulationResult, Simulator
 from repro.filters.oracle import OracleFilter, OracleProfileBuilder
@@ -77,20 +76,13 @@ def compare_filters(
     seed: int = 0,
     engine: Optional[str] = None,
     workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    policy: Optional[RetryPolicy] = None,
-    journal: Optional[RunJournal] = None,
-    backend=None,
 ) -> Dict[FilterKind, SimulationResult]:
     """The paper's core comparison: the same machine under several filters."""
     jobs = [
         SimulationJob(workload, base_config.with_filter(kind=kind), n_insts, seed, True, engine)
         for kind in kinds
     ]
-    results = run_jobs(
-        jobs, workers=workers, cache=cache, policy=policy, journal=journal, backend=backend
-    )
-    return dict(zip(kinds, results))
+    return dict(zip(kinds, run_jobs(jobs, workers=workers)))
 
 
 def sweep_history_sizes(
@@ -101,7 +93,6 @@ def sweep_history_sizes(
     seed: int = 0,
     engine: Optional[str] = None,
     workers: int = 1,
-    cache: Optional[ResultCache] = None,
     policy: Optional[RetryPolicy] = None,
     journal: Optional[RunJournal] = None,
     backend=None,
@@ -113,8 +104,7 @@ def sweep_history_sizes(
         for size in entries
     ]
     results = run_jobs(
-        jobs, workers=workers, cache=cache, policy=policy, journal=journal,
-        backend=backend, deadline=deadline,
+        jobs, workers=workers, policy=policy, journal=journal, backend=backend, deadline=deadline
     )
     return dict(zip(entries, results))
 
@@ -127,7 +117,6 @@ def sweep_l1_ports(
     seed: int = 0,
     engine: Optional[str] = None,
     workers: int = 1,
-    cache: Optional[ResultCache] = None,
     policy: Optional[RetryPolicy] = None,
     journal: Optional[RunJournal] = None,
     backend=None,
@@ -148,7 +137,6 @@ def sweep_l1_ports(
         for p in ports
     ]
     results = run_jobs(
-        jobs, workers=workers, cache=cache, policy=policy, journal=journal,
-        backend=backend, deadline=deadline,
+        jobs, workers=workers, policy=policy, journal=journal, backend=backend, deadline=deadline
     )
     return dict(zip(ports, results))

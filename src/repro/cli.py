@@ -4,9 +4,7 @@ Subcommands::
 
     repro-sim run --workload em3d --filter pc --insts 100000
     repro-sim compare --workload mcf --insts 50000
-    repro-sim table2 --insts 50000
     repro-sim config
-    repro-sim experiment --id f6 --insts 120000
     repro-sim sweep --workload wave5 --what history
     repro-sim sweep --workload wave5 --what history --resume run-1a2b3c4d5e
     repro-sim sweep --workload wave5 --backend shared-fs --queue-workers 2
@@ -20,7 +18,12 @@ Subcommands::
     repro-sim lint --update-baseline
 
 Exists so the simulator can be driven without writing Python — handy for
-quick sanity checks and for regenerating individual paper rows.
+quick sanity checks.  The paper's tables and figures have their own
+driver: ``python -m repro.analysis.experiments --ids t2 f6``.
+
+A sweep's backend is ``--backend``, else ``REPRO_BACKEND``, else the
+in-process pool.  Each queue setting is its flag, else its ``REPRO_*``
+variable, else its default (see :mod:`repro.analysis.backend`).
 """
 
 from __future__ import annotations
@@ -96,68 +99,32 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table2(args: argparse.Namespace) -> int:
-    cfg = _finalize(
-        SimulationConfig.paper_default().with_prefetch(nsp=False, sdp=False, software=False), args
-    )
-    table = Table("Table 2 — benchmark properties (prefetch off)", ["benchmark", "L1 miss", "L2 miss"])
-    for name in workload_names():
-        r = run_workload(name, cfg, args.insts, args.seed, args.engine, software_prefetch=False)
-        table.add_row(name, [r.l1_miss_rate, r.l2_miss_rate])
-    print(table.render())
-    return 0
-
-
 def _cmd_config(_args: argparse.Namespace) -> int:
     print(SimulationConfig.paper_default().describe())
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.analysis.experiments import ExperimentSuite
-
-    suite = ExperimentSuite(args.insts, seed=args.seed)
-    for exp_id in args.id:
-        print(suite.run_experiment(exp_id).render(with_figure=not args.no_figure))
-        print()
-    return 0
-
-
 def _sweep_backend(args: argparse.Namespace):
-    """Resolve the sweep's --backend/--queue-*/--broker flags into a backend spec."""
-    if args.backend not in ("shared-fs", "tcp"):
-        if (args.queue_dir or args.queue_workers is not None or args.supervised
-                or args.poison_threshold is not None or args.broker):
+    """Check that the sweep's backend flags fit together, then build the backend."""
+    from repro.analysis.backend import BACKEND_ENV, queue_backend
+
+    name = args.backend or os.environ.get(BACKEND_ENV)
+    if name not in ("shared-fs", "tcp"):
+        if (args.queue_dir or args.queue_workers is not None or args.queue_batch is not None
+                or args.supervised or args.poison_threshold is not None or args.broker):
             raise ValueError(
-                "--queue-dir/--queue-workers/--supervised/--poison-threshold "
+                "--queue-dir/--queue-workers/--queue-batch/--supervised/--poison-threshold "
                 "require --backend shared-fs (--broker requires --backend tcp)"
             )
-        return args.backend  # "pool" resolves via the registry; None defers to env
-    from repro.analysis.backend import QueueBackend
-
-    broker = None
-    if args.backend == "tcp":
-        from repro.analysis.netqueue import BROKER_ENV
-
-        broker = args.broker or os.environ.get(BROKER_ENV)
-        if not broker:
-            raise ValueError(
-                f"--backend tcp needs a broker address: pass --broker HOST:PORT "
-                f"or set {BROKER_ENV}"
-            )
-    elif args.broker:
-        raise ValueError("--broker requires --backend tcp")
-    elif args.queue_dir:
-        from repro.analysis.workqueue import validate_queue_dir
-
-        validate_queue_dir(args.queue_dir, what="--queue-dir")
-    return QueueBackend(
+        return args.backend  # "pool", or None: run_jobs defers to the env, then the pool
+    return queue_backend(
+        name,
         queue_dir=args.queue_dir,
         spawn=args.queue_workers,
         batch=args.queue_batch,
         supervise=args.supervised,
         poison_threshold=args.poison_threshold,
-        broker=broker,
+        broker=args.broker,
     )
 
 
@@ -580,19 +547,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     _add_common(p_cmp)
     p_cmp.set_defaults(func=_cmd_compare)
 
-    p_t2 = sub.add_parser("table2", help="regenerate Table 2 miss rates")
-    _add_common(p_t2)
-    p_t2.set_defaults(func=_cmd_table2)
-
     p_cfg = sub.add_parser("config", help="print the Table 1 machine")
     p_cfg.set_defaults(func=_cmd_config)
-
-    p_exp = sub.add_parser("experiment", help="run paper experiments by id (t1..t2, f1..f16, s1..s3)")
-    p_exp.add_argument("--id", nargs="+", required=True)
-    p_exp.add_argument("--no-figure", action="store_true", help="suppress text charts")
-    p_exp.add_argument("--insts", type=int, default=50_000)
-    p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.set_defaults(func=_cmd_experiment)
 
     p_swp = sub.add_parser("sweep", help="history-size or port-count sweep")
     p_swp.add_argument("--workload", choices=workload_names(), required=True)
@@ -614,7 +570,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_swp.add_argument(
         "--queue-dir", default=None,
         help="shared-fs backend: queue root directory shared with external workers "
-        "(default: a throwaway directory)",
+        "(default: REPRO_QUEUE_DIR, else a throwaway directory)",
     )
     p_swp.add_argument(
         "--broker", default=None, metavar="HOST:PORT",
@@ -623,13 +579,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     p_swp.add_argument(
         "--queue-workers", type=int, default=None,
-        help="shared-fs backend: local worker processes to spawn "
-        "(default: workers - 1; the sweep process itself also drains)",
+        help="shared-fs backend: local worker processes to spawn (default: "
+        "REPRO_QUEUE_WORKERS, else workers - 1; the sweep process itself also drains)",
     )
     p_swp.add_argument(
-        "--queue-batch", type=int, default=8,
+        "--queue-batch", type=int, default=None,
         help="shared-fs backend: jobs claimed per worker per round (the "
-        "trace-amortization batch size)",
+        "trace-amortization batch size; default: REPRO_QUEUE_BATCH, else 8)",
     )
     p_swp.add_argument(
         "--supervised", action="store_true",

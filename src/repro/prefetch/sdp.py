@@ -9,14 +9,25 @@ From the paper (Section 3):
     if the prefetched line was ever used since it was prefetched last time."
 
 Implementation: a directory keyed by resident L2 line address holding
-``(shadow, confirmation)``.  On every L2 access to line X the directory may
-issue a prefetch for ``shadow[X]`` — but only while X's confirmation bit
-says the last such prefetch proved useful (this is SDP's built-in throttle,
-why the paper measures a much better good/bad ratio for SDP than NSP).
-Learning: when an L2 miss to M follows an access to X, ``shadow[X] = M``.
-Confirmation feedback arrives via :meth:`confirm_use`, wired by the
-simulator to demand references of prefetched lines.  Directory entries die
-with their L2 line (``on_l2_eviction``).
+``(shadow, confirmation)``.  :meth:`observe` acts on every reference that
+reaches the L2, i.e. on every L1 miss, whether it then hits the L2 or not.
+For such a reference to line X it issues a prefetch for ``shadow[X]`` if
+X's confirmation bit is set, and clears the bit; with the bit clear it
+suppresses the prefetch.  :meth:`confirm_use`, wired by the simulator to
+demand references of prefetched lines, sets the bit again.  Learning runs
+on the same references: when a reference to M reaches the L2 after one to
+X, and X's shadow is not already M, a fresh entry ``shadow[X] = M`` is
+written with its confirmation bit set.  So a re-learn re-arms the bit
+whatever became of the last prefetch.  Directory entries die with their
+L2 line (``on_l2_eviction``).
+
+The paper credits the confirmation bit for SDP's far better good/bad ratio
+(11.7 against NSP's 1.8).  This model does not show that gap.  With each
+prefetcher alone (no software prefetch, no filter, 150k instructions, 60k
+warm-up, seed 0, kernel tier), the good/bad ratio pooled over the ten
+benchmarks is 0.32 for SDP and 0.33 for NSP.  Learning happens at least as
+often as issuing, so the bit rarely throttles: on em3d SDP issued 16,595
+shadow prefetches and suppressed 21.
 """
 
 from __future__ import annotations

@@ -18,8 +18,6 @@ from repro.analysis.backend import (
     ExecutionBackend,
     PoolBackend,
     QueueBackend,
-    backend_names,
-    register_backend,
     resolve_backend,
 )
 from repro.analysis.checkpoint import RunJournal
@@ -126,24 +124,25 @@ def test_malformed_env_knob_fails_loudly(monkeypatch):
         resolve_backend("shared-fs")
 
 
-def test_register_backend_extends_the_registry(tmp_path):
+def test_a_backend_of_your_own_runs_as_an_instance():
     class Recorder(ExecutionBackend):
         name = "recorder"
+        pending = None
 
         def execute(self, batch, pending, workers):
             from repro.analysis.resilience import _serial_phase
 
+            self.pending = list(pending)
             _serial_phase(batch, pending)
 
-    register_backend("recorder", Recorder)
-    try:
-        assert "recorder" in backend_names()
-        results = run_jobs(_jobs(2), workers=1, backend="recorder")
-        assert len(results) == 2
-    finally:
-        from repro.analysis import backend as backend_mod
-
-        backend_mod._REGISTRY.pop("recorder", None)
+    recorder = Recorder()
+    results = run_jobs(_jobs(2), workers=1, backend=recorder)
+    assert recorder.pending == [0, 1]
+    assert [_fingerprint(r) for r in results] == [
+        _fingerprint(r) for r in run_jobs(_jobs(2), workers=1)
+    ]
+    with pytest.raises(ValueError, match="registered: pool, shared-fs, tcp"):
+        run_jobs(_jobs(1), workers=1, backend="recorder")
 
 
 def test_job_dict_roundtrip_preserves_key():

@@ -81,6 +81,34 @@ class TestMarkdownReport:
         assert main(["--insts", "5000", "--ids", "t1", "--out", str(out)]) == 0
         assert out.read_text().startswith("# EXPERIMENTS")
 
+    def test_cli_ids_match_case_insensitively(self, capsys):
+        from repro.analysis.experiments import main
+
+        assert main(["--ids", "T1", "--insts", "2000", "--no-cache"]) == 0
+        assert "[T1] System configuration" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("ids", [["f99"], ["f1", "f99"]])
+    def test_cli_unknown_id_is_a_usage_error_before_any_job(self, ids, monkeypatch, capsys):
+        from repro.analysis import experiments
+
+        def no_jobs(*args, **kwargs):
+            raise AssertionError("a job ran before the ids were checked")
+
+        monkeypatch.setattr(experiments, "run_jobs", no_jobs)
+        with pytest.raises(SystemExit) as exc:
+            experiments.main(["--ids", *ids, "--insts", "2000", "--no-cache"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment 'f99'" in err and "'t2'" in err
+
+    def test_cli_rejects_negative_workers(self, capsys):
+        from repro.analysis.experiments import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--ids", "t1", "--insts", "2000", "--no-cache", "--workers", "-3"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_module_entry_runs_without_a_runpy_warning(self):
         """The documented regenerate command: ``repro.analysis`` must not
         import the module before ``-m`` runs it (runpy warns if it does)."""

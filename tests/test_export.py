@@ -63,11 +63,6 @@ class TestBatchExport:
 
 
 class TestNewCLICommands:
-    def test_experiment_command(self, capsys):
-        assert main(["experiment", "--id", "t1", "--insts", "4000"]) == 0
-        out = capsys.readouterr().out
-        assert "System configuration" in out
-
     def test_sweep_history(self, capsys):
         assert main(["sweep", "--workload", "fpppp", "--what", "history", "--insts", "5000"]) == 0
         assert "history-size sweep" in capsys.readouterr().out
