@@ -16,10 +16,20 @@ tampered entry, or a line from before digests, re-runs the job.
 
 Crash-consistency contract:
 
-* **Append-only, one JSON object per line.**  A record is durable once
-  its line is written: each append is a single ``write`` followed by
-  ``flush`` + ``fsync``, so a crash can at worst leave one torn line at
-  the *tail* of the file.
+* **Append-only, one JSON object per line.**  Each append is a single
+  ``write`` followed by ``flush``, so when it returns the line is in
+  the page cache: any other handle reads it, and a killed process
+  loses no line.  A crash mid-write can at worst leave one torn line
+  at the *tail* of the file.
+* **Group commit.**  :meth:`RunJournal.commit` fsyncs the file once for
+  every line appended since the last commit;
+  :func:`~repro.analysis.resilience.execute_batch` commits once per
+  batch, whether it returns or raises.  An OS crash loses at most the
+  lines written since the last commit, and each lost line re-runs on
+  resume, exactly as a lost result-store entry does (store entries are
+  never fsynced).  A new journal's directory entry is not fsynced
+  either.  A commit whose ``fsync`` fails is counted on the journal
+  (:attr:`RunJournal.commit_errors`) for the caller to report.
 * **Corrupt-tail tolerance.**  :meth:`RunJournal.load` parses line by
   line and discards anything that does not parse or does not look like
   a journal record — a torn tail (or an editor's stray newline) costs
@@ -94,6 +104,9 @@ class RunJournal:
     def __init__(self, path: os.PathLike | str) -> None:
         self.path = Path(path)
         self.appended = 0
+        self._committed = 0  # ``appended`` as of the last commit
+        #: The error of each commit whose ``fsync`` failed, oldest first.
+        self.commit_errors: List[OSError] = []
         # Line numbers already quarantined, so repeated ``load()`` calls
         # (resume consults the journal more than once) count each corrupt
         # line exactly once.
@@ -129,8 +142,26 @@ class RunJournal:
         with open(self.path, "a") as fh:
             fh.write(line)
             fh.flush()
-            os.fsync(fh.fileno())
         self.appended += 1
+
+    def commit(self) -> None:
+        """Make every line appended since the last commit survive an OS crash.
+
+        One ``fsync`` of the journal, or none when nothing was appended.
+        An ``OSError`` is kept in :attr:`commit_errors` for the caller to
+        report, not raised: the lines are already written, and any that
+        an OS crash takes re-run on resume.
+        """
+        if self.appended == self._committed:
+            return
+        # Not retried after an error: a second fsync can report success
+        # for pages the kernel already dropped.
+        self._committed = self.appended
+        try:
+            with open(self.path, "a") as fh:
+                os.fsync(fh.fileno())
+        except OSError as exc:
+            self.commit_errors.append(exc)
 
     def record_success(self, key: str, digest: str) -> None:
         """Journal a success by the digest of its stored payload."""

@@ -756,6 +756,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--no-cache", action="store_true", help="do not read or write the on-disk result cache"
     )
     args = parser.parse_args(argv)
+    if args.insts < 1:
+        parser.error(f"--insts must be >= 1, got {args.insts}")
+    if args.warmup is not None and args.warmup < 0:
+        parser.error(f"--warmup must be >= 0, got {args.warmup}")
     if args.workers < 0:
         parser.error(f"--workers must be >= 0 (0 = one per CPU), got {args.workers}")
 

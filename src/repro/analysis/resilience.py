@@ -27,10 +27,13 @@ each job as its own unit of failure:
   ``BatchReport.degradations``.
 * **Crash consistency** — with a
   :class:`~repro.analysis.checkpoint.RunJournal` attached, every
-  completed job is journaled (fsync'd) the moment it finishes, and
-  journaled successes are never re-run — a killed batch resumes where
-  it died.  Each result is serialised once, into one result store; the
-  journal line carries only its digest (see :mod:`~repro.analysis.checkpoint`).
+  completed job is journaled (written and flushed) the moment it
+  finishes, and journaled successes are never re-run — a killed batch
+  resumes where it died.  The batch fsyncs the journal once, when it
+  returns or raises, so an OS crash loses at most that batch's lines,
+  and those jobs re-run.  Each result is serialised once, into one
+  result store; the journal line carries only its digest (see
+  :mod:`~repro.analysis.checkpoint`).
 
 The pool is a set of forked workers, each with its own pipe and at most
 one job in flight, so the parent always knows which job a worker was
@@ -690,7 +693,9 @@ def execute_batch(
     whose ``outcomes`` align with ``jobs``; jobs sharing a key run once
     and the rest copy that outcome.  A journaled success is served only
     when the result store (``cache``, else the journal's own) holds the
-    payload with the journaled digest; otherwise the job re-runs.
+    payload with the journaled digest; otherwise the job re-runs.  The
+    journal is committed (:meth:`~repro.analysis.checkpoint.RunJournal.commit`)
+    once, whether the batch returns or raises.
 
     ``backend`` (an :class:`~repro.analysis.backend.ExecutionBackend`
     instance, or ``None`` for the built-in
@@ -727,26 +732,30 @@ def execute_batch(
     journaled = journal.completed() if journal is not None else {}
     first: Dict[str, int] = {}
     pending: List[int] = []
-    for o in outcomes:
-        if first.setdefault(o.key, o.index) != o.index:
-            continue  # a duplicate: it copies its key's outcome below
-        digest = journaled.get(o.key)
-        # The journal's own store holds journaled payloads only.
-        hit = store.get(o.key) if digest is not None or cache is not None else None
-        if hit is None or digest not in (None, hit[1]):
-            pending.append(o.index)  # missing, or not the payload the journal names
-            continue
-        o.ok, o.result = True, hit[0]
-        o.from_journal, o.from_cache = digest is not None, digest is None
-        if digest is None and journal is not None:
-            journal.record_success(o.key, hit[1])
+    try:
+        for o in outcomes:
+            if first.setdefault(o.key, o.index) != o.index:
+                continue  # a duplicate: it copies its key's outcome below
+            digest = journaled.get(o.key)
+            # The journal's own store holds journaled payloads only.
+            hit = store.get(o.key) if digest is not None or cache is not None else None
+            if hit is None or digest not in (None, hit[1]):
+                pending.append(o.index)  # missing, or not the payload the journal names
+                continue
+            o.ok, o.result = True, hit[0]
+            o.from_journal, o.from_cache = digest is not None, digest is None
+            if digest is None and journal is not None:
+                journal.record_success(o.key, hit[1])
 
-    if pending:
-        if backend is None:
-            from repro.analysis.backend import PoolBackend
+        if pending:
+            if backend is None:
+                from repro.analysis.backend import PoolBackend
 
-            backend = PoolBackend()
-        backend.execute(batch, pending, workers)
+                backend = PoolBackend()
+            backend.execute(batch, pending, workers)
+    finally:
+        if journal is not None:
+            journal.commit()  # one fsync for the whole batch
     for o in outcomes:
         source = outcomes[first[o.key]]
         if source is not o:

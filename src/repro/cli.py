@@ -128,6 +128,16 @@ def _sweep_backend(args: argparse.Namespace):
     )
 
 
+def _report_commit_failures(journal) -> None:
+    if journal.commit_errors:
+        print(
+            f"journal commit: {len(journal.commit_errors)} fsync(s) failed "
+            f"({journal.commit_errors[-1]}); an OS crash may lose those lines, "
+            "and a resume re-runs the jobs it lost",
+            file=sys.stderr,
+        )
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.analysis.checkpoint import RunJournal, new_run_id
     from repro.analysis.resilience import JobsFailedError, RetryPolicy
@@ -213,9 +223,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"  job[{outcome.index}] {detail}", file=sys.stderr)
         for event in exc.report.degradations:
             print(f"  degradation: {event}", file=sys.stderr)
+        _report_commit_failures(journal)
         print(f"retry just the failed jobs with: --resume {run_id}", file=sys.stderr)
         return 1
     print(table.render())
+    _report_commit_failures(journal)
     if journal.quarantined:
         print(
             f"journal quarantine: {journal.quarantined} corrupt line(s) ignored "

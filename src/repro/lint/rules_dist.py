@@ -137,8 +137,9 @@ class AtomicPersistenceRule(Rule):
     through the sealed-write helpers in :mod:`repro.common.diskio`
     (``atomic_write_json`` / ``atomic_write_bytes``: temp sibling plus
     ``os.replace``).  Append mode is exempt — the checkpoint journal's
-    ``open(path, "a")`` + flush + fsync discipline never truncates, and
-    readers tolerate a torn tail by design.
+    ``open(path, "a")`` + write + flush per line never truncates (its
+    fsync comes once per batch, at commit), and readers tolerate a torn
+    tail by design.
     """
 
     id = "RL007"

@@ -1,7 +1,14 @@
 """Run journal: crash consistency, resume semantics, CLI wiring."""
 
+import errno
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +19,7 @@ from repro.analysis.checkpoint import (
     RunJournal,
     journal_path,
     new_run_id,
+    record_intact,
     runs_dir,
     seal_record,
 )
@@ -129,6 +137,137 @@ class TestCrashConsistency:
         for i in range(3):
             journal.record_success(f"k{i}", digest)
             assert len(RunJournal(journal.path)) == i + 1
+
+    def test_commit_fsyncs_once_for_everything_appended_since_the_last(
+        self, tmp_path, monkeypatch, digest
+    ):
+        fsyncs = []
+        monkeypatch.setattr(checkpoint_mod.os, "fsync", fsyncs.append)
+        journal = RunJournal(tmp_path / "j.jsonl")
+        journal.commit()
+        assert fsyncs == []  # nothing appended yet
+        for i in range(3):
+            journal.record_success(f"k{i}", digest)
+        journal.commit()
+        journal.commit()
+        assert len(fsyncs) == 1
+        journal.record_failure("k3", "boom")
+        journal.commit()
+        assert len(fsyncs) == 2
+        assert journal.commit_errors == []
+
+
+def _eio(fd):
+    raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+class TestFailedCommit:
+    """An ``fsync`` error at commit is counted and reported, never raised:
+    every line is already written, so the batch's results stand."""
+
+    def test_run_jobs_keeps_every_result_and_counts_the_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(checkpoint_mod.os, "fsync", _eio)
+        jobs = [SimulationJob("gzip", _cfg(), N, s) for s in range(3)]
+        journal = RunJournal(tmp_path / "j.jsonl")
+        results = run_jobs(jobs, workers=1, journal=journal)
+        assert len(results) == len(jobs)
+        assert [journal.store.get(job.key())[1] for job in jobs] == _digests(results)
+        assert set(journal.completed()) == {job.key() for job in jobs}
+        assert [e.errno for e in journal.commit_errors] == [errno.EIO]
+
+    @pytest.mark.parametrize("plan, code", [("", 0), ("raise@worker", 1)])
+    def test_sweep_reports_the_failure_on_stderr(
+        self, tmp_path, monkeypatch, capsys, plan, code
+    ):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(checkpoint_mod.os, "fsync", _eio)
+        argv = ["sweep", "--workload", "em3d", "--what", "history", "--insts", str(N),
+                "--retries", "0"]
+        with inject_faults(plan):
+            assert main(argv) == code
+        captured = capsys.readouterr()
+        assert ("history-size sweep" in captured.out) == (code == 0)
+        [line] = [x for x in captured.err.splitlines() if "Input/output error" in x]
+        assert line.startswith("journal commit: 1 fsync(s) failed")
+
+
+class TestKilledSweep:
+    """A sweep killed mid-batch never reaches its commit, yet every line
+    it wrote is intact, and the resume runs only the rest."""
+
+    K = 2  # journal lines to wait for before the kill
+    ARGV = ["sweep", "--workload", "em3d", "--what", "history", "--insts", str(N)]
+
+    def _sweep_until_killed(self, cache_dir):
+        # The history sweep's five jobs share one fault token (it names the
+        # workload, engine and seed, not the table size), so the plan holds
+        # every job for a second before it runs: once the journal has K
+        # lines, job K is in its hang and the batch is far from its commit.
+        env = dict(os.environ, REPRO_CACHE_DIR=str(cache_dir),
+                   REPRO_FAULTS="hang@worker:seconds=1")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *self.ARGV], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                paths = list((cache_dir / "runs").glob("run-*.jsonl"))
+                if paths and paths[0].read_text().count("\n") >= self.K:
+                    break
+                assert proc.poll() is None, proc.communicate()[0].decode()
+                time.sleep(0.01)
+            else:
+                pytest.fail(f"the journal never reached {self.K} lines")
+            assert proc.poll() is None  # still mid-batch: no commit has run
+            proc.send_signal(signal.SIGKILL)
+            assert proc.wait(timeout=10) == -signal.SIGKILL
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            proc.stdout.close()
+        return RunJournal(paths[0])
+
+    def test_sigkill_before_commit_loses_no_line(self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        journal = self._sweep_until_killed(tmp_path / "killed")
+        lines = journal.path.read_text().splitlines()
+        # The kill lands in a hang that outlasts the poll by far; ``>=``
+        # only keeps a stalled poll from failing the test.
+        assert self.K <= len(lines) < 5
+        records = [json.loads(line) for line in lines]
+        assert all(record_intact(r) and r["ok"] for r in records)
+        assert set(journal.completed()) == {r["key"] for r in records}
+        assert set(journal.resumable()) == {r["key"] for r in records}
+
+        calls = []
+        real = parallel_mod.execute_job
+
+        def spy(job, **kwargs):
+            calls.append(job.key())
+            return real(job, **kwargs)
+
+        monkeypatch.setattr(parallel_mod, "execute_job", spy)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "killed"))
+        run_id = journal.path.stem
+        assert main(self.ARGV + ["--resume", run_id]) == 0
+        resumed = capsys.readouterr().out
+        assert f"resuming {run_id}: {len(lines)} job(s) already journaled" in resumed
+        assert len(calls) == 5 - len(lines)
+        assert not {r["key"] for r in records} & set(calls)
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "clean"))
+        assert main(self.ARGV) == 0
+        clean = capsys.readouterr().out
+        [clean_journal] = (tmp_path / "clean" / "runs").glob("run-*.jsonl")
+        assert RunJournal(journal.path).completed() == RunJournal(clean_journal).completed()
+        assert clean[: clean.index("run id:")] in resumed
 
 
 class TestResumeThroughRunJobs:

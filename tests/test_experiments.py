@@ -109,6 +109,22 @@ class TestMarkdownReport:
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--insts", "-5"), ("--insts", "0"), ("--warmup", "-1")]
+    )
+    def test_cli_rejects_bad_run_lengths_before_any_job(self, flag, value, monkeypatch, capsys):
+        from repro.analysis import experiments
+
+        def no_jobs(*args, **kwargs):
+            raise AssertionError("a job ran before the run length was checked")
+
+        monkeypatch.setattr(experiments, "run_jobs", no_jobs)
+        argv = ["--ids", "t2", "--insts", "2000", "--no-cache", flag, value]
+        with pytest.raises(SystemExit) as exc:
+            experiments.main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_module_entry_runs_without_a_runpy_warning(self):
         """The documented regenerate command: ``repro.analysis`` must not
         import the module before ``-m`` runs it (runpy warns if it does)."""

@@ -63,7 +63,8 @@ class TestBatchExport:
 
 
 class TestNewCLICommands:
-    def test_sweep_history(self, capsys):
+    def test_sweep_history(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))  # the journal lands here
         assert main(["sweep", "--workload", "fpppp", "--what", "history", "--insts", "5000"]) == 0
         assert "history-size sweep" in capsys.readouterr().out
 
