@@ -5,9 +5,9 @@ parallel fan-out equals serial execution, the disk cache round-trips results
 bit-identically, and a warm cache short-circuits execution entirely.  Speed
 is measured by the benchmark in ``bench/`` (``python3 bench/run.py``); this
 test only guards that the machinery keeps working, that a pipeline job's
-fixed cost stays proportional to the work it does, and that a journaled
-batch pays one ``fsync`` however many jobs it journals (counted, not
-timed).
+fixed cost stays proportional to the work it does, that a demand access
+walks its L1 set once, and that a journaled batch pays one ``fsync``
+however many jobs it journals (counted, not timed).
 """
 
 import time
@@ -71,6 +71,51 @@ def test_pipeline_caches_hold_only_the_lines_they_filled():
         held = sum(len(entries) for entries in cache.sets)
         assert 0 < fills
         assert held <= fills, f"{cache.name} holds {held} line objects after {fills} fills"
+
+
+def test_a_fresh_pipeline_builds_no_set_lists():
+    # Every unfilled set is one shared empty tuple; a list per set would
+    # be 4,352 objects per job at the paper's geometry.
+    sim = Simulator(SimulationConfig.paper_default(), engine="pipeline")
+    caches = (sim.hierarchy.l1, sim.hierarchy.l2)
+    assert all(cache.sets for cache in caches)
+    assert sum(isinstance(entries, list) for cache in caches for entries in cache.sets) == 0
+
+
+def test_a_demand_access_looks_up_its_l1_set_once():
+    # The NSP tag read-and-clear and the hit/miss share one walk of the
+    # set.  The fill a miss makes is not a lookup and is not counted.
+    sim = Simulator(SimulationConfig.paper_default(FilterKind.PA), engine="pipeline")
+    hierarchy, l1 = sim.hierarchy, sim.hierarchy.l1
+    state = {"counting": False, "lookups": 0, "accesses": 0}
+
+    class CountedSets(list):
+        def __getitem__(self, index):
+            state["lookups"] += state["counting"]
+            return list.__getitem__(self, index)
+
+    real_access, real_fill = hierarchy.demand_access, l1.fill
+
+    def demand_access(*args):
+        state["accesses"] += 1
+        state["counting"] = True
+        try:
+            return real_access(*args)
+        finally:
+            state["counting"] = False
+
+    def fill(*args, **kwargs):
+        counting, state["counting"] = state["counting"], False
+        try:
+            return real_fill(*args, **kwargs)
+        finally:
+            state["counting"] = counting
+
+    l1.sets = CountedSets(l1.sets)
+    hierarchy.demand_access, l1.fill = demand_access, fill
+    sim.run(cached_trace("em3d", N, 0))
+    assert state["accesses"] > 1_000
+    assert state["lookups"] == state["accesses"]
 
 
 def _kernel_grid():

@@ -75,7 +75,8 @@ class ExecutionBackend(ABC):
     (``repro.analysis.resilience._Batch``) and the indices still
     pending after the journal/cache prefilter, one per key.  It must
     drive every pending index to a terminal state —
-    ``batch.complete(i, result)`` on success,
+    ``batch.complete(i, result)`` on success (``batch.complete(i,
+    result, payload)`` when the result arrived as its serialised payload),
     ``batch.record_failure(...)`` + ``batch.give_up(i)`` on permanent
     failure — and may call ``batch.degrade(event)`` to report
     degradations.  It must not touch non-pending outcomes.
@@ -293,10 +294,11 @@ class QueueBackend(ExecutionBackend):
         """Fold one sealed done record into its job's outcome."""
         from repro.analysis.result_cache import result_from_dict
 
-        result = None
+        result = payload = None
         if record.get("ok"):
             try:
-                result = result_from_dict(record["result"])
+                payload = record["result"]
+                result = result_from_dict(payload)
             except (KeyError, TypeError, ValueError):
                 batch.record_failure(index, "exception", "corrupt done record payload", 0.0)
                 batch.give_up(index)
@@ -318,7 +320,7 @@ class QueueBackend(ExecutionBackend):
         if result is None:
             batch.give_up(index)
         else:
-            batch.complete(index, result)
+            batch.complete(index, result, payload)  # stored as it arrived
 
     def execute(self, batch, pending: Sequence[int], workers: int) -> None:
         # Inside a pool worker already (nested fan-out): spawning more

@@ -45,7 +45,7 @@ Design points:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.checkpoint import RunJournal
@@ -86,6 +86,10 @@ class SimulationJob:
     seed: int = 0
     software_prefetch: bool = True
     engine: Optional[str] = None
+    #: :meth:`key`'s memo, filled at its first call: a batch asks for a
+    #: job's key more than once (its outcome record, its fault token).
+    #: Outside equality, hashing and ``repr``; :func:`job_to_dict` omits it.
+    _key: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.engine is not None and self.engine != self.config.engine:
@@ -97,14 +101,18 @@ class SimulationJob:
 
     def key(self) -> str:
         """The job's content hash — also its result-cache address."""
-        return run_key(
-            self.workload,
-            self.config,
-            self.n_insts,
-            self.seed,
-            self.software_prefetch,
-            self.config.engine,
-        )
+        key = self._key
+        if key is None:
+            key = run_key(
+                self.workload,
+                self.config,
+                self.n_insts,
+                self.seed,
+                self.software_prefetch,
+                self.config.engine,
+            )
+            object.__setattr__(self, "_key", key)
+        return key
 
 
 def job_to_dict(job: SimulationJob) -> Dict:

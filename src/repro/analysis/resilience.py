@@ -262,10 +262,16 @@ class JobsFailedError(RuntimeError):
 
 
 def job_token(job) -> str:
-    """A human-greppable job identity used for fault matching and jitter."""
+    """A human-greppable job identity used for fault matching and jitter.
+
+    The trailing ``key=`` field (the first 12 hex digits of the job's
+    content hash) tells apart jobs that differ only in their config, so
+    a ``match=`` fault plan can single one out and each gets its own
+    retry jitter.
+    """
     return (
         f"{job.workload}|engine={job.engine_name}|seed={job.seed}"
-        f"|n={job.n_insts}|swpf={job.software_prefetch}|"
+        f"|n={job.n_insts}|swpf={job.software_prefetch}|key={job.key()[:12]}|"
     )
 
 
@@ -446,11 +452,18 @@ class _Batch:
         o.ok = False
         o.unclaimed = True
 
-    def complete(self, index: int, result: SimulationResult) -> None:
+    def complete(self, index: int, result: SimulationResult,
+                 payload: Optional[Dict[str, Any]] = None) -> None:
+        """Record the job's result and persist it.
+
+        ``payload`` is ``result`` as it arrived serialised (a queue's
+        done record), when it did: the store keeps those bytes instead
+        of serialising ``result`` a second time.
+        """
         o = self.outcome(index)
         o.ok, o.result = True, result
         if self.store is not None:
-            digest = self.store.put(o.key, result)
+            digest = self.store.put(o.key, result if payload is None else payload)
             if self.journal is not None:
                 self.journal.record_success(o.key, digest)
 

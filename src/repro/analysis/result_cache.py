@@ -260,10 +260,15 @@ class ResultCache:
         self.hits += 1
         return result, digest
 
-    def put(self, key: str, result: SimulationResult) -> str:
+    def put(self, key: str, result: SimulationResult | Dict[str, Any]) -> str:
         """Store ``result`` under ``key``; returns its payload digest, also
-        when the write is skipped or lost (a resume then re-runs the job)."""
-        data = result_to_dict(result)
+        when the write is skipped or lost (a resume then re-runs the job).
+
+        ``result`` may instead be the payload :func:`result_to_dict` made
+        of it, when the caller holds that already (a queue's done record
+        carries one): it is stored as it arrived, not serialised again.
+        """
+        data = dict(result) if isinstance(result, dict) else result_to_dict(result)
         digest = data[DIGEST_KEY] = payload_digest(data)
         if self._pressure.check() is not None:
             # A nearly-full disk turns every write into a potential torn

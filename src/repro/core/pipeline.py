@@ -190,10 +190,11 @@ class OoOPipeline:
         issued = 0
         hierarchy = self.hierarchy
         queue = self.queue
+        queued = queue._q
         mshr = hierarchy.mshr
         ports = hierarchy.ports
         horizon = now + 1
-        while len(queue) and issued < _DRAIN_BURST:
+        while queued and issued < _DRAIN_BURST:
             head, enqueued = queue.peek()
             ready = enqueued + 1  # one cycle of queue traversal
             when = max(ready, ports.earliest_free())
@@ -230,7 +231,12 @@ class OoOPipeline:
         object per read), every per-instruction attribute and bound-method
         lookup is hoisted into a local, and the latency histogram is kept in
         four local integers — all measurable wins at hundreds of thousands
-        of iterations.
+        of iterations.  The ROB and LSQ rings run in locals too (each
+        window's list, head and count, stepped inline instead of through
+        ``constraint``/``push``), and the prefetch queue is tested through
+        its deque; the rings' head and count are written back to
+        :attr:`rob`/:attr:`lsq` before every sanitizer sweep and at the end
+        of the run, so ``validate()`` and ``occupancy`` see the live state.
         """
         n = len(trace)
         limit = self.config.max_instructions
@@ -264,16 +270,17 @@ class OoOPipeline:
         edge0, edge1, edge2 = self._latency_edges
         bucket0 = bucket1 = bucket2 = bucket3 = 0
 
-        # Hoisted hot-path callables/state.
-        rob_constraint = self.rob.constraint
-        rob_push = self.rob.push
-        lsq_constraint = self.lsq.constraint
-        lsq_push = self.lsq.push
+        # Hoisted hot-path callables/state.  The rings' lists are shared
+        # with the window objects; head and count live here until written
+        # back (sanitizer sweeps, end of run).
+        rob, lsq = self.rob, self.lsq
+        rob_times, rob_cap, rob_head, rob_count = rob._times, rob.capacity, rob._head, rob._count
+        lsq_times, lsq_cap, lsq_head, lsq_count = lsq._times, lsq.capacity, lsq._head, lsq._count
         demand_access = self.hierarchy.demand_access
         branch_resolve = self.branch_unit.resolve
         route_prefetch = self._route_prefetch
         drain_queue = self._drain_queue
-        queue = self.queue
+        queued = self.queue._q
         nsp = self.nsp
         sdp = self.sdp
         stride = self.stride
@@ -293,17 +300,20 @@ class OoOPipeline:
             if i == warmup and on_warmup is not None:
                 on_warmup(last_retire)
             if i == san_next:
+                rob._head, rob._count = rob_head, rob_count
+                lsq._head, lsq._count = lsq_head, lsq_count
                 sanitizer.periodic(self, last_retire)
                 san_next += san_interval
             cls = iclass_col[i]
             is_mem = cls == LOAD or cls == STORE or cls == SW_PF
 
             # ---- dispatch ------------------------------------------------
-            earliest = rob_constraint()
+            # A full window frees its oldest slot when that entry retires.
+            earliest = rob_times[rob_head] if rob_count == rob_cap else 0
             if flush_until > earliest:
                 earliest = flush_until
-            if is_mem:
-                lc = lsq_constraint()
+            if is_mem and lsq_count == lsq_cap:
+                lc = lsq_times[lsq_head]
                 if lc > earliest:
                     earliest = lc
             if earliest > disp_cycle:
@@ -379,7 +389,7 @@ class OoOPipeline:
             # during genuinely port-saturated stretches (dense demand traffic
             # with no stalls) last_retire tracks the dispatch slot and the
             # contention behaviour is preserved.
-            if len(queue):
+            if queued:
                 drain_queue((slot if slot > last_retire else last_retire) + _AGEN_LATENCY)
 
             # ---- retire ---------------------------------------------------
@@ -393,11 +403,23 @@ class OoOPipeline:
                 rt = ret_cycle
             ret_in_cycle += 1
             last_retire = rt
-            rob_push(rt)
+            rob_times[rob_head] = rt
+            rob_head += 1
+            if rob_head == rob_cap:
+                rob_head = 0
+            if rob_count < rob_cap:
+                rob_count += 1
             if is_mem:
-                lsq_push(rt)
+                lsq_times[lsq_head] = rt
+                lsq_head += 1
+                if lsq_head == lsq_cap:
+                    lsq_head = 0
+                if lsq_count < lsq_cap:
+                    lsq_count += 1
 
         # ---- end of run ---------------------------------------------------
+        rob._head, rob._count = rob_head, rob_count
+        lsq._head, lsq._count = lsq_head, lsq_count
         self._latency_buckets = [bucket0, bucket1, bucket2, bucket3]
         for request in self.queue.pending_requests():
             self.classifier.on_dropped(request)

@@ -18,16 +18,19 @@ Implementation note: line metadata lives in plain Python lists (one
 ``_Line`` record per *resident* line, in way order), not numpy arrays — the
 simulator makes hundreds of thousands of single-line probes per run, and
 scalar indexing into numpy arrays is several times slower than attribute
-access on small objects.  A set starts empty and grows by one line per
-fill until it holds ``ways`` lines, so a short run pays only for the lines
-it fills, not for every way of a 16K-line L2.
+access on small objects.  A set starts as one shared empty tuple, gets
+its own list at its first fill and grows by one line per fill until it
+holds ``ways`` lines, so a short run pays only for the sets and lines it
+fills, not for every set and way of a 16K-line L2.  A demand access probes
+its L1 set once: :meth:`Cache.consume_nsp_tag_and_access` reads and clears
+the NSP tag on the same lookup that records the hit or miss.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from repro.common.config import CacheConfig
 from repro.common.stats import StatGroup
@@ -47,7 +50,7 @@ class FillSource(enum.IntEnum):
         return self is not FillSource.DEMAND
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class EvictedLine:
     """Everything the filter/classifier needs to know about an eviction."""
 
@@ -80,12 +83,7 @@ class _Line:
 
     def evict_record(self) -> EvictedLine:
         return EvictedLine(
-            line_addr=self.tag,
-            dirty=self.dirty,
-            pib=self.pib,
-            rib=self.rib,
-            trigger_pc=self.trigger_pc,
-            source=FillSource(self.source),
+            self.tag, self.dirty, self.pib, self.rib, self.trigger_pc, FillSource(self.source)
         )
 
 
@@ -104,7 +102,9 @@ class Cache:
         self._occupancy = 0
         #: Per set, the resident lines in way order; a fill appends until
         #: the set holds ``ways`` lines, then replaces the LRU line in place.
-        self.sets: List[List[_Line]] = [[] for _ in range(self._num_sets)]
+        #: Every set starts as the one shared empty tuple and gets its own
+        #: list at its first fill, so construction allocates nothing per set.
+        self.sets: List[Sequence[_Line]] = [()] * self._num_sets
         self.on_evict: Optional[EvictionCallback] = None
         # Hot-path event counts are batched in plain integer attributes and
         # folded into the stats dict lazily (flush hook): the cache is
@@ -288,6 +288,40 @@ class Cache:
         line.stamp = now
         return True, first_use
 
+    def consume_nsp_tag_and_access(
+        self, line_addr: int, is_write: bool, now: int
+    ) -> tuple[bool, bool, bool]:
+        """:meth:`consume_nsp_tag` then :meth:`access`, on one set lookup.
+
+        Returns ``(hit, first_use_of_prefetched_line, nsp_tag_was_set)``.
+        Counters and line bits change exactly as the two calls, in that
+        order, would change them; the demand path probes the set once
+        instead of twice.
+        """
+        for line in self.sets[line_addr & self._set_mask]:
+            if line.tag == line_addr:
+                break
+        else:
+            if is_write:
+                self._n_write_miss += 1
+            else:
+                self._n_read_miss += 1
+            return False, False, False
+        nsp_tag = line.nsp_tag
+        if nsp_tag:
+            line.nsp_tag = False
+        if is_write:
+            self._n_write_hit += 1
+            line.dirty = True
+        else:
+            self._n_read_hit += 1
+        first_use = line.pib and not line.rib
+        if first_use:
+            line.rib = True
+            self._n_first_use += 1
+        line.stamp = now
+        return True, first_use, nsp_tag
+
     def consume_nsp_tag(self, line_addr: int) -> bool:
         """Read-and-clear the NSP tag bit of a resident line.
 
@@ -318,7 +352,8 @@ class Cache:
         None when the set had a free way.  Filling a line that is already
         resident refreshes its metadata instead of duplicating it.
         """
-        entries = self.sets[line_addr & self._set_mask]
+        set_index = line_addr & self._set_mask
+        entries = self.sets[set_index]
         for line in entries:
             if line.tag == line_addr:
                 # Duplicate fill: refresh recency, never downgrade demand->prefetch.
@@ -331,7 +366,10 @@ class Cache:
         evicted: Optional[EvictedLine] = None
         if len(entries) < self._ways:
             slot = _Line()
-            entries.append(slot)
+            if entries:
+                entries.append(slot)
+            else:  # first line of the set (or of a flushed set): its own list
+                self.sets[set_index] = [slot]
         else:
             # LRU: every hit and fill stamps its line with the access time,
             # so the way with the smallest stamp is the least recently used.

@@ -28,7 +28,7 @@ from repro.mem.ports import PortArbiter
 from repro.mem.prefetch_buffer import BufferedLine, PrefetchBuffer
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AccessResult:
     """Outcome of one demand access, consumed by the timing engine."""
 
@@ -49,7 +49,7 @@ class AccessResult:
         return self.complete - self.grant
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PrefetchOutcome:
     """Outcome of one prefetch issued to the hierarchy."""
 
@@ -126,8 +126,7 @@ class MemoryHierarchy:
         line = l1.line_address(byte_addr)
         grant = self.ports.acquire_demand(when)
         pending = self.mshr.pending_ready(line, grant)
-        nsp_tag_hit = l1.consume_nsp_tag(line)
-        hit, first_use = l1.access(line, is_write, grant)
+        hit, first_use, nsp_tag_hit = l1.consume_nsp_tag_and_access(line, is_write, grant)
         l1_lat = self._l1_latency
 
         if hit:

@@ -21,7 +21,7 @@ from repro.mem.cache import FillSource
 from repro.mem.hierarchy import AccessResult
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PrefetchRequest:
     """One candidate prefetch heading for the pollution filter."""
 

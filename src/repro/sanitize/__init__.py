@@ -190,9 +190,11 @@ class Sanitizer:
 
         l1 = engine.hierarchy.l1
         if not l1.sets[0]:
+            # An unfilled set is the shared empty tuple: plant into a list
+            # of set 0's own, as a first fill would.
             planted = _Line()
             planted.tag = 0  # maps to set 0 under any power-of-two mask
-            l1.sets[0].append(planted)
+            l1.sets[0] = [planted]
             l1._occupancy += 1
         line = l1.sets[0][0]
         line.pib = False

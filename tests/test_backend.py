@@ -14,6 +14,8 @@ import tempfile
 import pytest
 
 import repro.analysis.parallel as parallel_mod
+import repro.analysis.result_cache as result_cache_mod
+import repro.analysis.worker as worker_mod
 from repro.analysis.backend import (
     ExecutionBackend,
     PoolBackend,
@@ -177,6 +179,34 @@ def test_shared_fs_feeds_cache_and_journal(tmp_path):
     )
     assert all(o.from_journal for o in report.outcomes)
     assert backend.last_parent_stats == {}  # backend never even ran
+
+
+def test_a_queue_drain_serialises_each_result_once(tmp_path, monkeypatch):
+    # The worker serialises the result into its done record; the store
+    # keeps that payload as it arrived instead of serialising again.
+    serialised = []
+    real = result_cache_mod.result_to_dict
+
+    def counting(result):
+        serialised.append(result)
+        return real(result)
+
+    monkeypatch.setattr(result_cache_mod, "result_to_dict", counting)
+    monkeypatch.setattr(worker_mod, "result_to_dict", counting)
+    jobs = _jobs(3)
+    journal = RunJournal(tmp_path / "run.jsonl")
+    run_jobs(jobs, workers=1, backend=_backend(tmp_path), journal=journal)
+    assert len(journal.completed()) == len(jobs)
+    assert len(serialised) / len(jobs) == 1.0
+
+
+def test_a_queue_drain_stores_the_bytes_a_serial_run_stores(tmp_path):
+    jobs = _jobs(3)
+    serial, queued = ResultCache(tmp_path / "serial"), ResultCache(tmp_path / "queued")
+    run_jobs(jobs, workers=1, cache=serial)
+    run_jobs(jobs, workers=1, cache=queued, backend=_backend(tmp_path))
+    for job in jobs:
+        assert queued._path(job.key()).read_bytes() == serial._path(job.key()).read_bytes()
 
 
 def test_reusing_a_queue_dir_resumes_without_rerunning(tmp_path):

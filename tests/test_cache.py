@@ -1,5 +1,7 @@
 """Unit tests for the set-associative cache with PIB/RIB bits."""
 
+import random
+
 import pytest
 
 from repro.common.config import CacheConfig, SimulationConfig
@@ -128,6 +130,36 @@ class TestNspTag:
 
     def test_absent_line(self):
         assert not direct_mapped().consume_nsp_tag(5)
+
+    def test_one_probe_matches_consume_then_access(self):
+        # The demand path's single-lookup call against the two calls it
+        # replaces, on twin caches under the same mixed traffic.
+        rng = random.Random(7)
+        fused, split = four_way(size=512), four_way(size=512)  # 4 sets x 4 ways
+        returns = []
+        for now in range(3000):
+            line = rng.randrange(48)
+            if rng.random() < 0.4:
+                source, nsp_tag = rng.choice(list(FillSource)), rng.random() < 0.5
+                for cache in (fused, split):
+                    cache.fill(line, now, source, trigger_pc=line, nsp_tag=nsp_tag)
+            else:
+                is_write = rng.random() < 0.3
+                nsp_tag = split.consume_nsp_tag(line)
+                expected = (*split.access(line, is_write, now), nsp_tag)
+                assert fused.consume_nsp_tag_and_access(line, is_write, now) == expected
+                returns.append(expected)
+
+        def lines(cache):
+            return [
+                [(ln.tag, ln.dirty, ln.pib, ln.rib, ln.nsp_tag, ln.stamp) for ln in entries]
+                for entries in cache.sets
+            ]
+
+        assert lines(fused) == lines(split)
+        assert fused.stats.flat() == split.stats.flat()
+        # Every outcome the fused call folds together occurred.
+        assert {False, True} == {r[0] for r in returns} == {r[1] for r in returns} == {r[2] for r in returns}
 
 
 class TestDuplicateFill:

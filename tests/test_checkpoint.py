@@ -201,10 +201,10 @@ class TestKilledSweep:
     ARGV = ["sweep", "--workload", "em3d", "--what", "history", "--insts", str(N)]
 
     def _sweep_until_killed(self, cache_dir):
-        # The history sweep's five jobs share one fault token (it names the
-        # workload, engine and seed, not the table size), so the plan holds
-        # every job for a second before it runs: once the journal has K
-        # lines, job K is in its hang and the batch is far from its commit.
+        # The plan has no match=, so it holds every one of the history
+        # sweep's five jobs for a second before it runs: once the journal
+        # has K lines, job K is in its hang and the batch is far from its
+        # commit.
         env = dict(os.environ, REPRO_CACHE_DIR=str(cache_dir),
                    REPRO_FAULTS="hang@worker:seconds=1")
         src = str(Path(__file__).resolve().parent.parent / "src")

@@ -24,6 +24,7 @@ from repro.analysis.resilience import (
     execute_batch,
     job_token,
 )
+from repro.analysis.sweep import sweep_history_sizes
 from repro.common.config import FilterKind, SimulationConfig
 from repro.common.faults import inject_faults
 
@@ -455,3 +456,46 @@ class TestGuardsUnderRetryPath:
     def test_job_token_mentions_every_identity_field(self):
         token = job_token(SimulationJob("em3d", _cfg(), N, 5))
         assert "em3d" in token and "|seed=5|" in token and f"n={N}" in token
+
+
+class TestJobTokenNamesTheConfig:
+    """Jobs that differ only in their config get tokens of their own."""
+
+    def test_a_key_match_fails_one_job_of_a_history_sweep(self):
+        base = SimulationConfig.paper_default(FilterKind.PA).with_warmup(WARM)
+        target = SimulationJob("em3d", base.with_filter(table_entries=4096), N, 0)
+        with inject_faults(f"raise@worker:match=key={target.key()[:12]}"):
+            with pytest.raises(JobsFailedError) as excinfo:
+                sweep_history_sizes("em3d", base, n_insts=N, policy=NO_RETRY)
+        outcomes = excinfo.value.report.outcomes
+        assert len(outcomes) == 5
+        assert [o.key for o in outcomes if not o.ok] == [target.key()]
+        assert "FaultInjected" in outcomes[2].error
+
+    def test_eleven_sweep_configs_of_one_trace_get_eleven_tokens(self):
+        base = SimulationConfig.paper_default().with_warmup(30_000).with_engine("kernel")
+        grid = [base] + [
+            base.with_filter(kind=kind, table_entries=entries)
+            for kind in (FilterKind.PA, FilterKind.PC)
+            for entries in (1024, 2048, 4096, 8192, 16384)
+        ]
+        tokens = {job_token(SimulationJob("em3d", cfg, 100_000, 0)) for cfg in grid}
+        assert len(tokens) == len(grid) == 11
+
+    def test_retry_jitter_differs_between_configs_of_one_trace(self):
+        pa, pc = (SimulationJob("em3d", _cfg(k), N, 0) for k in (FilterKind.PA, FilterKind.PC))
+        policy = RetryPolicy(**FAST)
+        assert policy.delay(1, job_token(pa)) != policy.delay(1, job_token(pc))
+
+    def test_a_journaled_serial_batch_hashes_each_job_once(self, tmp_path, monkeypatch):
+        hashed = []
+        real = parallel_mod.run_key
+
+        def counting(*args, **kwargs):
+            hashed.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(parallel_mod, "run_key", counting)
+        jobs = _jobs(3)
+        run_jobs(jobs, workers=1, journal=RunJournal(tmp_path / "j.jsonl"))
+        assert len(hashed) == len(jobs)

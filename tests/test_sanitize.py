@@ -22,17 +22,20 @@ from repro.common.faults import inject_faults
 from repro.common.saturating import SaturatingCounterArray
 from repro.common.stats import StatGroup
 from repro.core.rob import RetirementWindow
+from repro.core.simulator import Simulator
 from repro.mem.cache import Cache, FillSource, _Line
 from repro.mem.mshr import MSHRFile
 from repro.mem.ports import PortArbiter
 from repro.prefetch.base import PrefetchRequest
 from repro.prefetch.queue import PrefetchQueue
 from repro.sanitize import (
+    Sanitizer,
     SanitizerViolation,
     check_flush_idempotent,
     sanitize_enabled,
 )
 from repro.sanitize.differential import run_parity, verify_golden, write_corpus
+from repro.trace.record import InstrClass
 from repro.trace.stream import Trace, TraceBuilder
 from repro.workloads import cached_trace
 
@@ -106,6 +109,45 @@ class TestSanitizedRuns:
         assert plain.stats.flat() == checked.stats.flat()
 
 
+class TestSweepsSeeLiveState:
+    """The pipeline steps its ROB/LSQ rings in locals and leaves unfilled
+    cache sets as a shared empty tuple; the sanitizer sees the live state."""
+
+    def test_rob_and_lsq_occupancy_at_every_periodic_sweep(self, monkeypatch):
+        interval = 50  # sweeps below and at both windows' capacity
+        monkeypatch.setenv("REPRO_SANITIZE_INTERVAL", str(interval))
+        seen = []
+        periodic = Sanitizer.periodic
+
+        def recording(self, engine, cycle):
+            seen.append((engine.rob.occupancy, engine.lsq.occupancy))
+            periodic(self, engine, cycle)
+
+        monkeypatch.setattr(Sanitizer, "periodic", recording)
+        cfg = _cfg().with_sanitize()
+        trace = cached_trace("em3d", N, 0)
+        run_workload("em3d", cfg, engine="pipeline", trace=trace)
+
+        memory = [int(c) for c in (InstrClass.LOAD, InstrClass.STORE, InstrClass.SW_PREFETCH)]
+        memory_ops = np.cumsum(np.isin(trace.iclass, memory))
+        rob, lsq = cfg.processor.rob_entries, cfg.processor.lsq_entries
+        # The sweep before instruction i sees instructions 0..i-1 retired into the rings.
+        expected = [
+            (min(i, rob), min(int(memory_ops[i - 1]), lsq))
+            for i in range(interval, len(trace), interval)
+        ]
+        assert len(expected) > 2 and expected[0][0] < rob and expected[-1] == (rob, lsq)
+        assert seen == expected
+
+    def test_trip_plants_into_a_set_never_filled(self):
+        sim = Simulator(_cfg(), engine="pipeline")
+        l1 = sim.hierarchy.l1
+        assert not l1.sets[0]
+        Sanitizer()._trip_hierarchy(sim.engine)
+        with pytest.raises(SanitizerViolation, match="RIB set on a line without PIB"):
+            l1.validate()
+
+
 # ----------------------------------------------------------------------
 # Targeted corruption: every validator catches its own failure mode
 # ----------------------------------------------------------------------
@@ -117,7 +159,10 @@ def _plant(cache: Cache, set_index=0, way=0, tag=None):
     line = _Line()
     line.tag = tag if tag is not None else set_index
     line.source = 0
-    cache.sets[set_index].insert(way, line)
+    entries = cache.sets[set_index]
+    if not entries:  # an unfilled set is the shared empty tuple: give it a list
+        entries = cache.sets[set_index] = []
+    entries.insert(way, line)
     cache._occupancy += 1
     return line
 
