@@ -6,8 +6,10 @@ bit-identically, and a warm cache short-circuits execution entirely.  Speed
 is measured by the benchmark in ``bench/`` (``python3 bench/run.py``); this
 test only guards that the machinery keeps working, that a pipeline job's
 fixed cost stays proportional to the work it does, that a demand access
-walks its L1 set once, and that a journaled batch pays one ``fsync``
-however many jobs it journals (counted, not timed).
+walks its L1 set once, that a journaled batch pays one ``fsync``
+however many jobs it journals, and that a kernel job on the cc leg runs
+its final flush in the compiled code over SDP maps sized by the lines
+its trace touches (all counted, not timed).
 """
 
 import time
@@ -15,11 +17,15 @@ import time
 import pytest
 
 import repro.analysis.checkpoint as checkpoint_mod
+import repro.core.kernel as kernel_mod
 from repro.analysis.backend import PoolBackend
 from repro.analysis.checkpoint import RunJournal
 from repro.analysis.parallel import SimulationJob, run_jobs
 from repro.analysis.result_cache import ResultCache
 from repro.common.config import FilterKind, SimulationConfig
+from repro.core import _ckernel
+from repro.core import kernels as kernels_mod
+from repro.core.kernel import MODE_CC, MODE_ENV, MODE_IDS, MODE_INTERP, KernelEngine
 from repro.core.simulator import Simulator
 from repro.workloads import cached_trace
 
@@ -118,15 +124,63 @@ def test_a_demand_access_looks_up_its_l1_set_once():
     assert state["lookups"] == state["accesses"]
 
 
-def _kernel_grid():
+def _kernel_grid(n_insts=N, warmup=WARM):
     """Figures 10-12's grid on one trace: no filter, then PA and PC at 1K-16K entries."""
-    base = SimulationConfig.paper_default().with_warmup(WARM).with_engine("kernel")
+    base = SimulationConfig.paper_default().with_warmup(warmup).with_engine("kernel")
     configs = [base] + [
         base.with_filter(kind=kind, table_entries=entries)
         for kind in (FilterKind.PA, FilterKind.PC)
         for entries in (1024, 2048, 4096, 8192, 16384)
     ]
-    return [SimulationJob("em3d", cfg, N, 0) for cfg in configs]
+    return [SimulationJob("em3d", cfg, n_insts, 0) for cfg in configs]
+
+
+#: The sweep-warm grid's trace length (``bench/workloads.py``).
+SWEEP_INSTS = 100_000
+
+
+def _requires_cc():
+    if _ckernel.rejected():
+        pytest.fail(_ckernel.LOAD_ERROR)
+    if _ckernel.load() is None:
+        pytest.skip(f"no C compiler builds the cc leg: {_ckernel.LOAD_ERROR}")
+
+
+def test_cc_kernel_jobs_make_no_python_feedback_call(monkeypatch):
+    # The final flush classifies the still-resident prefetched lines
+    # inside the compiled leg; a Python flush loop made about 100
+    # feedback calls per job.
+    _requires_cc()
+    calls = []
+    real = kernels_mod.feedback
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels_mod, "feedback", counted)
+    jobs = _kernel_grid(SWEEP_INSTS, SWEEP_INSTS // 3)
+    monkeypatch.setenv(MODE_ENV, MODE_INTERP)
+    run_jobs(jobs[-1:], workers=1)
+    assert calls, "the counter does not see the interp leg's feedback calls"
+
+    calls.clear()
+    monkeypatch.setenv(MODE_ENV, MODE_CC)
+    results = run_jobs(jobs, workers=1)
+    assert len(results) == 11
+    assert {r.stats.flat()["pipeline.kernel_mode_id"] for r in results} == {MODE_IDS[MODE_CC]}
+    assert all(r.stats.flat()["filter.feedback_bad"] for r in results)
+    assert calls == []
+
+
+def test_the_sdp_maps_are_sized_by_the_lines_a_trace_touches():
+    # A 100k-instruction em3d trace has 49,055 memory ops on 1,568
+    # distinct lines; sized by memory ops, each map had 131,072 slots.
+    KernelEngine(SimulationConfig.paper_default(FilterKind.PA)).run(
+        cached_trace("em3d", SWEEP_INSTS, 0)
+    )
+    spare = kernel_mod._memo.spare
+    assert len(spare.dir_key) == len(spare.aw_key) == 4096
 
 
 @pytest.fixture

@@ -86,8 +86,12 @@ def run_key(
 # ----------------------------------------------------------------------
 # SimulationResult <-> plain dict
 # ----------------------------------------------------------------------
+#: :class:`PrefetchTally`'s fields, in the order a payload lists them.
+_TALLY_FIELDS = tuple(field.name for field in dataclasses.fields(PrefetchTally))
+
+
 def _tally_to_dict(tally: PrefetchTally) -> Dict[str, int]:
-    return dataclasses.asdict(tally)
+    return {name: getattr(tally, name) for name in _TALLY_FIELDS}
 
 
 def result_to_dict(result: SimulationResult) -> Dict[str, Any]:

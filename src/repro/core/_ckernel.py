@@ -10,16 +10,19 @@ pick up a stale binary.  The counter-slot and parameter-slot layouts are
 legs cannot drift silently on layout.
 
 Everything here is best-effort: :func:`load` returns the bound entry
-point or ``None`` (no compiler, compile failure, unwritable cache dir,
-dlopen failure) and the engine falls back to the interpreted leg.
-Failures are remembered for the process so a missing compiler is probed
-exactly once.  The gates tell the failures apart through
-:func:`rejected`: no compiler skips them, a rejected source fails them.
+points or ``None`` (no compiler, compile failure, unwritable cache dir,
+dlopen failure, missing symbol) and the engine falls back to the
+interpreted leg.  Failures are remembered for the process so a missing
+compiler is probed exactly once.  The gates tell the failures apart
+through :func:`rejected`: no compiler skips them, while a rejected
+source or an object that lacks an entry point fails them.
 
-The exported symbol has the exact argument order of
-:func:`repro.core.kernels.kernel_span`; :func:`load` returns a wrapper
-with that same Python signature, so the engine treats both legs
-interchangeably.
+The object exports two symbols, ``kernel_span`` and ``kernel_flush``,
+each with the exact argument order of its Python original in
+:mod:`repro.core.kernels` (the two share one argument list).
+:func:`load` returns them bound through ``ctypes`` and unwrapped: an
+array argument is passed as its data pointer, which the engine reads
+once per array, not once per call.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import os
 import shutil
 import subprocess
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from repro.common.diskio import default_cache_dir, sweep_stale_tmp
 from repro.core import kernels as _k
@@ -434,6 +437,33 @@ int64_t kernel_span(
     }
     return 0;
 }
+
+int64_t kernel_flush(
+    const int64_t *mcls, const int64_t *mpc, const int64_t *mline,
+    int64_t *l1_tag, uint8_t *l1_dirty, uint8_t *l1_pib, uint8_t *l1_rib,
+    uint8_t *l1_nsp, uint8_t *l1_src, int64_t *l1_fid, int64_t *l1_stamp,
+    int64_t *l2_tag, uint8_t *l2_dirty, int64_t *l2_stamp,
+    int64_t *dir_key, int64_t *dir_shadow, uint8_t *dir_conf,
+    int64_t *aw_key, int64_t *aw_val,
+    int64_t *tvals, int64_t *K, int64_t *T, int64_t *S, const int64_t *P,
+    int64_t start, int64_t stop) {
+    St st = {0};
+    int64_t n1 = (P[P_L1MASK] + 1) * P[P_W1];
+    int64_t w;
+
+    st.tvals = tvals; st.K = K;
+    st.fmode = P[P_FMODE]; st.maxv = P[P_MAXV];
+
+    for (w = 0; w < n1; w++) {
+        if (l1_tag[w] != MAP_EMPTY && l1_pib[w]) {
+            int64_t vrib = l1_rib[w];
+            int64_t row = (int64_t)l1_src[w] * 7;
+            if (vrib) T[row + T_GOOD] += 1; else T[row + T_BAD] += 1;
+            feedback(&st, vrib, l1_fid[w]);
+        }
+    }
+    return 0;
+}
 """
 
 
@@ -494,42 +524,56 @@ def _build(source: str) -> Path:
     return so_path
 
 
-#: The array arguments of ``kernel_span``: all but ``start`` and ``stop``.
+#: How :data:`LOAD_ERROR` starts when the shared object loaded but an
+#: entry point could not be bound from it.
+BIND_FAILED = "C kernel entry point missing"
+
+#: The exported symbols, in the order :func:`load` returns them.
+ENTRY_POINTS = ("kernel_span", "kernel_flush")
+
+#: The array arguments of each entry point: all but ``start`` and ``stop``.
 _N_ARRAYS = len(inspect.signature(_k.kernel_span).parameters) - 2
-_FN: Optional[Callable] = None
+assert inspect.signature(_k.kernel_flush).parameters == inspect.signature(
+    _k.kernel_span
+).parameters
+_FNS: Optional[Tuple[Callable, ...]] = None
 _TRIED = False
 LOAD_ERROR = ""
 
 
-def _bind(so_path: Path) -> Callable:
+def _bind(so_path: Path) -> Tuple[Callable, ...]:
     lib = ctypes.CDLL(str(so_path))
-    fn = lib.kernel_span
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_void_p] * _N_ARRAYS + [ctypes.c_int64] * 2
+    bound = []
+    for name in ENTRY_POINTS:
+        try:
+            fn = getattr(lib, name)
+        except AttributeError as exc:
+            raise RuntimeError(f"{BIND_FAILED}: {exc}") from None
+        fn.restype = ctypes.c_int64
+        fn.argtypes = [ctypes.c_void_p] * _N_ARRAYS + [ctypes.c_int64] * 2
+        bound.append(fn)
+    return tuple(bound)
 
-    def span(*args):
-        arrays, start, stop = args[:_N_ARRAYS], args[-2], args[-1]
-        return fn(*(a.ctypes.data for a in arrays), int(start), int(stop))
 
-    return span
-
-
-def load() -> Optional[Callable]:
-    """The compiled ``kernel_span`` (same signature as the Python one),
-    or ``None`` when this leg is unavailable; probed once per process."""
-    global _FN, _TRIED, LOAD_ERROR
+def load() -> Optional[Tuple[Callable, ...]]:
+    """The compiled ``(kernel_span, kernel_flush)``, or ``None`` when this
+    leg is unavailable; probed once per process.  Each takes the Python
+    function's arguments with every array replaced by its data pointer
+    (``ndarray.ctypes.data``); the caller keeps the arrays alive."""
+    global _FNS, _TRIED, LOAD_ERROR
     if _TRIED:
-        return _FN
+        return _FNS
     _TRIED = True
     try:
-        _FN = _bind(_build(c_source()))
+        _FNS = _bind(_build(c_source()))
     except Exception as exc:  # any failure degrades to the interp leg
         LOAD_ERROR = str(exc)
-        _FN = None
-    return _FN
+        _FNS = None
+    return _FNS
 
 
 def rejected() -> bool:
-    """Whether a compiler ran and rejected the generated source: a broken
-    port, which fails the cc gates where a missing compiler skips them."""
-    return load() is None and LOAD_ERROR.startswith(COMPILE_FAILED)
+    """Whether a compiler ran and the port it built is broken: the source
+    was rejected, or the object lacks an entry point.  A broken port fails
+    the cc gates where a missing compiler skips them."""
+    return load() is None and LOAD_ERROR.startswith((COMPILE_FAILED, BIND_FAILED))

@@ -20,22 +20,32 @@ How the speed is obtained
 * **One precompute per trace.**  Executors run a batch grouped by
   trace and hand every job of a group the same :class:`Trace` object,
   so the column pass above is memoised per process for the most recent
-  (trace, instructions run, line offset bits, software prefetch on/off)
-  and the scratch state of the last run on it is kept as a spare (see
-  the state layout below).  On an 11-config table sweep, ten runs in
-  eleven skip both the column pass and the allocation.
+  (trace, instructions run, line offset bits, software prefetch on/off),
+  with what every run on it derives from the columns (their data
+  pointers and their distinct-line count, one ``np.sort``), and the
+  scratch state of the last run on it is kept as a spare (see the state
+  layout below).  On an 11-config table sweep, ten runs in eleven skip
+  the column pass, the count and the allocation.
 * **Flat state, compiled loop.**  The hot loop lives in
   :mod:`repro.core.kernels` as module-level functions over flat
   preallocated numpy arrays (layout below), so a compiler can take it
-  whole.
+  whole.  So does the final flush, which classifies the prefetched
+  lines still resident at the end (``kernel_flush``): a run crosses
+  into the leg once per span and once to flush, and makes no per-line
+  Python call.
+* **Pointers read once.**  The cc leg takes every array as its data
+  pointer.  A memo entry reads its columns' pointers when it is built
+  and a :class:`KernelState` its arrays' pointers; a run reads only
+  the pointer of ``tvals``, which it builds.
 * **Immediate prefetch issue.**  Prefetches that survive the duplicate
   squash and the filter fill the L1 at the point of generation — no
   queue occupancy, port arbitration, MSHR tracking or bus occupancy is
   simulated (their *traffic counters* are still maintained).
 * **Deferred statistics.**  Event counts accumulate in flat counter
   arrays; the result is read off them once, at the end of the run,
-  through one slot-to-name table (:data:`K_NAMES`).  No hardware-model
-  object is built.
+  through one slot-to-name table (:data:`K_NAMES`) and module-level
+  tables of the stats tree's groups, paths and leaves, so a run sorts
+  nothing and parses no key.  No hardware-model object is built.
 
 Fidelity contract
 -----------------
@@ -85,7 +95,8 @@ pipeline engine.
 Execution legs (``cc`` when it builds, ``REPRO_KERNEL_MODE`` overrides):
 
 * ``cc``     — the C port in :mod:`repro.core._ckernel`, compiled once
-  with the system C compiler and cached by source hash;
+  with the system C compiler and cached by source hash; it exports
+  both entry points, ``kernel_span`` and ``kernel_flush``;
 * ``interp`` — the same kernel source as plain Python, always available
   and the readable reference the ``cc`` leg is held to bit-for-bit.
 
@@ -103,9 +114,19 @@ State layout (all C-contiguous):
 * L2: ``tag``/``stamp`` int64 + ``dirty`` uint8, same layout;
 * history table: int64 counters, starting at the config's initial value;
 * SDP shadow directory + await set: open-addressed int64 maps sized to
-  ``next_pow2(2 * (memory_ops + 16))`` — inserts are bounded by L1
-  demand misses, so the load factor stays under one half and probes
-  always terminate — carved from one block;
+  ``next_pow2(2 * (distinct_lines + 16))`` (at least 1024), where
+  ``distinct_lines`` counts the distinct lines among the memory ops,
+  carved from one block.  The load factor stays at or under one half,
+  so probes always terminate and an insert always finds a slot: every
+  key either map holds is a demand-miss line (a directory key is the
+  previous miss, an await key a shadow learned from a miss); a slot
+  never turns empty again (a delete leaves a tombstone, and only a
+  reset empties the map); and an insert reuses the first tombstone on
+  its probe path.  A key's earlier slot lies on its probe path with no
+  empty slot before it, so re-inserting a deleted key takes a
+  tombstone, and each distinct key claims at most one empty slot over
+  the map's life.  A 100k-instruction em3d trace has 49,055 memory ops
+  on 1,568 lines: 4,096 slots per map, not 131,072;
 * counters: ``K`` (36 int64 event slots, named by :data:`K_NAMES`) and
   ``T`` (5x7 per-source tally rows, flattened), copied at the warm-up
   boundary; the result reports the whole run's counts in its stats tree
@@ -122,10 +143,9 @@ run that raises (sanitizer trip, timeout, span error status) never
 passes dirty state on.  The reset restores every array's initial value
 except the SDP value arrays (``dir_shadow``, ``dir_conf``, ``aw_val``),
 which a new state leaves unset too: ``map_insert`` writes a slot's
-value before any lookup can return that slot, and zeroing them would
-write 2 MB per run on a 100k-instruction trace.  ``P`` is rewritten
-whole by every run and ``tvals`` is built per run from the filter
-config.
+value before any lookup can return that slot, so zeroing them would
+write memory no run reads.  ``P`` is rewritten whole by every run and
+``tvals`` is built per run from the filter config.
 """
 
 from __future__ import annotations
@@ -194,6 +214,26 @@ _GROUP_ORDER = (
     "classifier", "pipeline", "pipeline.nsp", "pipeline.sdp", "pipeline.sw",
 )
 
+#: The stats key of each slot of a run's value row (:func:`_row`): the
+#: ``K`` slots, then one ``classifier.<field>`` total per
+#: :class:`PrefetchTally` field (``T`` columns are those fields).
+_ROW_NAMES = K_NAMES + tuple(f"classifier.{f.name}" for f in fields(PrefetchTally))
+
+#: The stats tree, one entry per group in :data:`_GROUP_ORDER`: the
+#: group's path, then ``(row slot, leaf key)`` for each of its keys, in
+#: row order.  ``pipeline`` has no row slot; it holds the run's own keys.
+_TREE = tuple(
+    (
+        tuple(group.split(".")),
+        tuple(
+            (slot, name.rpartition(".")[2])
+            for slot, name in enumerate(_ROW_NAMES)
+            if name.rpartition(".")[0] == group
+        ),
+    )
+    for group in _GROUP_ORDER
+)
+
 
 def _tallies(T: np.ndarray) -> Dict[FillSource, PrefetchTally]:
     """Per-source tallies of ``T`` (rows 1-4; row 0, demand, stays zero)."""
@@ -201,13 +241,35 @@ def _tallies(T: np.ndarray) -> Dict[FillSource, PrefetchTally]:
     return {FillSource(src): PrefetchTally(*rows[src]) for src in range(1, 5)}
 
 
-def _fired(K: np.ndarray, T: np.ndarray) -> Dict[str, int]:
-    """The keys the pipeline's flush hooks write for these counts: every
-    non-zero ``K`` slot and every non-zero classifier column total."""
-    out = {name: v for name, v in zip(K_NAMES, K.tolist()) if v}
-    totals = T.reshape(5, 7)[1:].sum(axis=0).tolist()  # T columns are PrefetchTally fields
-    out.update((f"classifier.{f.name}", v) for f, v in zip(fields(PrefetchTally), totals) if v)
-    return out
+def _row(K: np.ndarray, T: np.ndarray) -> list:
+    """The value row of these counts: ``K``, then the classifier column
+    totals of ``T`` (rows 1-4)."""
+    return K.tolist() + T.reshape(5, 7)[1:].sum(axis=0).tolist()
+
+
+def _stats_tree(head: Dict[str, int], before: list, after: list) -> Stats:
+    """The whole run's stats tree, keyed and ordered the way the pipeline's
+    flush hooks would have written it.
+
+    ``before`` and ``after`` are the value rows at the warm-up boundary
+    and at the end.  A key is in the tree when its count is non-zero at
+    the end; within its group, the keys that fired before the boundary
+    come first, then those that fired after, each with its end count
+    (counts only grow).  ``head`` is the ``pipeline`` group's own keys.
+    """
+    stats = Stats()
+    for path, leaves in _TREE:
+        if not leaves:
+            stats[path[0]].counters.update(head)
+            continue
+        fired = [(key, after[slot]) for slot, key in leaves if before[slot]]
+        fired += [(key, after[slot]) for slot, key in leaves if after[slot] and not before[slot]]
+        if fired:
+            group = stats
+            for name in path:
+                group = group[name]
+            group.counters.update(fired)
+    return stats
 
 
 _warned: set = set()
@@ -240,29 +302,33 @@ def select_mode() -> str:
     return MODE_INTERP
 
 
-def _span_fn(mode: str):
+def _entry_points(mode: str) -> tuple:
+    """``(kernel_span, kernel_flush)`` of a leg; the cc leg's take data
+    pointers where the interp leg's take arrays."""
     if mode == MODE_CC:
-        fn = _ckernel.load()
-        if fn is None:
+        fns = _ckernel.load()
+        if fns is None:
             raise RuntimeError(f"cc leg unavailable: {_ckernel.LOAD_ERROR}")
-        return fn
-    return krn.kernel_span
+        return fns
+    return krn.kernel_span, krn.kernel_flush
 
 
-def _map_capacity(n_mem: int) -> int:
-    """Power-of-two map size with load factor <= 1/2 at the insert bound."""
-    need = 2 * (n_mem + 16)
+def _map_capacity(n_keys: int) -> int:
+    """Power-of-two map size with load factor <= 1/2 when ``n_keys``
+    distinct keys have each claimed a slot (the module docstring says
+    why no more slots are ever claimed)."""
+    need = 2 * (n_keys + 16)
     cap = 1024
     while cap < need:
         cap <<= 1
     return cap
 
 
-def _state_shape(l1cfg, l2cfg, n_mem: int) -> tuple:
+def _state_shape(l1cfg, l2cfg, n_lines: int) -> tuple:
     """What a reused :class:`KernelState` must match: both cache
     geometries and the exact map capacity, on which the SDP maps' probe
     sequence depends."""
-    return (l1cfg.num_sets, l1cfg.ways, l2cfg.num_sets, l2cfg.ways, _map_capacity(n_mem))
+    return (l1cfg.num_sets, l1cfg.ways, l2cfg.num_sets, l2cfg.ways, _map_capacity(n_lines))
 
 
 class KernelState:
@@ -281,11 +347,11 @@ class KernelState:
         "l1_fid", "l1_stamp",
         "l2_tag", "l2_dirty", "l2_stamp",
         "dir_key", "dir_shadow", "dir_conf", "aw_key", "aw_val",
-        "tvals", "K", "T", "S", "P", "shape",
+        "tvals", "K", "T", "S", "P", "shape", "_arrays", "_pointers",
     )
 
-    def __init__(self, l1cfg, l2cfg, n_mem: int) -> None:
-        self.shape = _state_shape(l1cfg, l2cfg, n_mem)
+    def __init__(self, l1cfg, l2cfg, n_lines: int) -> None:
+        self.shape = _state_shape(l1cfg, l2cfg, n_lines)
         l1 = allocate_flat_cache(
             l1cfg, flags=("dirty", "pib", "rib", "nsp", "src"), extra=("fid",)
         )
@@ -306,7 +372,7 @@ class KernelState:
         # group's end fragment the heap, one block frees as one reusable
         # hole.  Only the keys need initial values (the module docstring
         # says why).
-        cap = _map_capacity(n_mem)
+        cap = _map_capacity(n_lines)
         block = np.empty(4 * cap + cap // 8, dtype=np.int64)
         self.dir_key, self.dir_shadow, self.aw_key, self.aw_val = (
             block[i * cap : (i + 1) * cap] for i in range(4)
@@ -319,6 +385,18 @@ class KernelState:
         self.T = np.zeros(krn.NT, dtype=np.int64)
         self.S = np.full(krn.NS, -1, dtype=np.int64)
         self.P = np.zeros(krn.NP_PARAMS, dtype=np.int64)
+        # The arrays before ``tvals`` in the entry points' argument list
+        # and those after it, and their data pointers, read once here.
+        self._arrays = (
+            (
+                self.l1_tag, self.l1_dirty, self.l1_pib, self.l1_rib,
+                self.l1_nsp, self.l1_src, self.l1_fid, self.l1_stamp,
+                self.l2_tag, self.l2_dirty, self.l2_stamp,
+                self.dir_key, self.dir_shadow, self.dir_conf, self.aw_key, self.aw_val,
+            ),
+            (self.K, self.T, self.S, self.P),
+        )
+        self._pointers = tuple(tuple(a.ctypes.data for a in part) for part in self._arrays)
 
     def reset(self) -> None:
         """Back to the values ``__init__`` gives, in place — except the
@@ -334,18 +412,15 @@ class KernelState:
         ):
             arr.fill(0)
 
-    def span_args(self, mcls, mpc, mline) -> tuple:
-        """The full positional argument tuple of ``kernel_span`` minus
-        ``(start, stop)`` — one definition shared by every call site."""
-        return (
-            mcls, mpc, mline,
-            self.l1_tag, self.l1_dirty, self.l1_pib, self.l1_rib,
-            self.l1_nsp, self.l1_src, self.l1_fid, self.l1_stamp,
-            self.l2_tag, self.l2_dirty, self.l2_stamp,
-            self.dir_key, self.dir_shadow, self.dir_conf,
-            self.aw_key, self.aw_val,
-            self.tvals, self.K, self.T, self.S, self.P,
-        )
+    def span_args(self, columns: tuple, cc: bool) -> tuple:
+        """The argument tuple of both entry points minus ``(start, stop)``:
+        ``columns`` (``mcls``, ``mpc``, ``mline``), then this state's
+        arrays.  On the cc leg every array is its data pointer: the
+        caller's ``columns`` already are, this state's were read when it
+        was built, and only ``tvals``, which each run builds, is read
+        here."""
+        head, tail = self._pointers if cc else self._arrays
+        return (*columns, *head, self.tvals.ctypes.data if cc else self.tvals, *tail)
 
     def validate(self, pos: int) -> None:
         """Invariant sweep over the flat state (sanitizer entry point)."""
@@ -452,27 +527,35 @@ def _memory_ops(trace: Trace, n: int, offset_bits: int, software: bool) -> tuple
 
 
 class _TraceMemo:
-    """The process's one memo entry: the column pass of one key and the
-    spare state the last successful run on it handed back."""
+    """The process's one memo entry: the column pass of one key, what the
+    runs on it derive from the columns, and the spare state the last
+    successful run on it handed back."""
 
-    __slots__ = ("ref", "key", "columns", "spare")
+    __slots__ = ("ref", "key", "columns", "pointers", "lines", "spare")
 
     def __init__(self, trace: Trace, key: tuple) -> None:
         self.ref = weakref.ref(trace, _forget)
         self.key = key
         self.columns = _memory_ops(trace, *key)
+        mline = self.columns[3]
+        #: The data pointers of ``mcls``, ``mpc`` and ``mline`` (the cc leg's).
+        self.pointers = tuple(column.ctypes.data for column in self.columns[1:])
+        #: The distinct lines among the memory ops, which bound the keys
+        #: either SDP map ever holds (the module docstring says why).
+        ordered = np.sort(mline)
+        self.lines = int(np.count_nonzero(ordered[1:] != ordered[:-1])) + (len(mline) > 0)
         self.spare: Optional[KernelState] = None
 
-    def checkout(self, l1cfg, l2cfg, n_mem: int) -> KernelState:
+    def checkout(self, l1cfg, l2cfg) -> KernelState:
         """The spare, reset, if its shape fits; else a new state.  The
         caller owns it until it sets ``spare`` back."""
         with _memo_lock:
             st, self.spare = self.spare, None
-        if st is not None and st.shape == _state_shape(l1cfg, l2cfg, n_mem):
+        if st is not None and st.shape == _state_shape(l1cfg, l2cfg, self.lines):
             st.reset()
             return st
         st = None  # free a misfit before allocating its replacement
-        return KernelState(l1cfg, l2cfg, n_mem)
+        return KernelState(l1cfg, l2cfg, self.lines)
 
 
 _memo: Optional[_TraceMemo] = None
@@ -548,7 +631,7 @@ class KernelEngine:
             n = min(n, limit)
 
         mode = self.mode if self.mode is not None else select_mode()
-        span = _span_fn(mode)
+        span, flush = _entry_points(mode)
 
         l1cfg = cfg.hierarchy.l1
         l2cfg = cfg.hierarchy.l2
@@ -556,7 +639,7 @@ class KernelEngine:
 
         # ---- batch precompute (whole-trace numpy passes, memoised) -------
         memo = _memo_for(trace, n, l1cfg.offset_bits, pf.software)
-        midx, mcls, mpc, mline = memo.columns
+        midx = memo.columns[0]
         n_mem = len(midx)
 
         fcfg = cfg.filter
@@ -566,7 +649,7 @@ class KernelEngine:
         tvals = np.full(E if is_table else 1, fcfg.initial_value if is_table else 0, np.int64)
 
         # ---- flat state + scalar parameter block -------------------------
-        st = memo.checkout(l1cfg, l2cfg, n_mem)
+        st = memo.checkout(l1cfg, l2cfg)
         st.tvals = tvals
         P = st.P
         P[krn.P_W1] = l1cfg.ways
@@ -589,7 +672,8 @@ class KernelEngine:
         P[krn.P_STORE] = int(InstrClass.STORE)
         P[krn.P_SWPF] = int(InstrClass.SW_PREFETCH)
 
-        args = st.span_args(mcls, mpc, mline)
+        cc = mode == MODE_CC
+        args = st.span_args(memo.pointers if cc else memo.columns[1:], cc)
 
         def call(start: int, stop: int) -> None:
             # errstate: the interp leg's uint64 golden-ratio multiplies
@@ -651,19 +735,7 @@ class KernelEngine:
         drive(0, split)
         K0, T0 = K.copy(), T.copy()
         drive(split, n_mem)
-
-        # Final flush: classify still-resident prefetched lines exactly the
-        # way Cache.flush does — feedback fires, eviction counters do not.
-        fmode = int(P[krn.P_FMODE])
-        resident = np.nonzero((st.l1_tag != -1) & (st.l1_pib != 0))[0]
-        for w in resident.tolist():
-            vrib = int(st.l1_rib[w])
-            row = int(st.l1_src[w]) * 7
-            if vrib:
-                T[row + krn.T_GOOD] += 1
-            else:
-                T[row + krn.T_BAD] += 1
-            krn.feedback(st.tvals, K, vrib, int(st.l1_fid[w]), fmode, maxv)
+        flush(*args, 0, 0)  # classify the still-resident prefetched lines
 
         # Unconditional: a counter outside [0, max] means the update rule
         # broke, and every count it fed is suspect.
@@ -676,15 +748,9 @@ class KernelEngine:
             st.validate(n_mem)
         check_conservation(_tallies(T))
 
-        # The whole run's stats tree, keyed and ordered the way the
-        # pipeline's flush hooks would have written it: the keys that
-        # fired before the boundary first, then those that fired after.
         cycles = estimate(K, n)
-        flat = {"pipeline.kernel_mode_id": MODE_IDS[mode], "pipeline.instructions": n,
-                "pipeline.cycles": cycles, **_fired(K0, T0)}
-        flat.update(_fired(K, T))
-        in_tree_order = sorted(flat, key=lambda key: _GROUP_ORDER.index(key.rpartition(".")[0]))
-        stats = Stats.from_flat({key: flat[key] for key in in_tree_order})
+        head = {"kernel_mode_id": MODE_IDS[mode], "instructions": n, "cycles": cycles}
+        stats = _stats_tree(head, _row(K0, T0), _row(K, T))
 
         if warmup:
             cycles = max(1, cycles - estimate(K0, warmup))

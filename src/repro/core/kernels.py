@@ -1,10 +1,11 @@
 """Flat-array classification kernels — the kernel engine's source of truth.
 
 This module holds the hot loop of :class:`~repro.core.kernel.KernelEngine`
-written once, in a deliberately restricted dialect: module-level functions
-over preallocated flat numpy arrays, scalar integer locals, no Python
-objects, no closures, no allocation.  That dialect is what lets one source
-back both execution legs:
+and its final flush, the two entry points ``kernel_span`` and
+``kernel_flush``, written once, in a deliberately restricted dialect:
+module-level functions over preallocated flat numpy arrays, scalar
+integer locals, no Python objects, no closures, no allocation.  That
+dialect is what lets one source back both execution legs:
 
 * **cc** — :mod:`repro.core._ckernel` carries a line-for-line C port of
   these functions (sharing the slot constants below via generated
@@ -524,4 +525,37 @@ def kernel_span(
                         dir_conf[slot] = 1
                         K[K_SDPL] += 1
                 S[S_SDP_LAST] = line
+    return 0
+
+
+# ----------------------------------------------------------------------
+# The final flush (Cache.flush order: ascending ways)
+# ----------------------------------------------------------------------
+def kernel_flush(
+    mcls, mpc, mline,
+    l1_tag, l1_dirty, l1_pib, l1_rib, l1_nsp, l1_src, l1_fid, l1_stamp,
+    l2_tag, l2_dirty, l2_stamp,
+    dir_key, dir_shadow, dir_conf, aw_key, aw_val,
+    tvals, K, T, S, P, start, stop,
+):
+    """Classify every still-resident prefetched L1 line, in ascending way
+    order, the way ``Cache.flush`` does: feedback fires, eviction
+    counters do not.  Returns 0.
+
+    It takes ``kernel_span``'s argument list, so one argument tuple
+    serves both entry points; only the L1 arrays, ``tvals``, ``K``,
+    ``T`` and ``P`` are read.
+    """
+    fmode = int(P[P_FMODE])
+    maxv = int(P[P_MAXV])
+    n1 = (int(P[P_L1MASK]) + 1) * int(P[P_W1])
+    for w in range(n1):
+        if l1_tag[w] != MAP_EMPTY and l1_pib[w] != 0:
+            vrib = int(l1_rib[w])
+            row = int(l1_src[w]) * 7
+            if vrib != 0:
+                T[row + T_GOOD] += 1
+            else:
+                T[row + T_BAD] += 1
+            feedback(tvals, K, vrib, int(l1_fid[w]), fmode, maxv)
     return 0

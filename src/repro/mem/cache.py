@@ -291,12 +291,14 @@ class Cache:
     def consume_nsp_tag_and_access(
         self, line_addr: int, is_write: bool, now: int
     ) -> tuple[bool, bool, bool]:
-        """:meth:`consume_nsp_tag` then :meth:`access`, on one set lookup.
+        """Read-and-clear the NSP tag bit of a resident line, then
+        :meth:`access` it, on one set lookup.
 
         Returns ``(hit, first_use_of_prefetched_line, nsp_tag_was_set)``.
-        Counters and line bits change exactly as the two calls, in that
-        order, would change them; the demand path probes the set once
-        instead of twice.
+        A set tag bit on a hit is the NSP trigger condition; clearing it
+        implements one-shot tagged sequential prefetching.  Counters and
+        the other line bits change exactly as :meth:`access` alone would
+        change them.
         """
         for line in self.sets[line_addr & self._set_mask]:
             if line.tag == line_addr:
@@ -321,18 +323,6 @@ class Cache:
             self._n_first_use += 1
         line.stamp = now
         return True, first_use, nsp_tag
-
-    def consume_nsp_tag(self, line_addr: int) -> bool:
-        """Read-and-clear the NSP tag bit of a resident line.
-
-        Returns True when the bit was set (the NSP trigger condition on a
-        hit); clearing implements one-shot tagged sequential prefetching.
-        """
-        line = self._find(line_addr)
-        if line is None or not line.nsp_tag:
-            return False
-        line.nsp_tag = False
-        return True
 
     # ------------------------------------------------------------------
     # Fills and evictions

@@ -121,15 +121,25 @@ class TestPrefetchBits:
         assert ev.pib and not ev.rib
 
 
+def consume_nsp_tag(cache, line_addr):
+    """Read-and-clear the NSP tag bit of a resident line on a set walk of
+    its own: the reference the demand path's single-lookup call is held to."""
+    for line in cache.sets[line_addr & (len(cache.sets) - 1)]:
+        if line.tag == line_addr and line.nsp_tag:
+            line.nsp_tag = False
+            return True
+    return False
+
+
 class TestNspTag:
     def test_consume_clears(self):
         c = direct_mapped()
         c.fill(3, 0, FillSource.NSP, nsp_tag=True)
-        assert c.consume_nsp_tag(3)
-        assert not c.consume_nsp_tag(3)  # one-shot
+        assert c.consume_nsp_tag_and_access(3, False, 1) == (True, True, True)
+        assert c.consume_nsp_tag_and_access(3, False, 2) == (True, False, False)  # one-shot
 
     def test_absent_line(self):
-        assert not direct_mapped().consume_nsp_tag(5)
+        assert direct_mapped().consume_nsp_tag_and_access(5, False, 0) == (False, False, False)
 
     def test_one_probe_matches_consume_then_access(self):
         # The demand path's single-lookup call against the two calls it
@@ -145,7 +155,7 @@ class TestNspTag:
                     cache.fill(line, now, source, trigger_pc=line, nsp_tag=nsp_tag)
             else:
                 is_write = rng.random() < 0.3
-                nsp_tag = split.consume_nsp_tag(line)
+                nsp_tag = consume_nsp_tag(split, line)
                 expected = (*split.access(line, is_write, now), nsp_tag)
                 assert fused.consume_nsp_tag_and_access(line, is_write, now) == expected
                 returns.append(expected)

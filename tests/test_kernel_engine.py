@@ -14,6 +14,7 @@ import gc
 import os
 import pickle
 import random
+import re
 import signal
 import sys
 import threading
@@ -58,6 +59,7 @@ from repro.sanitize.differential import (
     run_kernel_leg,
     run_kernel_parity,
 )
+from repro.trace.record import InstrClass
 from repro.trace.stream import Trace
 from repro.workloads import build_trace, cached_trace, workload_names
 
@@ -97,7 +99,7 @@ def fresh_loader(monkeypatch, tmp_path):
     """A cc loader that has not probed yet, over an empty binary cache."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(_ckernel, "_TRIED", False)
-    monkeypatch.setattr(_ckernel, "_FN", None)
+    monkeypatch.setattr(_ckernel, "_FNS", None)
     monkeypatch.setattr(_ckernel, "LOAD_ERROR", "")
 
 
@@ -156,6 +158,24 @@ class TestBitIdentity:
                            "--insts", "4000", "--no-golden"])
         assert rc != 0
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("entry_point", ("kernel_span", "kernel_flush"))
+    def test_an_object_that_lacks_an_entry_point_fails_the_gates(
+        self, monkeypatch, fresh_loader, entry_point
+    ):
+        if _ckernel._find_compiler() is None:
+            pytest.skip("no C compiler here to build the source")
+        definition = re.compile(rf"^int64_t {entry_point}\(.*?^}}\n", re.S | re.M)
+        source, dropped = definition.subn("", _ckernel.c_source())
+        assert dropped == 1
+        monkeypatch.setattr(_ckernel, "c_source", lambda: source)
+        assert _ckernel.load() is None
+        assert entry_point in _ckernel.LOAD_ERROR and _ckernel.rejected()
+        with pytest.raises(pytest.fail.Exception):
+            _requires_cc()
+        report = run_kernel_parity("em3d", FilterKind.PA, n_insts=4_000)
+        assert not report.ok and not report.skipped
+        assert report.mismatches[0].startswith(_ckernel.BIND_FAILED)
 
     def test_pinned_leg_overrides_env(self, monkeypatch):
         _requires_cc()
@@ -663,3 +683,100 @@ class TestTraceMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert len(got) == 80
         assert [want[i] for i, _ in got] == [digest for _, digest in got]
+
+
+class TestMapBound:
+    """The SDP maps are sized by the distinct lines among a trace's memory
+    ops (``_map_capacity``).  Every key either map holds is a demand-miss
+    line, a slot never turns empty again, and an insert reuses the first
+    tombstone on its probe path, so each distinct key claims at most one
+    empty slot over a map's life and the load stays at or under one half."""
+
+    def test_churn_over_colliding_keys_claims_one_slot_per_key(self):
+        distinct = 496  # _map_capacity(496) is 1024: the bound is tight
+        cap = kernel_mod._map_capacity(distinct)
+        assert cap == 2 * (distinct + 16)
+        mask = cap - 1
+        with np.errstate(over="ignore"):
+            # Keys whose probes all start in one 8-slot window, so each
+            # probe path runs over the other keys' slots and tombstones.
+            pool = [key for key in range(1, 200_000) if krn.probe_start(key, mask) < 8]
+            pool = pool[:distinct]
+            assert len(pool) == distinct
+            keys = np.full(cap, krn.MAP_EMPTY, dtype=np.int64)
+            rng = random.Random(5)
+            live, inserted = set(), set()
+            for _ in range(4_000):
+                key = rng.choice(pool)
+                if rng.random() < 0.55:
+                    slot = krn.map_insert(keys, mask, key)
+                    assert slot >= 0 and keys[slot] == key
+                    live.add(key)
+                    inserted.add(key)
+                else:
+                    krn.map_delete(keys, mask, key)
+                    live.discard(key)
+                assert np.count_nonzero(keys != krn.MAP_EMPTY) <= len(inserted)
+            assert [krn.map_lookup(keys, mask, key) >= 0 for key in pool] == [
+                key in live for key in pool
+            ]
+            for key in pool:
+                assert krn.map_insert(keys, mask, key) >= 0
+        assert np.count_nonzero(keys != krn.MAP_EMPTY) == distinct <= cap // 2
+
+    @staticmethod
+    def _both_legs(trace, kind):
+        """Run ``trace`` on each leg (a span status other than 0 raises),
+        check each leg's maps against the bound, and return the interp
+        result and the memo entry."""
+        _requires_cc()
+        results = []
+        for mode in (MODE_INTERP, MODE_CC):
+            sim = Simulator(SimulationConfig.paper_default(kind), engine="kernel")
+            sim.engine.mode = mode
+            results.append(sim.run(trace))
+            memo = kernel_mod._memo
+            for keys in (memo.spare.dir_key, memo.spare.aw_key):
+                assert len(keys) == kernel_mod._map_capacity(memo.lines)
+                assert np.count_nonzero(keys != krn.MAP_EMPTY) <= memo.lines
+        _assert_identical(f"{trace.name}/{kind.value}", *results)
+        return results[0], memo
+
+    @staticmethod
+    def _loads(lines, pcs, name, iclass=None):
+        n = len(lines)
+        if iclass is None:
+            iclass = np.full(n, int(InstrClass.LOAD), dtype=np.uint8)
+        addr = np.asarray(lines, dtype=np.uint64) * np.uint64(32)
+        return Trace(iclass, np.asarray(pcs, dtype=np.uint64), addr, np.zeros(n, bool), name)
+
+    @pytest.mark.parametrize("kind", (FilterKind.PA, FilterKind.PC), ids=lambda k: k.value)
+    def test_every_demand_op_misses_on_a_new_line(self, kind):
+        n = 24_000
+        i = np.arange(n, dtype=np.uint64)
+        iclass = np.where(i % 3 == 2, int(InstrClass.STORE), int(InstrClass.LOAD))
+        # Five lines apart, so no NSP prefetch ever holds a demanded line.
+        trace = self._loads(0x8000 + 5 * i, 0x1000 + 4 * (i % 64), "new-lines", iclass)
+        result, memo = self._both_legs(trace, kind)
+        assert memo.lines == len(memo.columns[0]) == n
+        flat = result.stats.flat()
+        assert flat["mem.l1.demand_read_miss"] + flat["mem.l1.demand_write_miss"] == n
+        assert flat["pipeline.sdp.shadow_learned"] == n - 1
+        # L2 evictions deleted shadows, so the directory holds tombstones.
+        assert np.count_nonzero(memo.spare.dir_key == krn.MAP_TOMB) > 0
+
+    @pytest.mark.parametrize("kind", (FilterKind.PA, FilterKind.PC), ids=lambda k: k.value)
+    def test_a_ping_pong_churns_the_await_set_through_tombstones(self, kind):
+        # Four lines of one direct-mapped L1 set, alternated in pairs: a
+        # miss prefetches its partner's line as the shadow, the next access
+        # confirms it and tombstones its await entry, the next miss
+        # re-inserts it.
+        n = 6_000
+        lines = [0x40000 + 256 * k for k in range(4)]
+        pairs = ((0, 1), (2, 3), (1, 2))
+        seq = [lines[pairs[(i // 120) % 3][i % 2]] for i in range(n)]
+        trace = self._loads(seq, [0x400 + 4 * (i % 2) for i in range(n)], "ping-pong")
+        result, memo = self._both_legs(trace, kind)
+        assert memo.lines == 4
+        # More confirmations than distinct lines: inserts reused tombstones.
+        assert result.stats.flat()["pipeline.sdp.confirmed"] > memo.lines
